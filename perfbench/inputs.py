@@ -218,21 +218,21 @@ def sentence_tsv(sent: list) -> str:
 # ("base", form) or ("alias", name), and condition None or
 # (negated, offset, test).
 
-SWEEP_RULES_TEXT = """\
-# Fixed rule list for the length sweep: twelve passes per sentence.
-REMOVE POS=adj IF (NOT -1 POS=num)
-REMOVE POS=adv IF (-1 POS=noun)
-SELECT POS=verb IF (+1 POS=verb)
-REMOVE nimisana IF (+1 POS=num)
-SELECT POS=noun IF (-1 laatusana)
-REMOVE POS=pron IF (NOT +1 teonsana)
-SELECT lukusana IF (+2 POS=noun)
-REMOVE seikkasana IF (-2 POS=verb)
-SELECT POS=adj IF (0 POS=noun)
-REMOVE POS=num IF (NOT +1 POS=noun)
-REMOVE POS=verb IF (-1 POS=pron)
-SELECT POS=noun
-"""
+# The fixed rule list of the length sweep: twelve passes per sentence.
+SWEEP_RULES = (
+    ("REMOVE", ("pos", "adj"), (True, -1, ("pos", "num"))),
+    ("REMOVE", ("pos", "adv"), (False, -1, ("pos", "noun"))),
+    ("SELECT", ("pos", "verb"), (False, 1, ("pos", "verb"))),
+    ("REMOVE", ("alias", "nimisana"), (False, 1, ("pos", "num"))),
+    ("SELECT", ("pos", "noun"), (False, -1, ("alias", "laatusana"))),
+    ("REMOVE", ("pos", "pron"), (True, 1, ("alias", "teonsana"))),
+    ("SELECT", ("alias", "lukusana"), (False, 2, ("pos", "noun"))),
+    ("REMOVE", ("alias", "seikkasana"), (False, -2, ("pos", "verb"))),
+    ("SELECT", ("pos", "adj"), (False, 0, ("pos", "noun"))),
+    ("REMOVE", ("pos", "num"), (True, 1, ("pos", "noun"))),
+    ("REMOVE", ("pos", "verb"), (False, -1, ("pos", "pron"))),
+    ("SELECT", ("pos", "noun"), None),
+)
 
 
 def _test_text(test: tuple[str, str]) -> str:
@@ -292,8 +292,9 @@ def random_rules(rng: random.Random, vocab: Vocabulary) -> list[tuple]:
     return rules
 
 
-def rules_text(rules: list[tuple]) -> str:
-    lines = ["# Seeded rule file for the cg_stream workload.", ""]
+def rules_text(rules) -> str:
+    """Rule tuples in the README's rule-file syntax."""
+    lines = []
     for action, target, condition in rules:
         line = f"{action} {_test_text(target)}"
         if condition is not None:
@@ -302,31 +303,3 @@ def rules_text(rules: list[tuple]) -> str:
             line += f" IF ({neg}{offset:+d} {_test_text(test)})"
         lines.append(line)
     return "\n".join(lines) + "\n"
-
-
-def parse_rules_plain(text: str) -> list[tuple]:
-    """Read rule text back into tuples, for the reference (README grammar)."""
-    rules = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, cond = line.partition(" IF ")
-        action, target = head.split()
-        condition = None
-        if cond:
-            words = cond.strip().strip("()").split()
-            negated = words[0] == "NOT"
-            if negated:
-                words = words[1:]
-            condition = (negated, int(words[0]), _test_from_text(words[1]))
-        rules.append((action, _test_from_text(target), condition))
-    return rules
-
-
-def _test_from_text(word: str) -> tuple[str, str]:
-    if word.startswith("POS="):
-        return ("pos", word[4:])
-    if word.startswith("BASEFORM="):
-        return ("base", word[9:])
-    return ("alias", word)

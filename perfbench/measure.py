@@ -77,36 +77,29 @@ class Tracer:
         span[2] = clock()
         return span[2] - span[1]
 
-    def end_op(self) -> float:
-        """Fold the op's spans into the totals; returns the root duration."""
+    def end_op(self) -> None:
+        """Fold the op's spans into the totals."""
         child = [0.0] * len(self._spans)
         for name, t0, t1, parent, items in self._spans:
             if parent >= 0:
                 child[parent] += t1 - t0
-        root = 0.0
         for i, (name, t0, t1, parent, items) in enumerate(self._spans):
             d = t1 - t0
             self.total[name] += d
             self.self_time[name] += d - child[i]
             self.calls[name] += 1
             self.items[name] += items
-            if parent < 0:
-                root += d
         if self.ops < self.keep_ops:
             self.kept.extend(
                 (self.ops, i, s[0], s[1], s[2], s[3]) for i, s in enumerate(self._spans)
             )
         self.ops += 1
-        return root
 
     def count(self, name: str, value: float = 1) -> None:
         self.counts[name] += value
 
     def us_per_item(self, name: str) -> float:
         return self.total[name] * 1e6 / self.items[name]
-
-    def us_per_call(self, name: str) -> float:
-        return self.total[name] * 1e6 / self.calls[name]
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -26,7 +26,7 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(ROOT / "src"))
 
-import setup_time  # noqa: E402  (imports comorph only in a set-up round)
+import setup_time  # noqa: E402
 from measure import Tracer, clock  # noqa: E402
 
 WORKLOAD_NAMES = ("paradigms", "length_sweep", "cg_stream")
@@ -73,11 +73,9 @@ def _metric(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}
 
 
-def end_to_end(tally, setup_s: float, smoke: bool) -> dict:
+def end_to_end(tally, setup_s: float) -> dict:
     if not tally.window_quantiles:
-        if not smoke:
-            raise SystemExit("run too short: no latency window of 1000 samples")
-        tally.window_quantiles.append((tally.hist.quantile(0.5), tally.hist.quantile(0.99)))
+        raise SystemExit("run too short: no latency window of 1000 samples")
     p50, p99 = tally.latency_quantiles()
     return {
         "setup_s": _metric(setup_s, "s"),
@@ -105,9 +103,8 @@ def per_layer(args, oracles, untraced) -> tuple[dict, list]:
         probe_tracer, probe_tally = Tracer(keep_ops=0), Tally()
         probe = WORKLOADS[name](args.seed, oracles)
         if name == "length_sweep":
-            # One call at each long length is enough for a probe.
+            # One word at each length is enough for a probe.
             probe.CHARS_PER_LENGTH = max(inp.PIPELINE_LENGTHS)
-            probe.TOKENS_PER_LENGTH = max(inp.CG_LENGTHS)
         probe.traced(probe_tracer, probe_tally, clock() + args.seconds * TRACE_PROBE_SHARE)
         tracers.append((name, probe_tracer, probe_tally))
 
@@ -121,6 +118,8 @@ def per_layer(args, oracles, untraced) -> tuple[dict, list]:
                 break
         else:
             raise SystemExit(f"no traced phase measured {name}")
+    # Both rates count only the time inside the same calls, so the ratio is
+    # how much the spans around them slow those calls down.
     traced_rate = traced.items / traced.busy
     untraced_rate = untraced.items / untraced.busy
     metrics["trace.overhead_ratio"] = _metric(traced_rate / untraced_rate, "ratio")
@@ -139,11 +138,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny length_sweep rounds and no latency-window guard, for the smoke test",
-    )
     args = parser.parse_args()
 
     if not (ROOT / "src" / "comorph" / "__init__.py").is_file():
@@ -154,7 +148,7 @@ def main() -> int:
         return 2
 
     print("# header " + json.dumps(header(args), sort_keys=True))
-    setup = setup_time.SetupTimer(args.workload, args.seed, args.seconds)
+    setup = setup_time.SetupTimer(ROOT / "src", args.workload, args.seed, args.seconds)
     setup.round()
     import comorph
 
@@ -162,13 +156,9 @@ def main() -> int:
         print(f"imported comorph from {comorph.__file__}, not this checkout", file=sys.stderr)
         return 2
     from reference import load_oracles
-    import inputs as inp
-    from workloads import WORKLOADS, LengthSweep, Tally
+    from workloads import WORKLOADS, Tally
 
     oracles = load_oracles(ROOT)
-    if args.smoke:
-        LengthSweep.CHARS_PER_LENGTH = max(inp.PIPELINE_LENGTHS)
-        LengthSweep.TOKENS_PER_LENGTH = max(inp.CG_LENGTHS)
     wl = WORKLOADS[args.workload](args.seed, oracles)
     tally = Tally(on_window=None if args.trace else setup.maybe_round)
     share = TRACE_UNTRACED_SHARE if args.trace else 1.0
@@ -179,7 +169,7 @@ def main() -> int:
         metrics, traced_tallies = per_layer(args, oracles, tally)
         tallies = [tally, *traced_tallies]
     else:
-        metrics = end_to_end(tally, setup.median(), args.smoke)
+        metrics = end_to_end(tally, setup.median())
         tallies = [tally]
     attempted = sum(t.attempted for t in tallies)
     failed = sum(t.failed for t in tallies)

@@ -1,74 +1,56 @@
 """Set-up time: import comorph, parse the rules, make the first call.
 
-Each round drops every ``comorph`` module from ``sys.modules`` so the import
-runs again in full, then pays whatever the first call sets up lazily. The
-first round runs before anything else; the others are spread over the
-measured run, at batch boundaries, because the machine's speed drifts over
-seconds and rounds made back to back would all see the same phase. Code
-that imported comorph earlier keeps its own module objects, so nothing
-mixes objects from two imports. Inputs for the first call are plain data
-built from the seed.
+Each round runs ``setup_child.py`` in a fresh interpreter, so every round
+imports comorph and the standard-library modules it needs cold and compiles
+its regular expressions anew; the child times itself from just before the
+import, so interpreter start-up is left out. The first round runs before
+anything else; the others are spread over the measured run, at batch
+boundaries, because the machine's speed drifts over seconds and rounds made
+back to back would all see the same phase. Inputs for the first call are
+plain data built from the seed.
 """
 
 from __future__ import annotations
 
-import gc
-import importlib
 import random
 import statistics
+import subprocess
 import sys
+from pathlib import Path
 
 import inputs as inp
 from measure import clock
 
 ROUNDS = 15
+CHILD = Path(__file__).resolve().parent / "setup_child.py"
 
 
-def _first_call_inputs(workload: str, seed: int):
+def _first_call_args(workload: str, seed: int) -> list[str]:
+    """Rules text ("" when the workload has none), then the first call's inputs."""
     rng = random.Random(f"{workload}-setup:{seed}")
     vocab = inp.Vocabulary(rng, size=50)
     if workload == "paradigms":
-        return None, inp.lemma(rng)
+        return ["", inp.lemma(rng)]
     if workload == "length_sweep":
-        return inp.SWEEP_RULES_TEXT, (inp.chain_word(rng, 10), inp.sentence(rng, vocab, 3))
-    return inp.rules_text(inp.random_rules(rng, vocab)), inp.sentence_tsv(inp.sentence(rng, vocab, 3))
-
-
-def _once(workload: str, rules_text: str | None, arg) -> float:
-    for name in [m for m in sys.modules if m == "comorph" or m.startswith("comorph.")]:
-        del sys.modules[name]
-    t0 = clock()
-    cm = importlib.import_module("comorph")
-    rules = cm.parse_rules(rules_text) if rules_text is not None else None
-    if workload == "paradigms":
-        cm.generate(arg, cm.NounCase.GENITIVE)
-    elif workload == "length_sweep":
-        word, sent = arg
-        cm.run_pipeline(word, cm.Grade.WEAK)
-        sentence = [
-            cm.ReadingSet(s, frozenset(cm.Reading(b, p, frozenset(f)) for p, b, f in rs))
-            for s, rs in sent
-        ]
-        cm.run_cg(sentence, rules)
-    else:
-        cg = importlib.import_module("comorph.cg")
-        cg.format_sentences([cm.run_cg(s, rules) for s in cm.parse_readings(arg)])
-    return clock() - t0
+        sentence = inp.sentence_tsv(inp.sentence(rng, vocab, 3))
+        return [inp.rules_text(inp.SWEEP_RULES), inp.chain_word(rng, 10), sentence]
+    return [inp.rules_text(inp.random_rules(rng, vocab)), inp.sentence_tsv(inp.sentence(rng, vocab, 3))]
 
 
 class SetupTimer:
     """Set-up rounds for one workload, spread over a run of ``seconds``."""
 
-    def __init__(self, workload: str, seed: int, seconds: float) -> None:
-        self.workload = workload
-        self.rules_text, self.arg = _first_call_inputs(workload, seed)
+    def __init__(self, src: Path, workload: str, seed: int, seconds: float) -> None:
+        self.argv = [sys.executable, str(CHILD), str(src), workload, *_first_call_args(workload, seed)]
         self.gap = seconds / ROUNDS
         self.times: list[float] = []
         self._due = 0.0
 
     def round(self) -> None:
-        gc.collect()  # so no collection left over from the run lands in a round
-        self.times.append(_once(self.workload, self.rules_text, self.arg))
+        proc = subprocess.run(self.argv, capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            raise SystemExit(f"set-up round failed:\n{proc.stderr}")
+        self.times.append(float(proc.stdout))
         self._due = clock() + self.gap
 
     def maybe_round(self) -> None:

@@ -1,9 +1,11 @@
-"""Smoke test: every workload, untraced and traced, at a tiny size.
+"""Smoke test: every workload, untraced and traced, in short runs.
 
     python3 -m pytest perfbench/test_smoke.py
 
 Each run must exit 0, report no failed op (error_rate 0), and print exactly
-the metrics BENCHMARK.json names for its mode, each with its unit.
+the metrics BENCHMARK.json names for its mode, each with its unit. The runs
+take the same code path as full-length ones, so SMOKE_SECONDS must leave
+room for one latency window of 1000 samples on every workload.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+# cg_stream needs about 4 s for its first latency window on a 2-core box.
+SMOKE_SECONDS = 8
 
 
 def _run(workload: str, trace: int) -> tuple[list[str], dict]:
     proc = subprocess.run(
         [sys.executable, *SPEC["command"][1:], "--workload", workload, "--seed", "0",
-         "--seconds", "1", "--trace", str(trace), "--smoke"],
+         "--seconds", str(SMOKE_SECONDS), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

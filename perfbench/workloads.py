@@ -2,8 +2,7 @@
 
 Each workload runs as one closed-loop caller with one call in flight. Inputs
 and expected outputs are built in batches outside the timed region; only
-the call into comorph sits between the two clock reads. Imported only after
-the first set-up round has imported comorph.
+the call into comorph sits between the two clock reads.
 """
 
 from __future__ import annotations
@@ -37,7 +36,12 @@ IDENTITY_WRITER = lift_pure(extract)
 
 
 class Tally:
-    """What an untraced loop measured, plus the errors it saw."""
+    """What one loop measured, plus the errors it saw.
+
+    ``busy`` is the time inside the calls an untraced loop times; a traced
+    loop adds only the spans around those same calls, not the composed and
+    identity work it does besides.
+    """
 
     # A latency window closes once it holds this many samples, so that its
     # p99 has 10 samples beyond it.
@@ -306,13 +310,14 @@ class Paradigms(Workload):
                 tr.start("op")
                 tr.start("generator.generate", 1)
                 out = generate(lemma, case, poss3)
-                tr.stop()
+                busy = tr.stop()
                 tr.start("pipeline.run_pipeline", len(form))
                 plain = run_pipeline(form, GRADES[grade])
                 tr.stop()
                 composed = self._composed_word(tr, form, grade)
                 tr.stop()
-                tally.busy += tr.end_op()
+                tr.end_op()
+                tally.busy += busy
                 tally.items += 1
                 tally.check(
                     out == plain == composed == expected,
@@ -337,8 +342,8 @@ class LengthSweep(Workload):
     def __init__(self, seed: int, oracles) -> None:
         super().__init__(seed, oracles)
         self.vocab = inp.Vocabulary(self.rng)
-        self.rules_text = inp.SWEEP_RULES_TEXT
-        self.ref_rules = inp.parse_rules_plain(self.rules_text)
+        self.ref_rules = inp.SWEEP_RULES
+        self.rules_text = inp.rules_text(self.ref_rules)
         self.rules = parse_rules(self.rules_text)
 
     def _round(self) -> list:
@@ -398,7 +403,7 @@ class LengthSweep(Workload):
                 if kind == "word":
                     tr.start(f"pipeline.run_pipeline.len{length}", length)
                     plain = run_pipeline(arg, GRADES[grade])
-                    tr.stop()
+                    busy = tr.stop()
                     composed = self._composed_word(tr, arg, grade)
                     tr.start(f"writer.writer_extend.len{length}", length)
                     writer_extend(IDENTITY_WRITER, WriterZipper(EMPTY_DELETIONS, from_sequence(arg, 0)))
@@ -407,14 +412,15 @@ class LengthSweep(Workload):
                 else:
                     tr.start(f"cg.run_cg.len{length}", length)
                     plain = run_cg(arg, self.rules)
-                    tr.stop()
+                    busy = tr.stop()
                     composed = self._composed_cg(tr, arg, self.rules, fires)
                     tr.start(f"zipper.extend.len{length}", length)
                     extend(from_sequence(tuple(arg), 0), extract)
                     tr.stop()
                     ok = plain == composed and _sentence_keys(plain) == expected
                 tr.stop()
-                tally.busy += tr.end_op()
+                tr.end_op()
+                tally.busy += busy
                 tally.items += length
                 tally.check(ok, lambda: f"traced {kind} {arg!r} differs")
         tr.count("cg.rules", len(self.rules))
@@ -474,16 +480,17 @@ class CgStream(Workload):
                 tr.start("op")
                 tr.start("cg.parse_readings", n)
                 sentences = parse_readings(tsv)
-                tr.stop()
+                busy = tr.stop()
                 tr.start("cg.run_cg", n)
                 plain = [run_cg(s, self.rules) for s in sentences]
-                tr.stop()
+                busy += tr.stop()
                 composed = [self._composed_cg(tr, s, self.rules, fires) for s in sentences]
                 tr.start("cg.format_sentences", n)
                 out = format_sentences(plain)
+                busy += tr.stop()
                 tr.stop()
-                tr.stop()
-                tally.busy += tr.end_op()
+                tr.end_op()
+                tally.busy += busy
                 tally.items += n
                 tally.check(
                     plain == composed and parse_tsv(out) == [expected],
