@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """comorph benchmark: one workload, one closed-loop caller, one seed.
 
-    python3 perfbench/run.py --workload paradigms --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload paradigms --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout; it imports ``src/comorph`` and
 ``tests/oracles.py`` from there. ``--trace 0`` times untraced calls and
@@ -74,8 +74,8 @@ def _metric(value: float, unit: str) -> dict:
 
 
 def end_to_end(tally, setup_s: float) -> dict:
-    if not tally.window_quantiles:
-        raise SystemExit("run too short: no latency window of 1000 samples")
+    if tally.hist.n < tally.MIN_LATENCY_SAMPLES:
+        raise SystemExit(f"run too short: fewer than {tally.MIN_LATENCY_SAMPLES} latency samples")
     p50, p99 = tally.latency_quantiles()
     return {
         "setup_s": _metric(setup_s, "s"),
@@ -96,6 +96,7 @@ def per_layer(args, oracles, untraced) -> tuple[dict, list]:
     WORKLOADS[args.workload](args.seed, oracles).traced(
         tracer, traced, clock() + args.seconds * TRACE_MAIN_SHARE
     )
+    traced.close_window()
     tracers = [(args.workload, tracer, traced)]
     for name in WORKLOAD_NAMES:
         if name == args.workload:
@@ -106,6 +107,7 @@ def per_layer(args, oracles, untraced) -> tuple[dict, list]:
             # One word at each length is enough for a probe.
             probe.CHARS_PER_LENGTH = max(inp.PIPELINE_LENGTHS)
         probe.traced(probe_tracer, probe_tally, clock() + args.seconds * TRACE_PROBE_SHARE)
+        probe_tally.close_window()
         tracers.append((name, probe_tracer, probe_tally))
 
     metrics, sources = {}, {}
@@ -118,8 +120,9 @@ def per_layer(args, oracles, untraced) -> tuple[dict, list]:
                 break
         else:
             raise SystemExit(f"no traced phase measured {name}")
-    # Both rates count only the time inside the same calls, so the ratio is
-    # how much the spans around them slow those calls down.
+    # Both rates count only the time inside the same calls, scaled to the
+    # reference speed, so the ratio is how much the spans around them slow
+    # those calls down.
     traced_rate = traced.items / traced.busy
     untraced_rate = untraced.items / untraced.busy
     metrics["trace.overhead_ratio"] = _metric(traced_rate / untraced_rate, "ratio")
@@ -182,11 +185,11 @@ def main() -> int:
                 "calls": tally.calls,
                 "windows": len(tally.windows),
                 "items_per_busy_s": tally.items / tally.busy,
+                "raw_items_per_busy_s": tally.items / tally.raw_busy,
+                "speed_median": tally.speed.median(),
                 "latency_samples": tally.hist.n,
-                "latency_windows": len(tally.window_quantiles),
-                "run_p50_us": tally.hist.quantile(0.5),
-                "run_p99_us": tally.hist.quantile(0.99),
                 "setup_rounds_s": setup.times,
+                "raw_setup_rounds_s": setup.raw_times,
             }
         )
     )

@@ -3,18 +3,22 @@
     python3 perfbench/setup_child.py SRC WORKLOAD RULES_TEXT INPUT...
 
 Imports comorph from SRC, parses RULES_TEXT (when it is not empty) and makes
-the workload's first call, then prints the seconds that took. The inputs are
-plain strings from the command line, read with ``str`` methods only, so that
-before the clock starts nothing is imported beyond what the interpreter
-loads at start-up: every module comorph needs is imported inside the timed
-span.
+the workload's first call, then prints the seconds that took and the median
+time of each kernel's burst (``speed.py``), run right afterwards in the same
+process. The inputs are plain strings from the command line, read with
+``str`` methods only, so that before the clock starts nothing is imported
+beyond what the interpreter loads at start-up: every module comorph needs is
+imported inside the timed span.
 
 INPUT is a lemma (paradigms), a word and one sentence in the readings-file
 format (length_sweep), or one sentence in that format (cg_stream).
 """
 
+import os
 import sys
 import time
+
+BURSTS = 5
 
 
 def _split_sentence(text):
@@ -55,7 +59,14 @@ def main():
 
         format_sentences([comorph.run_cg(s, rules) for s in comorph.parse_readings(args[0])])
     elapsed = time.perf_counter() - t0
-    print(repr(elapsed))
+
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    import speed
+
+    speed.burst()  # warm-up
+    bursts = [speed.burst() for _ in range(BURSTS)]
+    interp, memory = (sorted(times)[BURSTS // 2] for times in zip(*bursts))
+    print(repr(elapsed), repr(interp), repr(memory))
 
 
 if __name__ == "__main__":

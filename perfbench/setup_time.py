@@ -3,11 +3,13 @@
 Each round runs ``setup_child.py`` in a fresh interpreter, so every round
 imports comorph and the standard-library modules it needs cold and compiles
 its regular expressions anew; the child times itself from just before the
-import, so interpreter start-up is left out. The first round runs before
-anything else; the others are spread over the measured run, at batch
-boundaries, because the machine's speed drifts over seconds and rounds made
-back to back would all see the same phase. Inputs for the first call are
-plain data built from the seed.
+import, so interpreter start-up is left out, and then runs speed bursts, so
+that each round's time is scaled to the reference speed like every other
+timing (``speed.py``). The first round runs before anything else; the
+others are spread over the measured run, at batch boundaries, because the
+machine's speed drifts over seconds and rounds made back to back would all
+see the same phase. Inputs for the first call are plain data built from the
+seed.
 """
 
 from __future__ import annotations
@@ -19,9 +21,14 @@ import sys
 from pathlib import Path
 
 import inputs as inp
+import speed
 from measure import clock
 
 ROUNDS = 15
+# Memory-bound share of a round's time (see workloads.Tally.op): reading
+# module files and unmarshalling code objects slow less than the interpreter
+# kernel when the machine does.
+MEMORY = 0.3
 CHILD = Path(__file__).resolve().parent / "setup_child.py"
 
 
@@ -44,13 +51,17 @@ class SetupTimer:
         self.argv = [sys.executable, str(CHILD), str(src), workload, *_first_call_args(workload, seed)]
         self.gap = seconds / ROUNDS
         self.times: list[float] = []
+        self.raw_times: list[float] = []
         self._due = 0.0
 
     def round(self) -> None:
         proc = subprocess.run(self.argv, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             raise SystemExit(f"set-up round failed:\n{proc.stderr}")
-        self.times.append(float(proc.stdout))
+        elapsed, interp, memory = map(float, proc.stdout.split())
+        self.raw_times.append(elapsed)
+        s = (1 - MEMORY) * speed.REF_INTERP_S / interp + MEMORY * speed.REF_MEMORY_S / memory
+        self.times.append(elapsed * s)
         self._due = clock() + self.gap
 
     def maybe_round(self) -> None:

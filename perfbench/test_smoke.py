@@ -5,7 +5,7 @@
 Each run must exit 0, report no failed op (error_rate 0), and print exactly
 the metrics BENCHMARK.json names for its mode, each with its unit. The runs
 take the same code path as full-length ones, so SMOKE_SECONDS must leave
-room for one latency window of 1000 samples on every workload.
+room for 1000 latency samples on every workload.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
-# cg_stream needs about 4 s for its first latency window on a 2-core box.
+# cg_stream needs about 3 s for 1000 latency samples on a 2-core box.
 SMOKE_SECONDS = 8
 
 

@@ -2,14 +2,20 @@
 
 Each workload runs as one closed-loop caller with one call in flight. Inputs
 and expected outputs are built in batches outside the timed region; only
-the call into comorph sits between the two clock reads.
+the call into comorph sits between the two clock reads. Each new batch is
+moved out of the cyclic garbage collector's reach with ``gc.freeze()``, so
+that collections inside a call scan the program's objects, not the
+benchmark's held inputs and references; they are still freed by reference
+counting when the batch is dropped.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import statistics
 from collections import Counter
+from time import thread_time
 
 import inputs as inp
 from comorph.cg import (
@@ -29,6 +35,7 @@ from comorph.writer import EMPTY_DELETIONS, WriterZipper, lift_pure, materialize
 from comorph.zipper import extend, extract, from_sequence, to_sequence
 from measure import LatencyHistogram, Tracer, clock
 from reference import GOLDENS, cg_reference, parse_tsv
+from speed import Speedometer, probe
 
 CASE_ENUMS = [NounCase(name) for name, _, _ in inp.CASES]
 GRADES = {g.value: g for g in Grade}
@@ -38,42 +45,76 @@ IDENTITY_WRITER = lift_pure(extract)
 class Tally:
     """What one loop measured, plus the errors it saw.
 
-    ``busy`` is the time inside the calls an untraced loop times; a traced
-    loop adds only the spans around those same calls, not the composed and
-    identity work it does besides.
+    Calls are reported with ``op`` and gathered into segments of about
+    ``speed.SEGMENT_S``; when a segment closes, a speed burst runs and each
+    call's time is scaled by the machine's speed over the segment (see
+    ``speed.py``): the share ``memory`` of it by the memory kernel's speed,
+    the rest by the interpreter kernel's. A latency sample takes its
+    interpreter speed from the probes around its own call instead. ``busy``
+    and the latency samples are scaled, ``raw_busy`` is not. ``busy`` is the
+    time inside the calls an untraced loop times; a traced loop reports only
+    the spans around those same calls, not the composed and identity work it
+    does besides.
     """
 
-    # A latency window closes once it holds this many samples, so that its
-    # p99 has 10 samples beyond it.
-    LATENCY_WINDOW = 1000
+    # A run needs this many latency samples, so that its p99 has 10 samples
+    # beyond it.
+    MIN_LATENCY_SAMPLES = 1000
 
     def __init__(self, on_window=None) -> None:
         self.on_window = on_window
+        self.speed = Speedometer()
         self.hist = LatencyHistogram()
-        self.window_hist = LatencyHistogram()
-        self.window_quantiles: list[tuple[float, float]] = []
         self.items = 0
         self.busy = 0.0
+        self.raw_busy = 0.0
         self.attempted = 0
         self.failed = 0
         self.calls = 0
         self.windows: list[tuple[int, float]] = []
         self._window_start = (0, 0.0)
+        self._seg_items = 0
+        self._seg_busy = [0.0, 0.0]  # interpreter-bound, memory-bound
+        self._seg_latency: list[tuple[float, float, float]] = []  # cpu, speed, memory
+
+    def op(self, dt: float, items: int, memory: float = 0.0, sample=None) -> None:
+        """One call of ``dt`` seconds over ``items`` items.
+
+        ``memory`` is the share of the call's time that is memory-bound:
+        how much less than the interpreter kernel the call slows down when
+        the machine does, as measured on the reference machine. A call
+        given a ``sample`` from ``_call`` is a latency sample.
+        """
+        self._seg_items += items
+        self._seg_busy[0] += dt * (1 - memory)
+        self._seg_busy[1] += dt * memory
+        if sample is not None:
+            self._seg_latency.append((*sample, memory))
+        self.calls += 1
+        if self.speed.due():
+            self._close_segment()
+
+    def _close_segment(self) -> None:
+        s_interp, s_memory = self.speed.read()
+        interp, memory = self._seg_busy
+        self.items += self._seg_items
+        self.busy += interp * s_interp + memory * s_memory
+        self.raw_busy += interp + memory
+        for cpu, s_call, m in self._seg_latency:
+            us = cpu * ((1 - m) * s_call + m * s_memory) * 1e6
+            self.hist.add(us)
+        self._seg_items, self._seg_busy, self._seg_latency = 0, [0.0, 0.0], []
 
     def close_window(self) -> None:
         """Record items and busy time since the previous window closed.
 
-        A window is one batch of inputs (one round in length_sweep). A
-        latency window spans whole windows until it holds LATENCY_WINDOW
-        samples.
+        A window is one batch of inputs (one round in length_sweep) and
+        always ends a segment.
         """
+        self._close_segment()
         items, busy = self._window_start
         if self.items > items:
             self.windows.append((self.items - items, self.busy - busy))
-        if self.window_hist.n >= self.LATENCY_WINDOW:
-            h = self.window_hist
-            self.window_quantiles.append((h.quantile(0.5), h.quantile(0.99)))
-            self.window_hist = LatencyHistogram()
         if self.on_window is not None:
             self.on_window()
         self._window_start = (self.items, self.busy)
@@ -82,16 +123,9 @@ class Tally:
         """Median over windows of items per busy second."""
         return statistics.median(i / b for i, b in self.windows)
 
-    def latency(self, us: float) -> None:
-        self.hist.add(us)
-        self.window_hist.add(us)
-
     def latency_quantiles(self) -> tuple[float, float]:
-        """Median over latency windows of each window's p50 and p99, in µs."""
-        return (
-            statistics.median(q[0] for q in self.window_quantiles),
-            statistics.median(q[1] for q in self.window_quantiles),
-        )
+        """p50 and p99 over every latency sample of the run, in µs."""
+        return self.hist.quantile(0.5), self.hist.quantile(0.99)
 
     def check(self, ok: bool, what) -> None:
         """Count one attempted op; ``what`` describes it if it failed."""
@@ -102,13 +136,25 @@ class Tally:
 
 
 def _call(fn, *args):
-    """Time one call; an exception is returned as the output."""
+    """Time one call; an exception is returned as the output.
+
+    Returns the output, the wall seconds the call took, and its latency
+    sample: the thread's CPU seconds in the call and the interpreter speed
+    around it, the mean of a probe just before and one just after. Latency
+    is CPU time so that the calls during which another process on the
+    machine held the CPU do not make the tail; throughput, a sum over
+    thousands of calls, keeps wall time.
+    """
+    before = probe()
+    c0 = thread_time()
     t0 = clock()
     try:
         out = fn(*args)
     except Exception as exc:  # the loop must keep running and count it
         out = exc
-    return out, clock() - t0
+    dt = clock() - t0
+    cpu = thread_time() - c0
+    return out, dt, (cpu, (before + probe()) / 2)
 
 
 def _reading_key(r) -> tuple:
@@ -276,11 +322,12 @@ class Paradigms(Workload):
             form, grade = inp.underlying(lemma, case, poss3)
             self.stats.request(f"{lemma}|{case}|{poss3}")
             batch.append((lemma, CASE_ENUMS[case], poss3, form, grade, self._expected_word(form, grade)))
+        gc.freeze()
         return batch
 
     def check_goldens(self, tally: Tally) -> None:
         for (lemma, case, poss3), surface in GOLDENS:
-            out, _ = _call(generate, lemma, CASE_ENUMS[case], poss3)
+            out, _, _ = _call(generate, lemma, CASE_ENUMS[case], poss3)
             tally.check(
                 out == surface,
                 lambda: f"generate({lemma!r}, {inp.CASES[case][0]}, poss3={poss3}) -> {out!r}, golden {surface!r}",
@@ -291,11 +338,8 @@ class Paradigms(Workload):
         while clock() < deadline:
             tally.close_window()
             for lemma, case, poss3, form, grade, expected in self._batch():
-                out, dt = _call(generate, lemma, case, poss3)
-                tally.latency(dt * 1e6)
-                tally.busy += dt
-                tally.items += 1
-                tally.calls += 1
+                out, dt, sample = _call(generate, lemma, case, poss3)
+                tally.op(dt, 1, sample=sample)
                 tally.check(
                     out == expected,
                     lambda: f"generate({lemma!r}, {case.value}, poss3={poss3}) -> {out!r}, expected {expected!r}",
@@ -317,8 +361,7 @@ class Paradigms(Workload):
                 composed = self._composed_word(tr, form, grade)
                 tr.stop()
                 tr.end_op()
-                tally.busy += busy
-                tally.items += 1
+                tally.op(busy, 1)
                 tally.check(
                     out == plain == composed == expected,
                     lambda: f"traced {lemma!r} {case.value} poss3={poss3}: generate {out!r}, "
@@ -338,6 +381,18 @@ class LengthSweep(Workload):
     # with 1000 samples a round; the longer lengths have too few calls in a
     # run for a p99 with 10 samples beyond it.
     LATENCY_LENGTH = min(inp.CG_LENGTHS)
+    # Memory-bound share of each kind of call (see Tally.op), fitted on the
+    # reference machine from how much each slows against the two kernels.
+    # The long run_cg calls copy tuples of thousands of reading sets at
+    # every position, so they slow like the memory kernel.
+    MEMORY = {
+        ("word", 10): 0.0,
+        ("word", 100): 0.0,
+        ("word", 1000): 0.2,
+        ("sent", 3): 0.1,
+        ("sent", 300): 0.3,
+        ("sent", 3000): 1.0,
+    }
 
     def __init__(self, seed: int, oracles) -> None:
         super().__init__(seed, oracles)
@@ -362,6 +417,7 @@ class LengthSweep(Workload):
                 self.stats.request(inp.sentence_tsv(sent))
                 calls.append(("sent", length, _reading_sets(sent), None, cg_reference(sent, self.ref_rules)))
         self.rng.shuffle(calls)
+        gc.freeze()
         return calls
 
     def _rounds(self, deadline: float):
@@ -381,16 +437,17 @@ class LengthSweep(Workload):
             tally.close_window()
             for kind, length, arg, grade, expected in calls:
                 if kind == "word":
-                    out, dt = _call(run_pipeline, arg, GRADES[grade])
+                    out, dt, sample = _call(run_pipeline, arg, GRADES[grade])
                     ok = out == expected
                 else:
-                    out, dt = _call(run_cg, arg, self.rules)
+                    out, dt, sample = _call(run_cg, arg, self.rules)
                     ok = not isinstance(out, Exception) and _sentence_keys(out) == expected
-                if kind == "sent" and length == self.LATENCY_LENGTH:
-                    tally.latency(dt * 1e6)
-                tally.busy += dt
-                tally.items += length
-                tally.calls += 1
+                tally.op(
+                    dt,
+                    length,
+                    memory=self.MEMORY[kind, length],
+                    sample=sample if kind == "sent" and length == self.LATENCY_LENGTH else None,
+                )
                 tally.check(ok, lambda: f"{kind} {arg!r}: got {out!r}")
 
     def traced(self, tr: Tracer, tally: Tally, deadline: float) -> None:
@@ -420,8 +477,7 @@ class LengthSweep(Workload):
                     ok = plain == composed and _sentence_keys(plain) == expected
                 tr.stop()
                 tr.end_op()
-                tally.busy += busy
-                tally.items += length
+                tally.op(busy, length, memory=self.MEMORY[kind, length])
                 tally.check(ok, lambda: f"traced {kind} {arg!r} differs")
         tr.count("cg.rules", len(self.rules))
         tr.count("cg.rules_never_fired", sum(fires[i] == 0 for i in range(len(self.rules))))
@@ -432,6 +488,8 @@ class CgStream(Workload):
 
     name = "cg_stream"
     BATCH = 256
+    # Memory-bound share of a call (see Tally.op and LengthSweep.MEMORY).
+    MEMORY = 0.2
 
     def __init__(self, seed: int, oracles) -> None:
         super().__init__(seed, oracles)
@@ -452,6 +510,7 @@ class CgStream(Workload):
                 for (surface, _), keys in zip(sent, cg_reference(sent, self.ref_rules))
             ]
             batch.append((tsv, len(sent), expected))
+        gc.freeze()
         return batch
 
     def _stream(self, tsv: str) -> str:
@@ -461,11 +520,8 @@ class CgStream(Workload):
         while clock() < deadline:
             tally.close_window()
             for tsv, n, expected in self._batch():
-                out, dt = _call(self._stream, tsv)
-                tally.latency(dt * 1e6)
-                tally.busy += dt
-                tally.items += n
-                tally.calls += 1
+                out, dt, sample = _call(self._stream, tsv)
+                tally.op(dt, n, memory=self.MEMORY, sample=sample)
                 ok = not isinstance(out, Exception) and parse_tsv(out) == [expected]
                 tally.check(ok, lambda: f"cg_stream on {tsv!r}: got {out!r}")
                 if clock() >= deadline:
@@ -490,8 +546,7 @@ class CgStream(Workload):
                 busy += tr.stop()
                 tr.stop()
                 tr.end_op()
-                tally.busy += busy
-                tally.items += n
+                tally.op(busy, n, memory=self.MEMORY)
                 tally.check(
                     plain == composed and parse_tsv(out) == [expected],
                     lambda: f"traced cg_stream on {tsv!r} differs",
