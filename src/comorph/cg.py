@@ -19,11 +19,14 @@ Readings file format (UTF-8 TSV, blank line between sentences)::
     surface<TAB>reading(;reading)*
 
 where a reading is ``pos:baseform`` or ``pos:baseform:feat(,feat)*``.
+Both parsers normalize their text to NFC, so a rule and a reading written in
+different Unicode forms still match.
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -158,6 +161,7 @@ def _parse_test(token: str, line_no: int) -> ReadingTest:
 def parse_rules(text: str) -> list[CgRule]:
     """Parse a rule file; raises RuleSyntaxError with the offending line."""
     rules: list[CgRule] = []
+    text = unicodedata.normalize("NFC", text)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -257,6 +261,7 @@ def parse_readings(text: str) -> list[Sentence]:
     """
     sentences: list[Sentence] = []
     current: Sentence = []
+    text = unicodedata.normalize("NFC", text)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
         if not line.strip():

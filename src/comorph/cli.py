@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import unicodedata
 
 from . import bench as bench_mod
 from . import laws as laws_mod
@@ -19,40 +18,34 @@ from .gradation import PATTERNS, Grade, gradation_arrow, strengthen, weaken
 from .generator import NounCase, generate
 from .pipeline import Pipeline, run_pipeline
 from .vowels import harmony_arrow
-from .zipper import extend, from_sequence, to_sequence
+from .writer import lift_pure
 
 GRADES = {g.value: g for g in Grade}
-
-
-def _nfc(word: str) -> str:
-    return unicodedata.normalize("NFC", word)
 
 
 def _cmd_grad(args: argparse.Namespace) -> int:
     grade = GRADES[args.grade]
     if args.trace:
         pipeline = Pipeline((("gradation", gradation_arrow(grade)),))
-        for row in pipeline.trace(_nfc(args.word)):
+        for row in pipeline.trace(args.word):
             print(row.render())
         return 0
-    word = _nfc(args.word)
-    print(weaken(word) if grade is Grade.WEAK else strengthen(word))
+    print(weaken(args.word) if grade is Grade.WEAK else strengthen(args.word))
     return 0
 
 
 def _cmd_harmony(args: argparse.Namespace) -> int:
-    z = from_sequence(_nfc(args.word), 0)
-    print("".join(to_sequence(extend(z, harmony_arrow))))
+    print(Pipeline((("harmony", lift_pure(harmony_arrow)),)).run(args.word))
     return 0
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    print(run_pipeline(_nfc(args.word), GRADES[args.grade]))
+    print(run_pipeline(args.word, GRADES[args.grade]))
     return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    print(generate(_nfc(args.lemma), NounCase(args.case), possessive_3=args.poss3))
+    print(generate(args.lemma, NounCase(args.case), possessive_3=args.poss3))
     return 0
 
 
@@ -60,7 +53,7 @@ def _cmd_cg(args: argparse.Namespace) -> int:
     with open(args.rules, encoding="utf-8") as fh:
         rules = parse_rules(fh.read())
     with open(args.input, encoding="utf-8") as fh:
-        sentences = parse_readings(_nfc(fh.read()))
+        sentences = parse_readings(fh.read())
 
     def trace(rule_no: int, token_idx: int, before, after) -> None:
         print(
@@ -175,3 +168,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -9,13 +9,13 @@ paradigm never touch rule code.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
 from .gradation import Grade
 from .pipeline import run_pipeline
 from .vowels import VowelClass, classify_vowel
+from .writer import start
 
 
 class NounCase(Enum):
@@ -70,9 +70,7 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     Only vowel-final stems are supported; consonant-final stems would need
     epenthetic material the rule set cannot insert.
     """
-    lemma = unicodedata.normalize("NFC", lemma)
-    if not lemma:
-        raise ValueError("cannot inflect an empty lemma")
+    lemma = "".join(start(lemma).cells)
     if classify_vowel(lemma[-1]) is VowelClass.NOT_VOWEL:
         raise UnsupportedStemError(
             f"unsupported stem {lemma!r}: only vowel-final lemmas are handled"

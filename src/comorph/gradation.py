@@ -11,7 +11,6 @@ applied in place.
 
 from __future__ import annotations
 
-import unicodedata
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -24,9 +23,10 @@ from .writer import (
     WriterArrow,
     WriterZipper,
     materialize,
+    start,
     writer_extend,
 )
-from .zipper import Zipper, from_sequence
+from .zipper import Zipper
 
 
 class Grade(Enum):
@@ -86,25 +86,6 @@ PATTERNS: tuple[GradationPattern, ...] = tuple(
 )
 
 
-def _lookups(grade: Grade):
-    exact: dict[tuple[str, str], GradationPattern] = {}
-    wildcard: dict[str, GradationPattern] = {}
-    for pat in PATTERNS:
-        c0, c1 = pat.source_window(grade)
-        if c1 is None:
-            continue  # a deleted segment has no source side to match
-        if c0 is None:
-            wildcard.setdefault(c1, pat)
-        else:
-            exact.setdefault((c0, c1), pat)
-    return exact, wildcard
-
-
-_EXACT = {g: _lookups(g)[0] for g in Grade}
-_WILDCARD = {g: _lookups(g)[1] for g in Grade}
-# Suppression consults geminate/cluster windows only, i.e. the exact ones.
-_POS0 = {g: frozenset(_EXACT[g]) for g in Grade}
-
 # Uppercase placeholders are unresolved suffix segments, never gradable
 # letters; case folding must leave them distinct from p/t/k/v/d.
 _PLACEHOLDERS = frozenset("AOUV")
@@ -114,87 +95,48 @@ def _fold(c: str) -> str:
     return c if c in _PLACEHOLDERS else c.lower()
 
 
-@dataclass(frozen=True, slots=True)
-class Keep:
-    char: str
-
-
-@dataclass(frozen=True, slots=True)
-class Replace:
-    char: str
-
-
-@dataclass(frozen=True, slots=True)
-class Delete:
-    char: str  # the original focus, kept in place until materialization
-
-
-GradationOutcome = Keep | Replace | Delete
-
-
-def is_pos0(focus: str, right: str | None, grade: Grade) -> bool:
-    """Does (focus, right) open a geminate or cluster window on the source side?"""
-    if right is None:
-        return False
-    return (_fold(focus), _fold(right)) in _POS0[grade]
-
-
-def find_pattern(
-    left: str | None, focus: str, grade: Grade
-) -> GradationPattern | None:
-    """Highest-priority pattern whose source window matches (left, focus).
-
-    Exact windows (geminates and clusters) beat the any-vowel singles; the
-    window sets are disjoint, so first match is unambiguous.
-    """
-    f = _fold(focus)
-    l = _fold(left) if left is not None else None
-    if l is not None:
-        pat = _EXACT[grade].get((l, f))
-        if pat is not None:
-            return pat
-    pat = _WILDCARD[grade].get(f)
-    if pat is not None and l in VOWELS:
-        return pat
-    return None
-
-
 @cache
-def _firing_pattern(
-    grade: Grade,
-) -> Callable[[tuple[str, ...], int], GradationPattern | None]:
-    """The rule for ``grade``: which pattern, if any, rewrites ``cells[i]``.
+def _rewrite(grade: Grade) -> Callable[[tuple[str, ...], int], str | None]:
+    """The rule toward ``grade``: what ``cells[i]`` becomes, None if deleted.
 
-    Fires when ``find_pattern`` matches, ``is_pos0`` does not suppress, and
-    a single-consonant pattern has a vowel on its right. ``grade``'s tables
-    are bound once and each character is folded once; a focus that ends no
-    source window is kept without reading its neighbours.
+    Built from ``PATTERNS`` in priority order, the first window wins. An
+    exact window (geminate or cluster) maps (left, focus) to its target; a
+    window with a wildcard left is a single consonant and maps the focus
+    alone. A focus that opens an exact window with its right neighbour is
+    kept, and a single consonant changes only between two vowels.
     """
-    exact, wildcard, pos0 = _EXACT[grade], _WILDCARD[grade], _POS0[grade]
-    focus_chars = frozenset(f for _, f in exact) | frozenset(wildcard)
+    exact: dict[tuple[str, str], str | None] = {}
+    single: dict[str, str | None] = {}
+    for pat in PATTERNS:
+        (left, focus), target = pat.source_window(grade), pat.target_window(grade)[1]
+        if focus is None:
+            continue  # a deleted segment has no source side to match
+        if left is None:
+            single.setdefault(focus, target)
+        else:
+            exact.setdefault((left, focus), target)
+    focus_chars = frozenset(f for _, f in exact) | frozenset(single)
 
-    def firing(cells: tuple[str, ...], i: int) -> GradationPattern | None:
-        f = _fold(cells[i])
+    def rewrite(cells: tuple[str, ...], i: int) -> str | None:
+        c = cells[i]
+        f = _fold(c)
         if f not in focus_chars or i == 0:
-            return None
-        l = _fold(cells[i - 1])
-        pat = exact.get((l, f))
-        if pat is None:
-            pat = wildcard.get(f)
-            if pat is None or l not in VOWELS:
-                return None
+            return c
         r = _fold(cells[i + 1]) if i + 1 < len(cells) else None
-        if r is not None and (f, r) in pos0:
-            return None
-        if pat.kind == QUAL_SINGLE and r not in VOWELS:
-            return None
-        return pat
+        if (f, r) in exact:
+            return c
+        l = _fold(cells[i - 1])
+        if (l, f) in exact:
+            return exact[l, f]
+        if f in single and l in VOWELS and r in VOWELS:
+            return single[f]
+        return c
 
-    return firing
+    return rewrite
 
 
-def gradate_at(z: Zipper[str], grade: Grade) -> GradationOutcome:
-    """Grade the focused character of ``z``.
+def gradate_at(z: Zipper[str], grade: Grade) -> str | None:
+    """Grade the focused character of ``z``: its output, or None if deleted.
 
     Suppression: a character opening a higher-priority window is kept
     untouched so only position 1 of that window transforms.
@@ -202,14 +144,7 @@ def gradate_at(z: Zipper[str], grade: Grade) -> GradationOutcome:
     true intervocalic position; without this, suffix onsets such as the k
     of -ksi would alternate after every vowel-final stem.
     """
-    focus = z.focus
-    pat = _firing_pattern(grade)(z.cells, z.index)
-    if pat is None:
-        return Keep(focus)
-    out = pat.target_window(grade)[1]
-    if out is None:
-        return Delete(focus)
-    return Replace(out)
+    return _rewrite(grade)(z.cells, z.index)
 
 
 @cache
@@ -218,13 +153,10 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
 
     Built once per grade and shared.
     """
-    firing = _firing_pattern(grade)
+    rewrite = _rewrite(grade)
 
     def arrow(wz: WriterZipper) -> tuple[DeletionSet, str]:
-        pat = firing(wz.cells, wz.index)
-        if pat is None:
-            return (EMPTY_DELETIONS, wz.focus)
-        out = pat.target_window(grade)[1]
+        out = rewrite(wz.cells, wz.index)
         if out is None:
             return (frozenset((wz.index,)), wz.focus)
         return (EMPTY_DELETIONS, out)
@@ -232,17 +164,9 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
     return arrow
 
 
-def _gradate_word(word: str, grade: Grade) -> str:
-    word = unicodedata.normalize("NFC", word)
-    if not word:
-        raise ValueError("cannot gradate an empty word")
-    start = WriterZipper(EMPTY_DELETIONS, from_sequence(word, 0))
-    return materialize(writer_extend(gradation_arrow(grade), start))
-
-
 def weaken(word: str) -> str:
     """Strong grade to weak grade across the whole word."""
-    return _gradate_word(word, Grade.WEAK)
+    return materialize(writer_extend(gradation_arrow(Grade.WEAK), start(word)))
 
 
 def strengthen(word: str) -> str:
@@ -252,4 +176,4 @@ def strengthen(word: str) -> str:
     window to match, so they come back unchanged; restoring them would need
     insertion, which this engine does not do.
     """
-    return _gradate_word(word, Grade.STRONG)
+    return materialize(writer_extend(gradation_arrow(Grade.STRONG), start(word)))

@@ -9,7 +9,6 @@ full pass; deletions are applied exactly once, at the end.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from functools import cache
 
@@ -22,9 +21,10 @@ from .writer import (
     WriterZipper,
     lift_pure,
     materialize,
+    start,
     writer_extend,
 )
-from .zipper import from_sequence, to_sequence
+from .zipper import to_sequence
 
 
 def compose(f: WriterArrow, g: WriterArrow) -> WriterArrow:
@@ -68,21 +68,15 @@ class Pipeline:
 
     stages: tuple[Stage, ...]
 
-    def _start(self, word: str) -> WriterZipper:
-        word = unicodedata.normalize("NFC", word)
-        if not word:
-            raise ValueError("cannot run the pipeline on an empty word")
-        return WriterZipper(EMPTY_DELETIONS, from_sequence(word, 0))
-
     def run(self, word: str) -> str:
-        wz = self._start(word)
+        wz = start(word)
         for _, arrow in self.stages:
             wz = writer_extend(arrow, wz)
         return materialize(wz)
 
     def trace(self, word: str) -> list[TraceRow]:
         """Per-stage snapshots: characters still at full length, plus the log."""
-        wz = self._start(word)
+        wz = start(word)
         rows = [TraceRow(TRACE_INPUT, "".join(to_sequence(wz.zipper)), wz.log)]
         for name, arrow in self.stages:
             wz = writer_extend(arrow, wz)

@@ -11,10 +11,14 @@ The log is validated where it crosses the public boundary: when a caller
 builds a ``WriterZipper``, and when ``writer_extend`` merges what its rule
 emitted, once per pass. The refocused views a pass hands to its rule share
 the log that was already checked and are not validated again.
+
+Words enter through ``start``, the one place that normalizes them to NFC
+and rejects empty input.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from collections.abc import Callable
 
 from .zipper import Zipper, _at
@@ -78,6 +82,14 @@ class WriterZipper(Zipper[str]):
 
 
 _new = object.__new__
+
+
+def start(word: str) -> WriterZipper:
+    """``word`` in NFC, focused at 0 with an empty log; raises on an empty word."""
+    word = unicodedata.normalize("NFC", word)
+    if not word:
+        raise ValueError("cannot process an empty word")
+    return _view(EMPTY_DELETIONS, tuple(word), 0)
 
 
 def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:

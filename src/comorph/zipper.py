@@ -22,7 +22,6 @@ from typing import Generic, TypeVar
 
 A = TypeVar("A")
 B = TypeVar("B")
-C = TypeVar("C")
 
 
 class Zipper(Generic[A]):
@@ -137,16 +136,3 @@ def extend(z: Zipper[A], f: Callable[[Zipper[A]], B]) -> Zipper[B]:
     cells = z.cells
     return _at(tuple([f(_at(cells, i)) for i in range(len(cells))]), z.index)
 
-
-def compose(
-    f: Callable[[Zipper[A]], B], g: Callable[[Zipper[B]], C]
-) -> Callable[[Zipper[A]], C]:
-    """Chain two local rules: run ``f`` everywhere, then ``g`` at the focus.
-
-    Associative, with ``extract`` as the identity.
-    """
-
-    def composed(z: Zipper[A]) -> C:
-        return g(extend(z, f))
-
-    return composed

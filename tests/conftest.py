@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
+from comorph.laws import char_arrow, deleting_arrow
 from comorph.writer import WriterZipper
-from comorph.zipper import Zipper, from_sequence
+from comorph.zipper import from_sequence
 
 LAW_ALPHABET = "abcdgh"
 FINNISH_LOWER = "abdeghijklmnoprstuvyäö"
@@ -24,33 +25,6 @@ def writer_zippers(draw, max_size=20):
     return WriterZipper(log, z)
 
 
-def make_char_function(salt: int):
-    """Deterministic focus+neighbour mapping; distinct salts, distinct rules."""
-
-    def f(z: Zipper) -> str:
-        left = z.left[-1] if z.left else "^"
-        right = z.right[0] if z.right else "$"
-        h = (salt * 7919) ^ (ord(left) * 131) ^ (ord(z.focus) * 31) ^ (ord(right) * 17)
-        return LAW_ALPHABET[h % len(LAW_ALPHABET)]
-
-    return f
-
-
-def make_writer_arrow(salt: int):
-    """Sometimes deletes its position (returning the original focus)."""
-    base = make_char_function(salt)
-
-    def f(wz: WriterZipper):
-        z = wz.zipper
-        left = z.left[-1] if z.left else "^"
-        h = (salt * 104729) ^ (ord(left) * 43) ^ (ord(z.focus) * 13) ^ len(z.right)
-        if h % 3 == 0:
-            return (frozenset((len(z.left),)), z.focus)
-        return (frozenset(), base(z))
-
-    return f
-
-
 salts = st.integers(0, 2**16)
-char_functions = st.builds(make_char_function, salts)
-writer_arrows = st.builds(make_writer_arrow, salts)
+char_functions = st.builds(char_arrow, salts)
+writer_arrows = st.builds(deleting_arrow, salts)

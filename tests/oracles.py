@@ -7,7 +7,7 @@ sentinel pipeline really does materialize between stages.
 
 from __future__ import annotations
 
-from comorph.gradation import Delete, Grade, gradate_at
+from comorph.gradation import Grade, gradate_at
 from comorph.vowels import harmony_arrow, possessive_arrow
 from comorph.zipper import Zipper, from_sequence, to_sequence
 
@@ -28,18 +28,10 @@ def naive_extend_word(word: str, f) -> str:
     return "".join(refocus_enumerate(from_sequence(word, 0), f))
 
 
-def _gradate_with_sentinel(z: Zipper) -> str:
-    def local(w: Zipper) -> str:
-        outcome = gradate_at(w, Grade.WEAK)
-        return SENTINEL if isinstance(outcome, Delete) else outcome.char
-
-    return local(z)
-
-
 def sentinel_gradate(word: str, grade: Grade) -> str:
     def local(w: Zipper) -> str:
-        outcome = gradate_at(w, grade)
-        return SENTINEL if isinstance(outcome, Delete) else outcome.char
+        out = gradate_at(w, grade)
+        return SENTINEL if out is None else out
 
     marked = naive_extend_word(word, local)
     return marked.replace(SENTINEL, "")

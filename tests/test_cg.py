@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
 import pytest
 
@@ -102,6 +103,14 @@ def test_parse_readings_features():
     [sentence] = parse_readings("koiralle\tnoun:koira:all,sg\n")
     [reading] = sentence[0].readings
     assert reading.features == frozenset({"all", "sg"})
+
+
+def test_parsers_normalize_to_nfc():
+    rules = "SELECT BASEFORM=kenkä IF (-1 BASEFORM=pöytä)\n"
+    readings = "pöytä\tnoun:pöytä\nkenkä\tnoun:kenkä;verb:kenkä\n"
+    nfd = lambda text: unicodedata.normalize("NFD", text)
+    assert parse_rules(nfd(rules)) == parse_rules(rules)
+    assert parse_readings(nfd(readings)) == parse_readings(readings)
 
 
 def test_parse_readings_rejects_empty_reading_list():

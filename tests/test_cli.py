@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import unicodedata
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,11 @@ from comorph.cli import main
 
 RULES_NUM = "SELECT POS=num IF (+1 POS=noun)\n"
 READINGS_KUUSI = "kuusi\tnum:kuusi;noun:kuusi\nkoiraa\tnoun:koira\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def nfd(text: str) -> str:
+    return unicodedata.normalize("NFD", text)
 
 
 def run(capsys, *argv):
@@ -50,6 +59,11 @@ def test_grad_empty_word_fails(capsys):
 def test_harmony(capsys):
     code, out, _ = run(capsys, "harmony", "talossA")
     assert (code, out.strip()) == (0, "talossa")
+
+
+def test_harmony_normalizes_decomposed_input(capsys):
+    code, out, _ = run(capsys, "harmony", nfd("kynässA"))
+    assert (code, out.strip()) == (0, "kynässä")
 
 
 def test_pipeline(capsys):
@@ -123,6 +137,16 @@ def test_cg_trace_reports_firings(tmp_path, capsys):
     assert "rule 1 fired at token 1: noun:kuusi;num:kuusi → num:kuusi" in err
 
 
+def test_cg_matches_a_decomposed_rule_file(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(nfd("SELECT POS=noun IF (+1 BASEFORM=kenkä)\n"), encoding="utf-8")
+    readings = tmp_path / "sentence.tsv"
+    readings.write_text("kuusi\tnum:kuusi;noun:kuusi\nkenkää\tnoun:kenkä\n", encoding="utf-8")
+    code, out, _ = run(capsys, "cg", str(rules), str(readings))
+    assert code == 0
+    assert out.splitlines()[0] == "kuusi\tnoun:kuusi"
+
+
 def test_cg_bad_rule_file_fails(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("FROB POS=x\n", encoding="utf-8")
@@ -161,6 +185,20 @@ def test_dump_patterns(capsys):
     assert len(lines) == 11
     assert lines[0] == "1\tpp\tp\tquantitative\tkaappi→kaapi"
     assert lines[5] == "6\tk\t∅\tqualitative-single\tpuku→puu"
+
+
+@pytest.mark.parametrize("module", ["comorph", "comorph.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "dump-patterns"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 11
 
 
 def test_unknown_case_rejected_by_parser(capsys):

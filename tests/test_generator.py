@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
 
 from comorph.generator import (
@@ -97,6 +99,10 @@ def test_ablative_suffix_cluster_is_a_known_limitation():
 def test_empty_lemma_rejected():
     with pytest.raises(ValueError):
         generate("", NounCase.GENITIVE)
+
+
+def test_decomposed_lemma_is_normalized():
+    assert generate(unicodedata.normalize("NFD", "kenkä"), NounCase.GENITIVE) == "kengän"
 
 
 def test_consonant_final_lemma_rejected():

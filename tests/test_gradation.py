@@ -1,20 +1,17 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from comorph.gradation import (
     PATTERNS,
-    Delete,
     GradationPattern,
     Grade,
-    Keep,
-    Replace,
-    find_pattern,
     gradate_at,
     gradation_arrow,
-    is_pos0,
     strengthen,
     weaken,
 )
@@ -55,58 +52,68 @@ def test_weaken_reproduces_table(strong, weak):
     assert weaken(strong) == weak
 
 
+def weak_at(word: str, i: int) -> str | None:
+    return gradate_at(from_sequence(word, i), Grade.WEAK)
+
+
 def test_is_pos0_geminate():
-    assert is_pos0("p", "p", Grade.WEAK)
+    # The first p of "kaappi" opens the pp window, so it is kept.
+    assert weak_at("kaappi", 3) == "p"
 
 
 def test_is_pos0_cluster_matches_window_scan():
     assert ("n", "t") in STRONG_WINDOWS
-    assert is_pos0("n", "t", Grade.WEAK)
+    assert weak_at("ranta", 2) == "n"
     for c0, c1 in STRONG_WINDOWS:
-        assert is_pos0(c0, c1, Grade.WEAK)
+        word = "a" + c0 + c1 + "a"
+        assert weak_at(word, 1) == c0
+        assert weak_at(word, 2) != c1
 
 
 def test_is_pos0_needs_a_right_neighbour():
-    assert not is_pos0("p", None, Grade.WEAK)
+    # A word-final geminate opens nothing to its right: its tail still goes.
+    assert weak_at("kapp", 2) == "p"
+    assert weak_at("kapp", 3) is None
 
 
 def test_find_pattern_geminate():
-    pat = find_pattern("p", "p", Grade.WEAK)
-    assert pat is not None and pat.kotus_index == 1
+    assert weak_at("kaappi", 4) is None
 
 
 def test_find_pattern_prefers_cluster_over_single():
-    pat = find_pattern("n", "t", Grade.WEAK)
-    assert pat is not None and pat.kotus_index == 9
+    assert weak_at("ranta", 3) == "n"
 
 
 def test_find_pattern_rejects_nonmatching_left():
-    assert find_pattern("s", "t", Grade.WEAK) is None
+    assert weak_at("kasta", 3) == "t"
 
 
 def test_find_pattern_single_needs_vowel_left():
-    pat = find_pattern("u", "p", Grade.WEAK)
-    assert pat is not None and pat.kotus_index == 4
-    assert find_pattern(None, "p", Grade.WEAK) is None
+    assert weak_at("tupa", 2) == "v"
+    assert weak_at("alpa", 2) == "p"
+    assert weak_at("pata", 0) == "p"
 
 
 def test_gradate_at_suppresses_window_openers():
-    assert gradate_at(from_sequence("kaappi", 3), Grade.WEAK) == Keep("p")
+    assert weak_at("rantta", 3) == "t"
+    assert weak_at("rantta", 4) is None
 
 
 def test_gradate_at_deletes_geminate_tail():
-    assert gradate_at(from_sequence("kaappi", 4), Grade.WEAK) == Delete("p")
+    assert weak_at("matto", 3) is None
+    assert weak_at("puku", 2) is None
 
 
 def test_gradate_at_replaces_single():
-    assert gradate_at(from_sequence("tupa", 2), Grade.WEAK) == Replace("v")
+    assert weak_at("tupa", 2) == "v"
+    assert gradate_at(from_sequence("tuva", 2), Grade.STRONG) == "p"
 
 
 @given(st.text(alphabet="aeikmnoprstuvyäö", min_size=1, max_size=12), st.data())
 def test_gradate_at_yields_exactly_one_outcome(word, data):
     i = data.draw(st.integers(0, len(word) - 1))
-    outcome = gradate_at(from_sequence(word, i), Grade.WEAK)
-    assert isinstance(outcome, (Keep, Replace, Delete))
+    out = gradate_at(from_sequence(word, i), Grade.WEAK)
+    assert out is None or (isinstance(out, str) and len(out) == 1)
 
 
 def test_arrow_logs_deleted_position():
@@ -128,6 +135,10 @@ def test_weaken_strengthen_pairs():
     assert strengthen("kamma") == "kampa"
     assert weaken("kenkä") == "kengä"
     assert strengthen("kengä") == "kenkä"
+
+
+def test_weaken_normalizes_decomposed_input():
+    assert weaken(unicodedata.normalize("NFD", "kenkä")) == "kengä"
 
 
 def test_deletion_loses_the_geminate():

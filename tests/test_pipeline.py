@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +46,10 @@ def test_pipeline_goldens(word, expected):
 def test_pipeline_rejects_empty_word():
     with pytest.raises(ValueError):
         run_pipeline("", Grade.WEAK)
+
+
+def test_decomposed_word_is_normalized():
+    assert run_pipeline(unicodedata.normalize("NFD", "kenkässA"), Grade.WEAK) == "kengässä"
 
 
 def test_single_letter_word_passes_through():

@@ -15,7 +15,7 @@ from comorph.writer import (
     writer_extract,
 )
 from comorph.zipper import Zipper, extend, extract, from_sequence, to_sequence
-from conftest import make_char_function, writer_arrows, writer_zippers
+from conftest import char_functions, writer_arrows, writer_zippers
 from oracles import filter_materialize, sentinel_gradate
 
 position_sets = st.frozensets(st.integers(0, 19), max_size=6)
@@ -128,9 +128,8 @@ def test_no_operation_shortens_the_zipper(wz, f):
     assert len(to_sequence(out.zipper)) == len(to_sequence(wz.zipper))
 
 
-@given(writer_zippers(max_size=12), st.integers(0, 2**16))
-def test_lift_pure_matches_plain_extend(wz, salt):
-    f = make_char_function(salt)
+@given(writer_zippers(max_size=12), char_functions)
+def test_lift_pure_matches_plain_extend(wz, f):
     lifted = writer_extend(lift_pure(f), WriterZipper(frozenset(), wz.zipper))
     assert lifted.log == frozenset()
     assert materialize(lifted) == "".join(to_sequence(extend(wz.zipper, f)))
