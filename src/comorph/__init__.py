@@ -19,9 +19,9 @@ from .cg import (
     run_cg,
 )
 from .gradation import Grade, GradationPattern, PATTERNS, strengthen, weaken
-from .generator import CaseTemplate, NounCase, UnsupportedStemError, case_template, generate
+from .generator import CaseTemplate, NounCase, UnsupportedStemError, generate
 from .pipeline import Pipeline, compose, run_pipeline, standard_pipeline
-from .vowels import HarmonyClass, VowelClass, classify_vowel, detect_harmony
+from .vowels import HarmonyClass, detect_harmony
 from .writer import DeletionSet, WriterZipper, lift_pure, materialize, writer_extend
 from .zipper import Zipper, extend, extract, from_sequence, move_left, move_right, position, to_sequence
 
@@ -44,11 +44,8 @@ __all__ = [
     "RuleAction",
     "RuleSyntaxError",
     "UnsupportedStemError",
-    "VowelClass",
     "WriterZipper",
     "Zipper",
-    "case_template",
-    "classify_vowel",
     "compose",
     "detect_harmony",
     "extend",

@@ -95,14 +95,7 @@ class BaseformIs:
     form: str
 
 
-@dataclass(frozen=True, slots=True)
-class PosIn:
-    """Membership in a tag class; built programmatically, not from the DSL."""
-
-    tags: frozenset[str]
-
-
-ReadingTest = PosIs | BaseformIs | PosIn
+ReadingTest = PosIs | BaseformIs
 
 
 def reading_matches(test: ReadingTest, reading: Reading) -> bool:
@@ -111,8 +104,6 @@ def reading_matches(test: ReadingTest, reading: Reading) -> bool:
             return reading.pos == tag
         case BaseformIs(form):
             return reading.baseform == form
-        case PosIn(tags):
-            return reading.pos in tags
     raise TypeError(f"unknown reading test {test!r}")
 
 

@@ -14,7 +14,7 @@ from .cg import (
     parse_rules,
     run_cg,
 )
-from .gradation import PATTERNS, Grade, gradation_arrow, strengthen, weaken
+from .gradation import PATTERNS, Grade, gradation_arrow
 from .generator import NounCase, generate
 from .pipeline import Pipeline, run_pipeline
 from .vowels import harmony_arrow
@@ -24,13 +24,12 @@ GRADES = {g.value: g for g in Grade}
 
 
 def _cmd_grad(args: argparse.Namespace) -> int:
-    grade = GRADES[args.grade]
+    pipeline = Pipeline((("gradation", gradation_arrow(GRADES[args.grade])),))
     if args.trace:
-        pipeline = Pipeline((("gradation", gradation_arrow(grade)),))
         for row in pipeline.trace(args.word):
             print(row.render())
-        return 0
-    print(weaken(args.word) if grade is Grade.WEAK else strengthen(args.word))
+    else:
+        print(pipeline.run(args.word))
     return 0
 
 

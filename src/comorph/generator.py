@@ -14,7 +14,7 @@ from enum import Enum
 
 from .gradation import Grade
 from .pipeline import run_pipeline
-from .vowels import VowelClass, classify_vowel
+from .vowels import VOWELS
 from .writer import start
 
 
@@ -59,10 +59,6 @@ class UnsupportedStemError(ValueError):
     """Raised for stems this generator cannot inflect."""
 
 
-def case_template(case: NounCase) -> CaseTemplate:
-    return CASE_TEMPLATES[case]
-
-
 def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     """Inflect ``lemma`` for ``case``, optionally adding the 3rd-person
     possessive ending.
@@ -71,11 +67,11 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     epenthetic material the rule set cannot insert.
     """
     lemma = "".join(start(lemma).cells)
-    if classify_vowel(lemma[-1]) is VowelClass.NOT_VOWEL:
+    if lemma[-1] not in VOWELS:
         raise UnsupportedStemError(
             f"unsupported stem {lemma!r}: only vowel-final lemmas are handled"
         )
-    template = case_template(case)
+    template = CASE_TEMPLATES[case]
     underlying = lemma + template.suffix
     if possessive_3 and not template.suffix.endswith(POSSESSIVE_3_SUFFIX):
         underlying += POSSESSIVE_3_SUFFIX

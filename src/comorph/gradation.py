@@ -47,7 +47,6 @@ class GradationPattern:
     weak: tuple[str | None, str | None]
     kind: str
     example: tuple[str, str]
-    priority_rank: int
 
     def source_window(self, grade: Grade) -> tuple[str | None, str | None]:
         """The side matched against when transforming toward ``grade``."""
@@ -66,23 +65,19 @@ QUAL_SINGLE = "qualitative-single"
 QUAL_CLUSTER = "qualitative-cluster"
 
 # Listed in priority order: geminates, then clusters, then single consonants.
-PATTERNS: tuple[GradationPattern, ...] = tuple(
-    GradationPattern(k, s, w, kind, ex, rank)
-    for rank, (k, s, w, kind, ex) in enumerate(
-        [
-            (1, ("p", "p"), ("p", None), QUANTITATIVE, ("kaappi", "kaapi")),
-            (2, ("t", "t"), ("t", None), QUANTITATIVE, ("matto", "mato")),
-            (3, ("k", "k"), ("k", None), QUANTITATIVE, ("kukka", "kuka")),
-            (7, ("m", "p"), ("m", "m"), QUAL_CLUSTER, ("kampa", "kamma")),
-            (8, ("l", "t"), ("l", "l"), QUAL_CLUSTER, ("kulta", "kulla")),
-            (9, ("n", "t"), ("n", "n"), QUAL_CLUSTER, ("ranta", "ranna")),
-            (10, ("r", "t"), ("r", "r"), QUAL_CLUSTER, ("parta", "parra")),
-            (11, ("n", "k"), ("n", "g"), QUAL_CLUSTER, ("kenkä", "kengä")),
-            (4, (None, "p"), (None, "v"), QUAL_SINGLE, ("tupa", "tuva")),
-            (5, (None, "t"), (None, "d"), QUAL_SINGLE, ("katu", "kadu")),
-            (6, (None, "k"), (None, None), QUAL_SINGLE, ("puku", "puu")),
-        ]
-    )
+# The order is the priority; ``_rewrite`` keeps the first window that matches.
+PATTERNS: tuple[GradationPattern, ...] = (
+    GradationPattern(1, ("p", "p"), ("p", None), QUANTITATIVE, ("kaappi", "kaapi")),
+    GradationPattern(2, ("t", "t"), ("t", None), QUANTITATIVE, ("matto", "mato")),
+    GradationPattern(3, ("k", "k"), ("k", None), QUANTITATIVE, ("kukka", "kuka")),
+    GradationPattern(7, ("m", "p"), ("m", "m"), QUAL_CLUSTER, ("kampa", "kamma")),
+    GradationPattern(8, ("l", "t"), ("l", "l"), QUAL_CLUSTER, ("kulta", "kulla")),
+    GradationPattern(9, ("n", "t"), ("n", "n"), QUAL_CLUSTER, ("ranta", "ranna")),
+    GradationPattern(10, ("r", "t"), ("r", "r"), QUAL_CLUSTER, ("parta", "parra")),
+    GradationPattern(11, ("n", "k"), ("n", "g"), QUAL_CLUSTER, ("kenkä", "kengä")),
+    GradationPattern(4, (None, "p"), (None, "v"), QUAL_SINGLE, ("tupa", "tuva")),
+    GradationPattern(5, (None, "t"), (None, "d"), QUAL_SINGLE, ("katu", "kadu")),
+    GradationPattern(6, (None, "k"), (None, None), QUAL_SINGLE, ("puku", "puu")),
 )
 
 

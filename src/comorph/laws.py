@@ -14,8 +14,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .pipeline import compose
-from .writer import WriterArrow, WriterZipper, lift_pure, writer_extend, writer_extract, writer_refocus
-from .zipper import Zipper, extend, extract, from_sequence, to_sequence
+from .writer import WriterArrow, WriterZipper, lift_pure, writer_extend
+from .zipper import Zipper, extend, extract, from_sequence
 
 ALPHABET = "abcdefgh"
 MAX_LENGTH = 20
@@ -100,13 +100,13 @@ def _holds_writer_l1(case: Case) -> bool:
 def _holds_writer_l2(case: Case) -> bool:
     wz = _writer(case)
     f = deleting_arrow(case[2])
-    return writer_extract(writer_extend(f, wz)) == f(wz)[1]
+    return extract(writer_extend(f, wz)) == f(wz)[1]
 
 
 def _collected(f: WriterArrow, wz: WriterZipper) -> frozenset[int]:
     out: set[int] = set()
-    for i in range(len(to_sequence(wz))):
-        out |= f(writer_refocus(wz, i))[0]
+    for i in range(len(wz.cells)):
+        out |= f(WriterZipper(wz.log, from_sequence(wz.cells, i)))[0]
     return frozenset(out)
 
 

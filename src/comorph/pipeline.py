@@ -24,7 +24,6 @@ from .writer import (
     start,
     writer_extend,
 )
-from .zipper import to_sequence
 
 
 def compose(f: WriterArrow, g: WriterArrow) -> WriterArrow:
@@ -77,10 +76,10 @@ class Pipeline:
     def trace(self, word: str) -> list[TraceRow]:
         """Per-stage snapshots: characters still at full length, plus the log."""
         wz = start(word)
-        rows = [TraceRow(TRACE_INPUT, "".join(to_sequence(wz.zipper)), wz.log)]
+        rows = [TraceRow(TRACE_INPUT, "".join(wz.cells), wz.log)]
         for name, arrow in self.stages:
             wz = writer_extend(arrow, wz)
-            rows.append(TraceRow(name, "".join(to_sequence(wz.zipper)), wz.log))
+            rows.append(TraceRow(name, "".join(wz.cells), wz.log))
         rows.append(TraceRow(TRACE_MATERIALIZE, materialize(wz), EMPTY_DELETIONS))
         return rows
 

@@ -4,12 +4,12 @@ Finnish vowels split into back (a, o, u), front (ä, ö, y) and neutral
 (e, i). Suffix vowels written as the uppercase placeholders A, O, U agree
 in backness with the nearest non-neutral stem vowel; neutral vowels are
 transparent to the scan. The placeholder V copies the nearest preceding
-vowel outright. Underlying forms are lowercase except for the placeholders.
+vowel outright; a V with no vowel to its left is an error. Underlying forms
+are lowercase except for the placeholders.
 """
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
 
 from .zipper import Zipper
@@ -18,13 +18,6 @@ BACK_VOWELS = frozenset("aou")
 FRONT_VOWELS = frozenset("äöy")
 NEUTRAL_VOWELS = frozenset("ei")
 VOWELS = BACK_VOWELS | FRONT_VOWELS | NEUTRAL_VOWELS
-
-
-class VowelClass(Enum):
-    BACK = "back"
-    FRONT = "front"
-    NEUTRAL = "neutral"
-    NOT_VOWEL = "not-vowel"
 
 
 class HarmonyClass(Enum):
@@ -40,17 +33,6 @@ HARMONY_PLACEHOLDERS = {
 }
 
 COPY_PLACEHOLDER = "V"
-
-
-def classify_vowel(c: str) -> VowelClass:
-    """Classify one character; placeholders and consonants are NOT_VOWEL."""
-    if c in BACK_VOWELS:
-        return VowelClass.BACK
-    if c in FRONT_VOWELS:
-        return VowelClass.FRONT
-    if c in NEUTRAL_VOWELS:
-        return VowelClass.NEUTRAL
-    return VowelClass.NOT_VOWEL
 
 
 def detect_harmony(z: Zipper[str]) -> HarmonyClass:
@@ -78,16 +60,14 @@ def harmony_arrow(z: Zipper[str]) -> str:
 
 
 def possessive_arrow(z: Zipper[str]) -> str:
-    """Resolve a focused V by copying the nearest preceding vowel."""
+    """Resolve a focused V by copying the nearest preceding vowel.
+
+    Raises ``ValueError`` naming the position when no vowel precedes it.
+    """
     if z.focus != COPY_PLACEHOLDER:
         return z.focus
     cells = z.cells
     for i in range(z.index - 1, -1, -1):
         if cells[i] in VOWELS:
             return cells[i]
-    warnings.warn(
-        f"copy placeholder at position {z.index} has no vowel to its left; "
-        "left unresolved",
-        stacklevel=2,
-    )
-    return z.focus
+    raise ValueError(f"copy placeholder V at position {z.index} has no vowel to its left")

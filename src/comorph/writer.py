@@ -25,17 +25,9 @@ from .zipper import Zipper, _at
 
 DeletionSet = frozenset[int]
 
+# The identity of the deletion monoid; ``|`` is its associative,
+# commutative and idempotent merge.
 EMPTY_DELETIONS: DeletionSet = frozenset()
-
-
-def empty_deletions() -> DeletionSet:
-    """The identity of the deletion monoid."""
-    return EMPTY_DELETIONS
-
-
-def union(a: DeletionSet, b: DeletionSet) -> DeletionSet:
-    """Merge two deletion sets. Associative, commutative, idempotent."""
-    return a | b
 
 
 def _check(log: DeletionSet, n: int) -> None:
@@ -47,9 +39,9 @@ def _check(log: DeletionSet, n: int) -> None:
 class WriterZipper(Zipper[str]):
     """A character zipper that also carries the deletions accumulated so far.
 
-    Being a zipper itself, it can be handed to a pure rule as it is; the
-    ``zipper`` property gives the same cursor without the log. Building one
-    checks that every logged position lies inside the word.
+    Being a zipper itself, it can be handed to a pure rule or to ``extract``
+    as it is; the ``zipper`` property gives the same cursor without the log.
+    Building one checks that every logged position lies inside the word.
     """
 
     __slots__ = ("log",)
@@ -102,21 +94,9 @@ def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:
     return wz
 
 
-def writer_refocus(wz: WriterZipper, index: int) -> WriterZipper:
-    """``wz`` focused at ``index``; the log is shared, not checked again."""
-    if not 0 <= index < len(wz.cells):
-        raise ValueError(f"focus index {index} out of range for length {len(wz.cells)}")
-    return _view(wz.log, wz.cells, index)
-
-
 # A deleting local rule: reads the focused context, returns the positions it
 # wants removed plus its output character.
 WriterArrow = Callable[[WriterZipper], tuple[DeletionSet, str]]
-
-
-def writer_extract(wz: WriterZipper) -> str:
-    """Read the focused character; the log plays no part."""
-    return wz.focus
 
 
 def writer_extend(f: WriterArrow, wz: WriterZipper) -> WriterZipper:

@@ -9,7 +9,6 @@ from comorph.cg import (
     BaseformIs,
     CgRule,
     Condition,
-    PosIn,
     PosIs,
     Reading,
     ReadingSet,
@@ -136,7 +135,6 @@ def test_predicates_match_readings():
     assert reading_matches(PosIs("noun"), r)
     assert not reading_matches(PosIs("verb"), r)
     assert reading_matches(BaseformIs("koira"), r)
-    assert reading_matches(PosIn(frozenset({"noun", "adj"})), r)
 
 
 def test_condition_looks_ahead():

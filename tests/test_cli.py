@@ -76,6 +76,12 @@ def test_pipeline_single_letter(capsys):
     assert (code, out.strip()) == (0, "a")
 
 
+def test_pipeline_unresolvable_copy_placeholder_fails(capsys):
+    code, out, err = run(capsys, "pipeline", "--grade", "weak", "ptpttV")
+    assert (code, out) == (1, "")
+    assert "error: copy placeholder V at position 5 has no vowel to its left" in err
+
+
 def test_generate(capsys):
     code, out, _ = run(capsys, "generate", "kaappi", "--case", "genitive")
     assert (code, out.strip()) == (0, "kaapin")

@@ -9,7 +9,6 @@ from comorph.generator import (
     CaseTemplate,
     NounCase,
     UnsupportedStemError,
-    case_template,
     generate,
 )
 from comorph.gradation import Grade
@@ -22,10 +21,10 @@ def test_template_table_covers_all_cases():
 
 
 def test_template_spot_checks():
-    assert case_template(NounCase.GENITIVE) == CaseTemplate("n", Grade.WEAK)
-    assert case_template(NounCase.INESSIVE) == CaseTemplate("ssA", Grade.WEAK)
-    assert case_template(NounCase.NOMINATIVE) == CaseTemplate("", Grade.STRONG)
-    assert case_template(NounCase.ILLATIVE) == CaseTemplate("Vn", Grade.STRONG)
+    assert CASE_TEMPLATES[NounCase.GENITIVE] == CaseTemplate("n", Grade.WEAK)
+    assert CASE_TEMPLATES[NounCase.INESSIVE] == CaseTemplate("ssA", Grade.WEAK)
+    assert CASE_TEMPLATES[NounCase.NOMINATIVE] == CaseTemplate("", Grade.STRONG)
+    assert CASE_TEMPLATES[NounCase.ILLATIVE] == CaseTemplate("Vn", Grade.STRONG)
 
 
 def test_template_suffix_alphabet():
@@ -61,7 +60,7 @@ def test_possessive_not_doubled_on_illative():
 
 
 def test_generate_is_template_plus_pipeline():
-    template = case_template(NounCase.GENITIVE)
+    template = CASE_TEMPLATES[NounCase.GENITIVE]
     assert generate("kaappi", NounCase.GENITIVE) == run_pipeline(
         "kaappi" + template.suffix, template.grade
     )
@@ -70,7 +69,7 @@ def test_generate_is_template_plus_pipeline():
 @pytest.mark.parametrize("lemma", ["talo", "vene", "kala", "seinä"])
 def test_grade_irrelevant_for_nongradable_lemmas(lemma):
     for case in NounCase:
-        template = case_template(case)
+        template = CASE_TEMPLATES[case]
         assert run_pipeline(lemma, Grade.WEAK) == run_pipeline(lemma, Grade.STRONG)
         assert generate(lemma, case) == run_pipeline(
             lemma + template.suffix, template.grade
@@ -86,7 +85,7 @@ GRADE_SENSITIVE_SUFFIXES = {NounCase.ABLATIVE, NounCase.ADESSIVE, NounCase.ALLAT
     "case", [c for c in NounCase if c not in GRADE_SENSITIVE_SUFFIXES]
 )
 def test_grade_irrelevant_for_windowfree_suffixes(case):
-    underlying = "talo" + case_template(case).suffix
+    underlying = "talo" + CASE_TEMPLATES[case].suffix
     assert run_pipeline(underlying, Grade.WEAK) == run_pipeline(
         underlying, Grade.STRONG
     )

@@ -33,7 +33,6 @@ ROUNDTRIP_EXAMPLES = [s for s, _ in TABLE_ROWS if s not in DELETION_EXAMPLES]
 def test_pattern_table_shape():
     assert len(PATTERNS) == 11
     assert sorted(p.kotus_index for p in PATTERNS) == list(range(1, 12))
-    assert [p.priority_rank for p in PATTERNS] == list(range(11))
 
 
 def test_priority_ordering_geminates_clusters_singles():

@@ -19,7 +19,6 @@ from comorph.writer import (
     lift_pure,
     materialize,
     writer_extend,
-    writer_extract,
 )
 from comorph.zipper import extract, from_sequence, to_sequence
 from conftest import writer_arrows, writer_zippers
@@ -145,4 +144,4 @@ def test_writer_extract_reads_stage_focus():
     start = WriterZipper(frozenset(), from_sequence("tupa", 2))
     composed = compose(gradation_arrow(Grade.WEAK), identity_arrow)
     assert composed(start)[1] == "v"
-    assert writer_extract(writer_extend(gradation_arrow(Grade.WEAK), start)) == "v"
+    assert extract(writer_extend(gradation_arrow(Grade.WEAK), start)) == "v"

@@ -5,9 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comorph.vowels import (
+    VOWELS,
     HarmonyClass,
-    VowelClass,
-    classify_vowel,
     detect_harmony,
     harmony_arrow,
     possessive_arrow,
@@ -20,23 +19,14 @@ def run_word(word: str, arrow) -> str:
     return "".join(to_sequence(extend(from_sequence(word, 0), arrow)))
 
 
-@pytest.mark.parametrize(
-    "char,expected",
-    [
-        ("a", VowelClass.BACK),
-        ("o", VowelClass.BACK),
-        ("u", VowelClass.BACK),
-        ("ä", VowelClass.FRONT),
-        ("ö", VowelClass.FRONT),
-        ("y", VowelClass.FRONT),
-        ("e", VowelClass.NEUTRAL),
-        ("i", VowelClass.NEUTRAL),
-        ("k", VowelClass.NOT_VOWEL),
-        ("A", VowelClass.NOT_VOWEL),
-    ],
-)
-def test_classify_vowel(char, expected):
-    assert classify_vowel(char) is expected
+@pytest.mark.parametrize("char", list("aouäöyeikA"))
+def test_only_back_and_front_vowels_decide_harmony(char):
+    # Alone to the left, only a/o/u gives back harmony; after a back vowel,
+    # only ä/ö/y gives front. So e/i, consonants and A are transparent.
+    alone = detect_harmony(from_sequence(char + "A", 1))
+    after_back = detect_harmony(from_sequence("a" + char + "A", 2))
+    assert (alone is HarmonyClass.BACK) == (char in "aou")
+    assert (after_back is HarmonyClass.FRONT) == (char in "äöy")
 
 
 def test_detect_harmony_back_stem():
@@ -101,16 +91,15 @@ def test_possessive_without_placeholder_is_identity():
     assert run_word("kammastaan", possessive_arrow) == "kammastaan"
 
 
-def test_possessive_with_no_vowel_warns_and_keeps():
-    with pytest.warns(UserWarning):
-        assert run_word("tsV", possessive_arrow) == "tsV"
+def test_possessive_with_no_vowel_raises():
+    with pytest.raises(ValueError, match="position 2 has no vowel to its left"):
+        run_word("tsV", possessive_arrow)
 
 
 def test_harmony_does_not_touch_copy_placeholder():
     assert run_word("taloVn", harmony_arrow) == "taloVn"
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @given(st.text(alphabet="aehiklmnoprstuvyäöAOUV", min_size=1, max_size=14))
 def test_lifted_vowel_arrows_never_delete(word):
     wz = WriterZipper(frozenset(), from_sequence(word, 0))
@@ -119,5 +108,14 @@ def test_lifted_vowel_arrows_never_delete(word):
         items = to_sequence(wz.zipper)
         for i in range(len(items)):
             refocused = WriterZipper(frozenset(), from_sequence(items, i))
+            unresolvable = (
+                arrow is possessive_arrow
+                and items[i] == "V"
+                and not VOWELS.intersection(items[:i])
+            )
+            if unresolvable:
+                with pytest.raises(ValueError, match=f"position {i} "):
+                    lifted(refocused)
+                continue
             deletions, _ = lifted(refocused)
             assert deletions == frozenset()

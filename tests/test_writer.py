@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from comorph.gradation import Grade, gradation_arrow
 from comorph.writer import (
+    EMPTY_DELETIONS,
     WriterZipper,
-    empty_deletions,
     lift_pure,
     materialize,
-    union,
     writer_extend,
-    writer_extract,
 )
 from comorph.zipper import Zipper, extend, extract, from_sequence, to_sequence
 from conftest import char_functions, writer_arrows, writer_zippers
@@ -22,23 +20,23 @@ position_sets = st.frozensets(st.integers(0, 19), max_size=6)
 
 
 def test_union_identity():
-    assert union(frozenset({4}), empty_deletions()) == frozenset({4})
-    assert union(empty_deletions(), frozenset({4})) == frozenset({4})
+    assert frozenset({4}) | EMPTY_DELETIONS == frozenset({4})
+    assert EMPTY_DELETIONS | frozenset({4}) == frozenset({4})
 
 
 def test_union_merges():
-    assert union(frozenset({1, 2}), frozenset({2, 3})) == frozenset({1, 2, 3})
+    assert frozenset({1, 2}) | frozenset({2, 3}) == frozenset({1, 2, 3})
 
 
 @given(position_sets, position_sets, position_sets)
 def test_union_associative(a, b, c):
-    assert union(union(a, b), c) == union(a, union(b, c))
+    assert (a | b) | c == a | (b | c)
 
 
 @given(position_sets, position_sets)
 def test_union_commutative_idempotent(a, b):
-    assert union(a, b) == union(b, a)
-    assert union(a, a) == a
+    assert a | b == b | a
+    assert a | a == a
 
 
 def kaappi_at(i: int) -> Zipper:
@@ -46,8 +44,8 @@ def kaappi_at(i: int) -> Zipper:
 
 
 def test_writer_extract_ignores_log():
-    assert writer_extract(WriterZipper(frozenset(), kaappi_at(3))) == "p"
-    assert writer_extract(WriterZipper(frozenset({4}), kaappi_at(3))) == "p"
+    assert extract(WriterZipper(frozenset(), kaappi_at(3))) == "p"
+    assert extract(WriterZipper(frozenset({4}), kaappi_at(3))) == "p"
 
 
 def test_identity_arrow_emits_nothing():
@@ -62,7 +60,7 @@ def test_writer_extend_identity(wz):
 
 @given(writer_zippers(), writer_arrows)
 def test_writer_extract_after_extend(wz, f):
-    assert writer_extract(writer_extend(f, wz)) == f(wz)[1]
+    assert extract(writer_extend(f, wz)) == f(wz)[1]
 
 
 def test_weak_gradation_defers_deletion():
@@ -88,8 +86,8 @@ def test_chained_logs_associate(wz, f, g):
     after_g = writer_extend(g, after_f)
     df = _collect(f, wz)
     dg = _collect(g, after_f)
-    assert after_g.log == union(union(wz.log, df), dg)
-    assert after_g.log == union(wz.log, union(df, dg))
+    assert after_g.log == (wz.log | df) | dg
+    assert after_g.log == wz.log | (df | dg)
 
 
 def test_materialize_applies_log():
