@@ -23,7 +23,7 @@ from .generator import CaseTemplate, NounCase, UnsupportedStemError, generate
 from .pipeline import Pipeline, compose, run_pipeline, standard_pipeline
 from .vowels import HarmonyClass, detect_harmony
 from .writer import DeletionSet, WriterZipper, lift_pure, materialize, writer_extend
-from .zipper import Zipper, extend, extract, from_sequence, move_left, move_right, position, to_sequence
+from .zipper import Zipper, extend, extract, from_sequence, to_sequence
 
 __version__ = "0.1.0"
 
@@ -54,11 +54,8 @@ __all__ = [
     "generate",
     "lift_pure",
     "materialize",
-    "move_left",
-    "move_right",
     "parse_readings",
     "parse_rules",
-    "position",
     "run_cg",
     "run_pipeline",
     "standard_pipeline",

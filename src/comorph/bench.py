@@ -106,6 +106,8 @@ def _avg_row(label: str, ops: list[Callable[[], object]], iterations: int) -> Be
 
 def run_benchmarks(iterations: int = 10_000) -> list[BenchRow]:
     """Time every component with ``iterations`` iterations each."""
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
     grad_ops = [
         (lambda w=strong: weaken(w)) for strong, _ in (p.example for p in PATTERNS)
     ]

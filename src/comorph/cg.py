@@ -253,8 +253,7 @@ def parse_readings(text: str) -> list[Sentence]:
     sentences: list[Sentence] = []
     current: Sentence = []
     text = unicodedata.normalize("NFC", text)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             if current:
                 sentences.append(current)

@@ -41,8 +41,8 @@ def char_arrow(salt: int) -> Callable[[Zipper[str]], str]:
     """A pure rule reading focus and immediate neighbours, keyed by salt."""
 
     def f(z: Zipper[str]) -> str:
-        left = z.left[-1] if z.left else "^"
-        right = z.right[0] if z.right else "$"
+        left = z.peek(-1) or "^"
+        right = z.peek(1) or "$"
         h = (salt * 1_000_003) ^ (ord(left) * 131) ^ (ord(z.focus) * 31) ^ (ord(right) * 17)
         return ALPHABET[h % len(ALPHABET)]
 
@@ -54,12 +54,12 @@ def deleting_arrow(salt: int) -> WriterArrow:
     base = char_arrow(salt)
 
     def f(wz: WriterZipper) -> tuple[frozenset[int], str]:
-        z = wz.zipper
-        left = z.left[-1] if z.left else "^"
-        h = (salt * 69_069) ^ (ord(left) * 29) ^ (ord(z.focus) * 7) ^ len(z.right)
+        left = wz.peek(-1) or "^"
+        after = len(wz.cells) - wz.index - 1
+        h = (salt * 69_069) ^ (ord(left) * 29) ^ (ord(wz.focus) * 7) ^ after
         if h % 4 == 0:
-            return (frozenset((len(z.left),)), z.focus)
-        return (frozenset(), base(z))
+            return (frozenset((wz.index,)), wz.focus)
+        return (frozenset(), base(wz))
 
     return f
 
@@ -205,6 +205,8 @@ SUITES: tuple[tuple[str, Predicate], ...] = (
 
 
 def run_all(seed: int = 0, cases: int = 1000) -> list[SuiteReport]:
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     reports = [_check_monoid(seed, cases)]
     for offset, (name, holds) in enumerate(SUITES, start=1):
         reports.append(_run_suite(name, holds, seed + offset, cases))

@@ -4,9 +4,8 @@ A zipper is a cursor: a tuple of cells plus the index of the focused one.
 Refocusing shares the cells, so moving the focus costs O(1) and ``extend``,
 which re-runs a context-reading local rule at every position to turn a
 windowed rule into a whole-sequence pass, costs one rule call per cell and
-nothing more. Rules read their neighbours with ``peek``; the ``left`` and
-``right`` contexts are built only when asked for. Nothing here mutates a
-zipper, and rules must not either.
+nothing more. Rules read their neighbours with ``peek``, or scan ``cells``
+from ``index``. Nothing here mutates a zipper, and rules must not either.
 
 Input is checked where it enters: ``from_sequence`` rejects an empty
 sequence or an out-of-range focus, and the refocused views inside a pass
@@ -27,9 +26,9 @@ B = TypeVar("B")
 class Zipper(Generic[A]):
     """Non-empty sequence with a distinguished focus.
 
-    ``Zipper(left, focus, right)`` builds one from its contexts in word
-    order; ``cells`` holds the whole sequence, ``index`` the focus position
-    within it and ``focus`` the cell there.
+    ``from_sequence(cells, index)`` builds one; ``cells`` holds the whole
+    sequence, ``index`` the focus position within it and ``focus`` the cell
+    there.
     """
 
     __slots__ = ("cells", "index", "focus")
@@ -37,21 +36,6 @@ class Zipper(Generic[A]):
     cells: tuple[A, ...]
     index: int
     focus: A
-
-    def __init__(self, left: Sequence[A], focus: A, right: Sequence[A]) -> None:
-        self.cells = (*left, focus, *right)
-        self.index = len(left)
-        self.focus = focus
-
-    @property
-    def left(self) -> tuple[A, ...]:
-        """The cells before the focus; the nearest is ``left[-1]``."""
-        return self.cells[: self.index]
-
-    @property
-    def right(self) -> tuple[A, ...]:
-        """The cells after the focus; the nearest is ``right[0]``."""
-        return self.cells[self.index + 1 :]
 
     def peek(self, offset: int) -> A | None:
         """The cell ``offset`` steps from the focus, or None past either end."""
@@ -69,7 +53,7 @@ class Zipper(Generic[A]):
         return hash((self.cells, self.index))
 
     def __repr__(self) -> str:
-        return f"Zipper({self.left!r}, {self.focus!r}, {self.right!r})"
+        return f"from_sequence({self.cells!r}, {self.index!r})"
 
 
 _new = object.__new__
@@ -103,28 +87,9 @@ def extract(z: Zipper[A]) -> A:
     return z.focus
 
 
-def position(z: Zipper[A]) -> int:
-    """Absolute index of the focus within the sequence."""
-    return z.index
-
-
 def to_sequence(z: Zipper[A]) -> tuple[A, ...]:
     """The whole sequence, left to right; the zipper's own cells, not a copy."""
     return z.cells
-
-
-def move_left(z: Zipper[A]) -> Zipper[A] | None:
-    """Shift the focus one step left, or None at the left edge."""
-    if z.index == 0:
-        return None
-    return _at(z.cells, z.index - 1)
-
-
-def move_right(z: Zipper[A]) -> Zipper[A] | None:
-    """Shift the focus one step right, or None at the right edge."""
-    if z.index + 1 == len(z.cells):
-        return None
-    return _at(z.cells, z.index + 1)
 
 
 def extend(z: Zipper[A], f: Callable[[Zipper[A]], B]) -> Zipper[B]:
@@ -135,4 +100,3 @@ def extend(z: Zipper[A], f: Callable[[Zipper[A]], B]) -> Zipper[B]:
     """
     cells = z.cells
     return _at(tuple([f(_at(cells, i)) for i in range(len(cells))]), z.index)
-

@@ -20,7 +20,7 @@ def zippers(draw, alphabet=LAW_ALPHABET, min_size=1, max_size=20):
 @st.composite
 def writer_zippers(draw, max_size=20):
     z = draw(zippers(max_size=max_size))
-    n = len(z.left) + 1 + len(z.right)
+    n = len(z.cells)
     log = draw(st.frozensets(st.integers(0, n - 1), max_size=4))
     return WriterZipper(log, z)
 

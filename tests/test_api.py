@@ -31,11 +31,8 @@ PUBLIC_API = [
     "generate",
     "lift_pure",
     "materialize",
-    "move_left",
-    "move_right",
     "parse_readings",
     "parse_rules",
-    "position",
     "run_cg",
     "run_pipeline",
     "standard_pipeline",

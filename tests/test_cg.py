@@ -85,6 +85,10 @@ def test_parse_unknown_action_reports_line():
 def test_parse_unknown_predicate_reports_line():
     with pytest.raises(RuleSyntaxError, match="line 1"):
         parse_rules("SELECT substantiivi")
+    with pytest.raises(RuleSyntaxError, match="line 1: empty POS tag"):
+        parse_rules("SELECT POS=")
+    with pytest.raises(RuleSyntaxError, match="line 2: empty baseform"):
+        parse_rules("REMOVE POS=adv\nREMOVE BASEFORM=")
 
 
 def test_parse_malformed_condition_rejected():
@@ -115,6 +119,8 @@ def test_parsers_normalize_to_nfc():
 def test_parse_readings_rejects_empty_reading_list():
     with pytest.raises(ReadingsFormatError, match="line 1"):
         parse_readings("voi\t\n")
+    with pytest.raises(ReadingsFormatError, match="line 1: token has no readings"):
+        parse_readings("kuusi\t;")
 
 
 def test_parse_readings_rejects_malformed_reading():
@@ -341,7 +347,9 @@ def test_runs_are_deterministic():
 
 
 def test_format_roundtrips_through_parse():
-    sentences = [[KUUSI, KOIRAA], [EI, VOI]]
+    koiralle = Reading("koira", "noun", frozenset({"sg", "all"}))
+    sentences = [[KUUSI, KOIRAA], [EI, VOI], [ReadingSet("koiralle", frozenset({koiralle}))]]
     text = format_sentences(sentences)
+    assert text.endswith("koiralle\tnoun:koira:all,sg")
     assert parse_readings(text) == sentences
     assert format_sentences(parse_readings(text)) == text

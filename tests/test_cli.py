@@ -169,6 +169,20 @@ def test_laws_command(capsys):
     assert out.count("ok") == 8
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_laws_command_rejects_a_count_below_one(capsys, cases):
+    code, out, err = run(capsys, "laws", "--cases", cases)
+    assert code == 1
+    assert out == ""
+    assert f"error: cases must be at least 1, got {cases}" in err
+
+
+def test_bench_command_rejects_zero_iterations(capsys):
+    code, out, err = run(capsys, "bench", "--iterations", "0")
+    assert code == 1
+    assert "error: iterations must be at least 1, got 0" in err
+
+
 def test_bench_command_prints_all_rows(capsys):
     code, out, _ = run(capsys, "bench", "--iterations", "3")
     assert code == 0

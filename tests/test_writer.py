@@ -75,7 +75,7 @@ def _collect(f, wz):
     items = to_sequence(wz.zipper)
     out = set()
     for i in range(len(items)):
-        refocused = WriterZipper(wz.log, Zipper(items[:i], items[i], items[i + 1 :]))
+        refocused = WriterZipper(wz.log, from_sequence(items, i))
         out |= f(refocused)[0]
     return frozenset(out)
 

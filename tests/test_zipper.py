@@ -4,31 +4,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comorph.zipper import (
-    Zipper,
-    extend,
-    extract,
-    from_sequence,
-    move_left,
-    move_right,
-    position,
-    to_sequence,
-)
+from comorph.zipper import extend, extract, from_sequence, to_sequence
 from conftest import char_functions, zippers
 from oracles import refocus_enumerate
 
 
 def test_from_sequence_splits_contexts():
     z = from_sequence("kaappi", 3)
-    assert z == Zipper(("k", "a", "a"), "p", ("p", "i"))
+    assert (z.cells, z.index, z.focus) == (("k", "a", "a", "p", "p", "i"), 3, "p")
 
 
 def test_from_sequence_singleton():
-    assert from_sequence("x", 0) == Zipper((), "x", ())
+    z = from_sequence("x", 0)
+    assert (z.cells, z.index, z.focus) == (("x",), 0, "x")
 
 
 def test_from_sequence_rightmost_focus():
-    assert from_sequence("abc", 2) == Zipper(("a", "b"), "c", ())
+    z = from_sequence("abc", 2)
+    assert (z.cells, z.index, z.focus) == (("a", "b", "c"), 2, "c")
 
 
 def test_from_sequence_rejects_empty():
@@ -43,7 +36,7 @@ def test_from_sequence_rejects_bad_index(index):
 
 
 def test_extract_reads_focus():
-    assert extract(Zipper(("k", "a", "a"), "p", ("p", "i"))) == "p"
+    assert extract(from_sequence("kaappi", 3)) == "p"
     assert extract(from_sequence("x", 0)) == "x"
 
 
@@ -61,52 +54,24 @@ def test_peek_reads_neighbours_and_stops_at_the_ends():
     assert z.peek(3) is None
 
 
-def test_move_left_shifts_focus():
-    z = Zipper(("k", "a", "a"), "p", ("p", "i"))
-    assert move_left(z) == Zipper(("k", "a"), "a", ("p", "p", "i"))
-
-
-def test_moves_stop_at_boundaries():
-    singleton = from_sequence("x", 0)
-    assert move_left(singleton) is None
-    assert move_right(singleton) is None
-
-
-@given(zippers())
-def test_moves_are_inverses_when_defined(z):
-    right = move_right(z)
-    if right is not None:
-        assert move_left(right) == z
-    left = move_left(z)
-    if left is not None:
-        assert move_right(left) == z
-
-
-@given(zippers())
-def test_moves_preserve_content(z):
-    for moved in (move_left(z), move_right(z)):
-        if moved is not None:
-            assert to_sequence(moved) == to_sequence(z)
-
-
 def test_to_sequence_and_position():
-    z = Zipper(("k", "a", "a"), "p", ("p", "i"))
+    z = from_sequence("kaappi", 3)
     assert "".join(to_sequence(z)) == "kaappi"
-    assert position(z) == 3
+    assert z.index == 3
     assert to_sequence(from_sequence("x", 0)) == ("x",)
-    assert position(from_sequence("x", 0)) == 0
+    assert from_sequence("x", 0).index == 0
 
 
 @given(zippers())
 def test_from_to_sequence_roundtrip(z):
-    assert from_sequence(to_sequence(z), position(z)) == z
+    assert from_sequence(to_sequence(z), z.index) == z
 
 
 def test_extend_applies_at_every_position():
     z = from_sequence("abc", 0)
-    got = extend(z, lambda w: len(w.left))
+    got = extend(z, lambda w: w.index)
     assert to_sequence(got) == (0, 1, 2)
-    assert to_sequence(got) == tuple(refocus_enumerate(z, lambda w: len(w.left)))
+    assert to_sequence(got) == tuple(refocus_enumerate(z, lambda w: w.index))
 
 
 @given(zippers())
@@ -127,7 +92,7 @@ def test_extend_composes_associatively(z, f, g):
 @given(zippers(), char_functions)
 def test_extend_preserves_shape(z, f):
     out = extend(z, f)
-    assert position(out) == position(z)
+    assert out.index == z.index
     assert len(to_sequence(out)) == len(to_sequence(z))
 
 
