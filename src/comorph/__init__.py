@@ -11,6 +11,7 @@ from .cg import (
     Condition,
     Reading,
     ReadingSet,
+    ReadingTest,
     ReadingsFormatError,
     RuleAction,
     RuleSyntaxError,
@@ -40,6 +41,7 @@ __all__ = [
     "Pipeline",
     "Reading",
     "ReadingSet",
+    "ReadingTest",
     "ReadingsFormatError",
     "RuleAction",
     "RuleSyntaxError",

@@ -15,16 +15,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .cg import (
-    CgRule,
-    Condition,
-    PosIs,
-    Reading,
-    ReadingSet,
-    RuleAction,
-    apply_rule,
-    run_cg,
-)
+from .cg import Reading, ReadingSet, apply_rule, parse_rules, run_cg
 from .gradation import PATTERNS, Grade, weaken
 from .pipeline import run_pipeline
 from .vowels import harmony_arrow, possessive_arrow
@@ -53,12 +44,13 @@ def demo_sentence() -> list[ReadingSet]:
     ]
 
 
-def demo_rules() -> list[CgRule]:
-    return [
-        CgRule(RuleAction.REMOVE, PosIs("adj"), Condition(-1, PosIs("num"), negated=True)),
-        CgRule(RuleAction.REMOVE, PosIs("adv"), Condition(-1, PosIs("noun"))),
-        CgRule(RuleAction.SELECT, PosIs("verb"), Condition(+1, PosIs("verb"))),
-    ]
+def demo_rules():
+    """The three-rule cascade, parsed as ``comorph cg`` parses a rule file."""
+    return parse_rules(
+        "REMOVE POS=adj IF (NOT -1 POS=num)\n"
+        "REMOVE POS=adv IF (-1 POS=noun)\n"
+        "SELECT POS=verb IF (+1 POS=verb)\n"
+    )
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ Rule file format (UTF-8, ``#`` comments, one rule per line)::
 with ACTION one of SELECT / REMOVE, TARGET and TEST one of ``POS=tag``,
 ``BASEFORM=form`` or a bare Finnish tag alias (see FINNISH_TAG_ALIASES),
 and OFFSET a signed integer such as -1, +1 or 0 (0 is the focus itself).
+Each TARGET and TEST parses to one ``ReadingTest``: it compares one reading
+field, ``pos`` or ``baseform``, with a value, and an alias is a ``pos`` test.
 
 Readings file format (UTF-8 TSV, blank line between sentences)::
 
@@ -86,25 +88,19 @@ class RuleAction(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class PosIs:
-    tag: str
+class ReadingTest:
+    """Passes a reading whose ``field`` (``pos`` or ``baseform``) equals ``value``."""
 
+    field: str
+    value: str
 
-@dataclass(frozen=True, slots=True)
-class BaseformIs:
-    form: str
-
-
-ReadingTest = PosIs | BaseformIs
+    def __post_init__(self) -> None:
+        if self.field not in ("pos", "baseform"):
+            raise ValueError(f"a test reads pos or baseform, not {self.field!r}")
 
 
 def reading_matches(test: ReadingTest, reading: Reading) -> bool:
-    match test:
-        case PosIs(tag):
-            return reading.pos == tag
-        case BaseformIs(form):
-            return reading.baseform == form
-    raise TypeError(f"unknown reading test {test!r}")
+    return getattr(reading, test.field) == test.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,20 +125,20 @@ _RULE_RE = re.compile(
 )
 
 
+# Rule-file prefix -> (reading field, what an empty value is called).
+_TEST_PREFIXES = {"POS=": ("pos", "POS tag"), "BASEFORM=": ("baseform", "baseform")}
+
+
 def _parse_test(token: str, line_no: int) -> ReadingTest:
-    if token.startswith("POS="):
-        tag = token[len("POS=") :]
-        if not tag:
-            raise RuleSyntaxError(f"line {line_no}: empty POS tag")
-        return PosIs(tag)
-    if token.startswith("BASEFORM="):
-        form = token[len("BASEFORM=") :]
-        if not form:
-            raise RuleSyntaxError(f"line {line_no}: empty baseform")
-        return BaseformIs(form)
+    for prefix, (field, name) in _TEST_PREFIXES.items():
+        if token.startswith(prefix):
+            value = token[len(prefix) :]
+            if not value:
+                raise RuleSyntaxError(f"line {line_no}: empty {name}")
+            return ReadingTest(field, value)
     alias = FINNISH_TAG_ALIASES.get(token)
     if alias is not None:
-        return PosIs(alias)
+        return ReadingTest("pos", alias)
     raise RuleSyntaxError(
         f"line {line_no}: unknown predicate {token!r} "
         "(expected POS=tag, BASEFORM=form, or a known tag alias)"
@@ -191,7 +187,7 @@ def eval_condition(z: Zipper[ReadingSet], condition: Condition) -> bool:
     hit = other is not None and any(
         reading_matches(condition.test, r) for r in other.readings
     )
-    return not hit if condition.negated else hit
+    return hit != condition.negated
 
 
 def apply_rule(z: Zipper[ReadingSet], rule: CgRule) -> ReadingSet:
@@ -199,15 +195,12 @@ def apply_rule(z: Zipper[ReadingSet], rule: CgRule) -> ReadingSet:
     focus = z.focus
     if rule.condition is not None and not eval_condition(z, rule.condition):
         return focus
-    matching = frozenset(r for r in focus.readings if reading_matches(rule.target, r))
-    if rule.action is RuleAction.SELECT:
-        if matching and matching != focus.readings:
-            return ReadingSet(focus.surface, matching)
+    readings = focus.readings
+    matching = {r for r in readings if reading_matches(rule.target, r)}
+    keep = matching if rule.action is RuleAction.SELECT else readings - matching
+    if not keep or keep == readings:
         return focus
-    survivors = focus.readings - matching
-    if not survivors or survivors == focus.readings:
-        return focus
-    return ReadingSet(focus.surface, survivors)
+    return ReadingSet(focus.surface, keep)
 
 
 # Called for every token a rule changed: (rule number, token index, before, after).

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .vowels import VOWELS
+from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, VOWELS
 from .writer import (
     EMPTY_DELETIONS,
     DeletionSet,
@@ -83,7 +83,7 @@ PATTERNS: tuple[GradationPattern, ...] = (
 
 # Uppercase placeholders are unresolved suffix segments, never gradable
 # letters; case folding must leave them distinct from p/t/k/v/d.
-_PLACEHOLDERS = frozenset("AOUV")
+_PLACEHOLDERS = frozenset(HARMONY_PLACEHOLDERS) | {COPY_PLACEHOLDER}
 
 
 def _fold(c: str) -> str:

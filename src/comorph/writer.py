@@ -13,7 +13,7 @@ emitted, once per pass. The refocused views a pass hands to its rule share
 the log that was already checked and are not validated again.
 
 Words enter through ``start``, the one place that normalizes them to NFC
-and rejects empty input.
+and rejects empty input and non-letters.
 """
 
 from __future__ import annotations
@@ -77,10 +77,16 @@ _new = object.__new__
 
 
 def start(word: str) -> WriterZipper:
-    """``word`` in NFC, focused at 0 with an empty log; raises on an empty word."""
+    """``word`` in NFC, focused at 0 with an empty log.
+
+    Raises on an empty word, and on the first character that is not a letter.
+    """
     word = unicodedata.normalize("NFC", word)
-    if not word:
-        raise ValueError("cannot process an empty word")
+    if not word.isalpha():
+        if not word:
+            raise ValueError("cannot process an empty word")
+        i, c = next((i, c) for i, c in enumerate(word) if not c.isalpha())
+        raise ValueError(f"character {c!r} at position {i} is not a letter")
     return _view(EMPTY_DELETIONS, tuple(word), 0)
 
 

@@ -1,12 +1,14 @@
 """Independent reference implementations the tests check the library against.
 
 Nothing here may call the code path it is used to verify: refocusing is done
-by rebuilding from the flat sequence, deletion by filtering, and the
-sentinel pipeline really does materialize between stages.
+by rebuilding from the flat sequence, deletion by filtering, the sentinel
+pipeline really does materialize between stages, and the CG reference
+indexes a plain list and takes nothing from ``comorph.cg`` but its data.
 """
 
 from __future__ import annotations
 
+from comorph.cg import ReadingSet
 from comorph.gradation import Grade, gradate_at
 from comorph.vowels import harmony_arrow, possessive_arrow
 from comorph.zipper import Zipper, from_sequence, to_sequence
@@ -43,3 +45,43 @@ def sentinel_pipeline(word: str, grade: Grade) -> str:
     stage2 = naive_extend_word(stage1, harmony_arrow) if stage1 else stage1
     stage3 = naive_extend_word(stage2, possessive_arrow) if stage2 else stage2
     return stage3
+
+
+def _passes(test, reading) -> bool:
+    if test.field == "pos":
+        return reading.pos == test.value
+    if test.field == "baseform":
+        return reading.baseform == test.value
+    raise AssertionError(f"unknown reading field {test.field!r}")
+
+
+def cg_reference(sentence, rules) -> list[ReadingSet]:
+    """The README's SELECT / REMOVE semantics, one pass per rule.
+
+    Every position of a pass reads the sentence as it stood before that
+    pass; an offset outside the sentence is no match, and NOT flips the
+    result; a token never loses its last reading.
+    """
+    current = list(sentence)
+    for rule in rules:
+        before = current
+        current = []
+        for i, token in enumerate(before):
+            cond = rule.condition
+            if cond is not None:
+                j = i + cond.offset
+                hit = 0 <= j < len(before) and any(
+                    _passes(cond.test, r) for r in before[j].readings
+                )
+                if hit == cond.negated:
+                    current.append(token)
+                    continue
+            picked = {r for r in token.readings if _passes(rule.target, r)}
+            if rule.action.value == "SELECT":
+                survivors = picked
+            else:
+                survivors = set(token.readings) - picked
+            if survivors and survivors != set(token.readings):
+                token = ReadingSet(token.surface, frozenset(survivors))
+            current.append(token)
+    return current

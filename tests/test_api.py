@@ -17,6 +17,7 @@ PUBLIC_API = [
     "Pipeline",
     "Reading",
     "ReadingSet",
+    "ReadingTest",
     "ReadingsFormatError",
     "RuleAction",
     "RuleSyntaxError",

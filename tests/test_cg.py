@@ -4,14 +4,16 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from comorph.bench import demo_rules
 from comorph.cg import (
-    BaseformIs,
     CgRule,
     Condition,
-    PosIs,
     Reading,
     ReadingSet,
+    ReadingTest,
     ReadingsFormatError,
     RuleAction,
     RuleSyntaxError,
@@ -24,6 +26,7 @@ from comorph.cg import (
     reading_matches,
 )
 from comorph.zipper import extend, from_sequence, to_sequence
+from oracles import cg_reference
 
 
 def rs(surface, *readings):
@@ -43,14 +46,22 @@ VOI = rs("voi", ("noun", "voi"), ("verb", "voida"))
 def test_parse_select_with_pos_condition():
     rules = parse_rules("SELECT POS=num IF (+1 POS=noun)")
     assert rules == [
-        CgRule(RuleAction.SELECT, PosIs("num"), Condition(1, PosIs("noun")))
+        CgRule(
+            RuleAction.SELECT,
+            ReadingTest("pos", "num"),
+            Condition(1, ReadingTest("pos", "noun")),
+        )
     ]
 
 
 def test_parse_select_with_baseform_condition():
     rules = parse_rules("SELECT POS=verb IF (-1 BASEFORM=ei)")
     assert rules == [
-        CgRule(RuleAction.SELECT, PosIs("verb"), Condition(-1, BaseformIs("ei")))
+        CgRule(
+            RuleAction.SELECT,
+            ReadingTest("pos", "verb"),
+            Condition(-1, ReadingTest("baseform", "ei")),
+        )
     ]
 
 
@@ -59,8 +70,8 @@ def test_parse_negated_condition():
     assert rules == [
         CgRule(
             RuleAction.REMOVE,
-            PosIs("adj"),
-            Condition(-1, PosIs("num"), negated=True),
+            ReadingTest("pos", "adj"),
+            Condition(-1, ReadingTest("pos", "num"), negated=True),
         )
     ]
 
@@ -68,13 +79,19 @@ def test_parse_negated_condition():
 def test_parse_finnish_alias_rules_verbatim():
     rules = parse_rules("SELECT lukusana IF (+1 nimisana)")
     assert rules == [
-        CgRule(RuleAction.SELECT, PosIs("num"), Condition(1, PosIs("noun")))
+        CgRule(
+            RuleAction.SELECT,
+            ReadingTest("pos", "num"),
+            Condition(1, ReadingTest("pos", "noun")),
+        )
     ]
 
 
 def test_parse_unconditional_rule_and_comments():
     text = "# drop stray adverbs\n\nREMOVE POS=adv\n"
-    assert parse_rules(text) == [CgRule(RuleAction.REMOVE, PosIs("adv"), None)]
+    assert parse_rules(text) == [
+        CgRule(RuleAction.REMOVE, ReadingTest("pos", "adv"), None)
+    ]
 
 
 def test_parse_unknown_action_reports_line():
@@ -138,32 +155,41 @@ def test_reading_set_never_born_empty():
 
 def test_predicates_match_readings():
     r = Reading("koira", "noun")
-    assert reading_matches(PosIs("noun"), r)
-    assert not reading_matches(PosIs("verb"), r)
-    assert reading_matches(BaseformIs("koira"), r)
+    assert reading_matches(ReadingTest("pos", "noun"), r)
+    assert not reading_matches(ReadingTest("pos", "verb"), r)
+    assert reading_matches(ReadingTest("baseform", "koira"), r)
+
+
+def test_reading_test_compares_only_pos_or_baseform():
+    with pytest.raises(ValueError, match="not 'features'"):
+        ReadingTest("features", "sg")
 
 
 def test_condition_looks_ahead():
     z = from_sequence((KUUSI, KOIRAA), 0)
-    assert eval_condition(z, Condition(1, PosIs("noun")))
-    assert not eval_condition(z, Condition(1, PosIs("verb")))
+    assert eval_condition(z, Condition(1, ReadingTest("pos", "noun")))
+    assert not eval_condition(z, Condition(1, ReadingTest("pos", "verb")))
 
 
 def test_condition_out_of_bounds_is_false():
     z = from_sequence((KUUSI, KOIRAA), 1)
-    assert not eval_condition(z, Condition(1, PosIs("noun")))
+    assert not eval_condition(z, Condition(1, ReadingTest("pos", "noun")))
 
 
 def test_negated_condition_fires_at_boundary():
     z = from_sequence((KUUSI, KOIRAA), 1)
-    assert eval_condition(z, Condition(1, PosIs("noun"), negated=True))
+    assert eval_condition(z, Condition(1, ReadingTest("pos", "noun"), negated=True))
 
 
 # --- rule application --------------------------------------------------------
 
 
 def select_num_before_noun():
-    return CgRule(RuleAction.SELECT, PosIs("num"), Condition(1, PosIs("noun")))
+    return CgRule(
+        RuleAction.SELECT,
+        ReadingTest("pos", "num"),
+        Condition(1, ReadingTest("pos", "noun")),
+    )
 
 
 def test_apply_select_keeps_matching_readings():
@@ -179,19 +205,19 @@ def test_apply_skips_when_condition_false():
 
 
 def test_apply_select_without_match_is_identity():
-    rule = CgRule(RuleAction.SELECT, PosIs("adj"), None)
+    rule = CgRule(RuleAction.SELECT, ReadingTest("pos", "adj"), None)
     z = from_sequence((KUUSI,), 0)
     assert apply_rule(z, rule) == KUUSI
 
 
 def test_remove_never_empties_a_set():
-    rule = CgRule(RuleAction.REMOVE, PosIs("noun"), None)
+    rule = CgRule(RuleAction.REMOVE, ReadingTest("pos", "noun"), None)
     z = from_sequence((KOIRAA,), 0)
     assert apply_rule(z, rule) == KOIRAA
 
 
 def test_remove_drops_matching_readings():
-    rule = CgRule(RuleAction.REMOVE, PosIs("noun"), None)
+    rule = CgRule(RuleAction.REMOVE, ReadingTest("pos", "noun"), None)
     z = from_sequence((VOI,), 0)
     assert apply_rule(z, rule) == rs("voi", ("verb", "voida"))
 
@@ -295,8 +321,8 @@ def random_sentence(rng: random.Random) -> list[ReadingSet]:
 def random_rule(rng: random.Random) -> CgRule:
     def test():
         if rng.random() < 0.5:
-            return PosIs(rng.choice(POS_POOL))
-        return BaseformIs(rng.choice(BASE_POOL))
+            return ReadingTest("pos", rng.choice(POS_POOL))
+        return ReadingTest("baseform", rng.choice(BASE_POOL))
 
     condition = None
     if rng.random() < 0.7:
@@ -338,6 +364,78 @@ def test_two_rules_sequential_equals_composed():
         second = lambda w: apply_rule(w, r2)
         composed = lambda w: second(extend(w, first))
         assert tuple(sequential) == to_sequence(extend(z, composed))
+
+
+def test_bench_demo_rules_are_the_cascade():
+    assert demo_rules() == parse_rules(CASCADE_RULES) == [
+        CgRule(
+            RuleAction.REMOVE,
+            ReadingTest("pos", "adj"),
+            Condition(-1, ReadingTest("pos", "num"), negated=True),
+        ),
+        CgRule(
+            RuleAction.REMOVE,
+            ReadingTest("pos", "adv"),
+            Condition(-1, ReadingTest("pos", "noun")),
+        ),
+        CgRule(
+            RuleAction.SELECT,
+            ReadingTest("pos", "verb"),
+            Condition(+1, ReadingTest("pos", "verb")),
+        ),
+    ]
+
+
+# The README's alias table, written out here rather than read from comorph.cg.
+ALIAS_TAGS = {
+    "lukusana": "num",
+    "nimisana": "noun",
+    "teonsana": "verb",
+    "laatusana": "adj",
+    "seikkasana": "adv",
+}
+# Each draw is (rule-file spelling, the test it should parse to).
+rule_tests = st.one_of(
+    st.sampled_from(POS_POOL).map(lambda tag: (f"POS={tag}", ReadingTest("pos", tag))),
+    st.sampled_from(BASE_POOL).map(
+        lambda form: (f"BASEFORM={form}", ReadingTest("baseform", form))
+    ),
+    st.sampled_from(sorted(ALIAS_TAGS)).map(
+        lambda alias: (alias, ReadingTest("pos", ALIAS_TAGS[alias]))
+    ),
+)
+
+
+@st.composite
+def rule_lines(draw):
+    """A rule line and the rule it should parse to."""
+    action = draw(st.sampled_from(RuleAction))
+    target_text, target = draw(rule_tests)
+    line = f"{action.value} {target_text}"
+    condition = None
+    if draw(st.booleans()):
+        negated = draw(st.booleans())
+        offset = draw(st.integers(-2, 2))
+        test_text, test = draw(rule_tests)
+        line += f" IF ({'NOT ' if negated else ''}{offset:+d} {test_text})"
+        condition = Condition(offset, test, negated)
+    return line, CgRule(action, target, condition)
+
+
+@st.composite
+def sentences(draw):
+    reading = st.builds(Reading, st.sampled_from(BASE_POOL), st.sampled_from(POS_POOL))
+    sets = st.frozensets(reading, min_size=1, max_size=4)
+    tokens = draw(st.lists(sets, min_size=1, max_size=8))
+    return [ReadingSet(f"w{t}", readings) for t, readings in enumerate(tokens)]
+
+
+@given(sentences(), st.lists(rule_lines(), min_size=1, max_size=4))
+def test_run_cg_matches_list_indexing_oracle(sentence, drawn):
+    lines, expected = zip(*drawn)
+    rules = parse_rules("\n".join(lines))
+    assert rules == list(expected)
+    assert run_cg(sentence, rules) == cg_reference(sentence, expected)
 
 
 def test_runs_are_deterministic():

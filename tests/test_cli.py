@@ -82,6 +82,12 @@ def test_pipeline_unresolvable_copy_placeholder_fails(capsys):
     assert "error: copy placeholder V at position 5 has no vowel to its left" in err
 
 
+def test_pipeline_non_letter_fails(capsys):
+    code, out, err = run(capsys, "pipeline", "--grade", "weak", "kaa1ppi")
+    assert (code, out) == (1, "")
+    assert err == "error: character '1' at position 3 is not a letter\n"
+
+
 def test_generate(capsys):
     code, out, _ = run(capsys, "generate", "kaappi", "--case", "genitive")
     assert (code, out.strip()) == (0, "kaapin")

@@ -100,6 +100,11 @@ def test_empty_lemma_rejected():
         generate("", NounCase.GENITIVE)
 
 
+def test_lemma_with_a_non_letter_rejected():
+    with pytest.raises(ValueError, match="character '2' at position 4 is not a letter"):
+        generate("talo2", NounCase.GENITIVE)
+
+
 def test_decomposed_lemma_is_normalized():
     assert generate(unicodedata.normalize("NFD", "kenkä"), NounCase.GENITIVE) == "kengän"
 

@@ -47,6 +47,20 @@ def test_pipeline_rejects_empty_word():
         run_pipeline("", Grade.WEAK)
 
 
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("kaa1ppi", "character '1' at position 3 is not a letter"),
+        ("talo ssA", "character ' ' at position 4 is not a letter"),
+        ("-ssA", "character '-' at position 0 is not a letter"),
+        ("kenkä\u0301", "character '\u0301' at position 5 is not a letter"),
+    ],
+)
+def test_pipeline_rejects_a_non_letter_with_its_position(word, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_pipeline(word, Grade.WEAK)
+
+
 def test_decomposed_word_is_normalized():
     assert run_pipeline(unicodedata.normalize("NFD", "kenkässA"), Grade.WEAK) == "kengässä"
 
