@@ -14,17 +14,15 @@ from .cg import (
     parse_rules,
     run_cg,
 )
-from .gradation import PATTERNS, Grade, gradation_arrow
+from .gradation import PATTERNS, Grade
 from .generator import NounCase, generate
-from .pipeline import Pipeline, run_pipeline
-from .vowels import harmony_arrow
-from .writer import lift_pure
+from .pipeline import HARMONY_STAGE, Pipeline, gradation_stage, run_pipeline
 
 GRADES = {g.value: g for g in Grade}
 
 
 def _cmd_grad(args: argparse.Namespace) -> int:
-    pipeline = Pipeline((("gradation", gradation_arrow(GRADES[args.grade])),))
+    pipeline = Pipeline((gradation_stage(GRADES[args.grade]),))
     if args.trace:
         for row in pipeline.trace(args.word):
             print(row.render())
@@ -34,7 +32,7 @@ def _cmd_grad(args: argparse.Namespace) -> int:
 
 
 def _cmd_harmony(args: argparse.Namespace) -> int:
-    print(Pipeline((("harmony", lift_pure(harmony_arrow)),)).run(args.word))
+    print(Pipeline((HARMONY_STAGE,)).run(args.word))
     return 0
 
 

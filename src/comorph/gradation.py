@@ -90,6 +90,18 @@ def _fold(c: str) -> str:
     return c if c in _PLACEHOLDERS else c.lower()
 
 
+def _focus_letters(grade: Grade) -> frozenset[str]:
+    return frozenset(pat.source_window(grade)[1] for pat in PATTERNS) - {None}
+
+
+@cache
+def gradation_support(grade: Grade) -> frozenset[str]:
+    """Where gradation toward ``grade`` may change a cell: the focus letters,
+    upper-case too (``_fold`` grades those), never a placeholder."""
+    focus = _focus_letters(grade)
+    return (focus | {c.upper() for c in focus}) - _PLACEHOLDERS
+
+
 @cache
 def _rewrite(grade: Grade) -> Callable[[tuple[str, ...], int], str | None]:
     """The rule toward ``grade``: what ``cells[i]`` becomes, None if deleted.
@@ -110,7 +122,7 @@ def _rewrite(grade: Grade) -> Callable[[tuple[str, ...], int], str | None]:
             single.setdefault(focus, target)
         else:
             exact.setdefault((left, focus), target)
-    focus_chars = frozenset(f for _, f in exact) | frozenset(single)
+    focus_chars = _focus_letters(grade)
 
     def rewrite(cells: tuple[str, ...], i: int) -> str | None:
         c = cells[i]
@@ -159,9 +171,14 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
     return arrow
 
 
+def _grade_word(word: str, grade: Grade) -> str:
+    graded = writer_extend(gradation_arrow(grade), start(word), gradation_support(grade))
+    return materialize(graded)
+
+
 def weaken(word: str) -> str:
     """Strong grade to weak grade across the whole word."""
-    return materialize(writer_extend(gradation_arrow(Grade.WEAK), start(word)))
+    return _grade_word(word, Grade.WEAK)
 
 
 def strengthen(word: str) -> str:
@@ -171,4 +188,4 @@ def strengthen(word: str) -> str:
     window to match, so they come back unchanged; restoring them would need
     insertion, which this engine does not do.
     """
-    return materialize(writer_extend(gradation_arrow(Grade.STRONG), start(word)))
+    return _grade_word(word, Grade.STRONG)

@@ -1,10 +1,11 @@
 """Seeded randomized checks of the algebraic contracts.
 
 Covers the three context-pass laws on plain zippers, the identity laws and
-log behaviour of the deleting variant, the deletion-set monoid laws, and
-the equivalence of stage-by-stage passes with a single pass of the chained
-rule. Cases sweep lengths 1 to 20 with every focus position represented;
-failures are shrunk greedily before being reported.
+log behaviour of the deleting variant, the deletion-set monoid laws, the
+equivalence of stage-by-stage passes with a single pass of the chained
+rule, and the equivalence of a pass restricted to a rule's support with the
+full pass. Cases sweep lengths 1 to 20 with every focus position
+represented; failures are shrunk greedily before being reported.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .pipeline import compose
-from .writer import WriterArrow, WriterZipper, lift_pure, writer_extend
+from .writer import EMPTY_DELETIONS, WriterArrow, WriterZipper, lift_pure, writer_extend
 from .zipper import Zipper, extend, extract, from_sequence
 
 ALPHABET = "abcdefgh"
@@ -120,6 +121,18 @@ def _holds_log_associativity(case: Case) -> bool:
     return after_g.log == (wz.log | df) | dg == wz.log | (df | dg)
 
 
+def _holds_support_equivalence(case: Case) -> bool:
+    # The g salt's bits pick the support; outside it the rule is the identity.
+    wz = _writer(case, log=frozenset({0}))
+    support = frozenset(c for k, c in enumerate(ALPHABET) if case[3] >> k & 1)
+    base = deleting_arrow(case[2])
+
+    def f(v: WriterZipper) -> tuple[frozenset[int], str]:
+        return base(v) if v.focus in support else (EMPTY_DELETIONS, v.focus)
+
+    return writer_extend(f, wz, support) == writer_extend(f, wz)
+
+
 def _holds_compose_equivalence(case: Case) -> bool:
     wz = _writer(case)
     f, g = deleting_arrow(case[2]), deleting_arrow(case[3])
@@ -201,6 +214,7 @@ SUITES: tuple[tuple[str, Predicate], ...] = (
     ("writer-extract-after-extend", _holds_writer_l2),
     ("writer-log-associativity", _holds_log_associativity),
     ("writer-compose-equivalence", _holds_compose_equivalence),
+    ("writer-support-equivalence", _holds_support_equivalence),
 )
 
 

@@ -10,7 +10,8 @@ here ever changes the sequence length.
 The log is validated where it crosses the public boundary: when a caller
 builds a ``WriterZipper``, and when ``writer_extend`` merges what its rule
 emitted, once per pass. The refocused views a pass hands to its rule share
-the log that was already checked and are not validated again.
+the log that was already checked and are not validated again. A pass given
+its rule's support calls the rule only at the cells in it.
 
 Words enter through ``start``, the one place that normalizes them to NFC
 and rejects empty input and non-letters.
@@ -103,33 +104,44 @@ def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:
 # A deleting local rule: reads the focused context, returns the positions it
 # wants removed plus its output character.
 WriterArrow = Callable[[WriterZipper], tuple[DeletionSet, str]]
+# The cell values where a rule may differ from the identity; None for all.
+Support = frozenset[str] | None
 
 
-def writer_extend(f: WriterArrow, wz: WriterZipper) -> WriterZipper:
-    """Run ``f`` at every position, merging every deletion it requests.
+def writer_extend(f: WriterArrow, wz: WriterZipper, support: Support = None) -> WriterZipper:
+    """Run ``f`` at each cell in ``support`` (every cell by default), merging its deletions.
 
     The incoming log is passed unchanged to ``f`` at each refocusing; the
     new log is the old one unioned with everything ``f`` emitted, checked
     once against the word's length. The character outputs are reassembled
     into a zipper of the same length and focus position, so deletions stay
     deferred.
+
+    A support is the set of cell values outside which ``f`` returns
+    ``(EMPTY_DELETIONS, focus)``. Cells outside it are copied without calling
+    ``f``, and ``wz`` itself comes back when none is in it. A visited cell
+    still sees the whole word.
     """
     log = wz.log
     cells = wz.cells
+    if support is not None and support.isdisjoint(cells):
+        return wz
     merged = log
-    out = []
+    out = list(cells)
     new = _new
-    for i in range(len(cells)):
-        # _view(log, cells, i), written out: this is the per-cell cost.
+    for i, c in enumerate(cells):
+        if support is not None and c not in support:
+            continue
+        # _view(log, cells, i), written out: this is the per-visit cost.
         view = new(WriterZipper)
         view.cells = cells
         view.index = i
-        view.focus = cells[i]
+        view.focus = c
         view.log = log
         deletions, ch = f(view)
         if deletions:
             merged = merged | deletions
-        out.append(ch)
+        out[i] = ch
     if merged is not log:
         _check(merged, len(cells))
     return _view(merged, tuple(out), wz.index)

@@ -4,8 +4,9 @@ A zipper is a cursor: a tuple of cells plus the index of the focused one.
 Refocusing shares the cells, so moving the focus costs O(1) and ``extend``,
 which re-runs a context-reading local rule at every position to turn a
 windowed rule into a whole-sequence pass, costs one rule call per cell and
-nothing more. Rules read their neighbours with ``peek``, or scan ``cells``
-from ``index``. Nothing here mutates a zipper, and rules must not either.
+nothing more (``writer_extend`` given a support calls it only there).
+Rules read their neighbours with ``peek``, or scan ``cells`` from
+``index``. Nothing here mutates a zipper, and rules must not either.
 
 Input is checked where it enters: ``from_sequence`` rejects an empty
 sequence or an out-of-range focus, and the refocused views inside a pass

@@ -8,6 +8,11 @@ from comorph.zipper import from_sequence
 
 LAW_ALPHABET = "abcdgh"
 FINNISH_LOWER = "abdeghijklmnoprstuvyäö"
+# The word contract: lowercase letters, upper-case consonants (the upper-case
+# v is the copy placeholder V) and the harmony placeholders A/O/U.
+CONTRACT_ALPHABET = (
+    FINNISH_LOWER + "".join(c.upper() for c in FINNISH_LOWER if c not in "aeiouyäö") + "AOU"
+)
 
 
 @st.composite

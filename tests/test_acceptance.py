@@ -63,6 +63,7 @@ def test_criterion_3_algebraic_laws():
         "writer-extend-extract-identity",
         "writer-extract-after-extend",
         "writer-log-associativity",
+        "writer-support-equivalence",
     } <= names
     ok = ok and (time.perf_counter() - t0) < 30.0
     report(3, "comonad and monoid law suites", ok)

@@ -172,7 +172,7 @@ def test_cg_bad_rule_file_fails(tmp_path, capsys):
 def test_laws_command(capsys):
     code, out, _ = run(capsys, "laws", "--seed", "5", "--cases", "60")
     assert code == 0
-    assert out.count("ok") == 8
+    assert out.count("ok") == 9
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

@@ -12,6 +12,7 @@ from comorph.gradation import (
     Grade,
     gradate_at,
     gradation_arrow,
+    gradation_support,
     strengthen,
     weaken,
 )
@@ -199,3 +200,9 @@ def test_patterns_expose_both_sides():
         assert isinstance(pat, GradationPattern)
         assert pat.source_window(Grade.WEAK) == pat.strong
         assert pat.target_window(Grade.WEAK) == pat.weak
+
+
+def test_support_is_the_source_focus_letters_in_both_cases():
+    assert gradation_support(Grade.WEAK) == frozenset("ptkPTK")
+    # The upper-case v is the copy placeholder V, never a gradable letter.
+    assert gradation_support(Grade.STRONG) == frozenset("mlnrgvdMLNRGD")

@@ -1,27 +1,32 @@
 from __future__ import annotations
 
+import re
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from comorph.gradation import PATTERNS, Grade, gradation_arrow
+from comorph.gradation import PATTERNS, Grade, gradate_at, gradation_arrow
 from comorph.pipeline import (
+    HARMONY_STAGE,
+    POSSESSIVE_STAGE,
     Pipeline,
     compose,
+    gradation_stage,
     run_pipeline,
     standard_pipeline,
 )
 from comorph.vowels import harmony_arrow
 from comorph.writer import (
+    EMPTY_DELETIONS,
     WriterZipper,
     lift_pure,
     materialize,
     writer_extend,
 )
 from comorph.zipper import extract, from_sequence, to_sequence
-from conftest import writer_arrows, writer_zippers
+from conftest import CONTRACT_ALPHABET, writer_arrows, writer_zippers
 from oracles import sentinel_pipeline
 
 GOLDEN = [
@@ -105,10 +110,10 @@ def test_sequential_stages_equal_composed_arrow(word, _):
     stages = standard_pipeline(Grade.WEAK).stages
     start = WriterZipper(frozenset(), from_sequence(word, 0))
     sequential = start
-    for _, arrow in stages:
+    for _, arrow, _ in stages:
         sequential = writer_extend(arrow, sequential)
     merged = stages[0][1]
-    for _, arrow in stages[1:]:
+    for _, arrow, _ in stages[1:]:
         merged = compose(merged, arrow)
     assert writer_extend(merged, start) == sequential
     assert materialize(writer_extend(merged, start)) == run_pipeline(word, Grade.WEAK)
@@ -135,7 +140,7 @@ def test_intermediate_stages_never_change_length():
 
 
 def test_trace_rows_render_tab_separated():
-    pipeline = Pipeline((("gradation", gradation_arrow(Grade.WEAK)),))
+    pipeline = Pipeline((("gradation", gradation_arrow(Grade.WEAK), None),))
     rows = pipeline.trace("kaappi")
     assert [r.render() for r in rows] == [
         "input\tkaappi\t",
@@ -149,7 +154,7 @@ def test_starting_focus_does_not_matter(focus):
     word = "kampAstAVn"
     start = WriterZipper(frozenset(), from_sequence(word, min(focus, len(word) - 1)))
     wz = start
-    for _, arrow in standard_pipeline(Grade.WEAK).stages:
+    for _, arrow, _ in standard_pipeline(Grade.WEAK).stages:
         wz = writer_extend(arrow, wz)
     assert materialize(wz) == "kammastaan"
 
@@ -159,3 +164,54 @@ def test_writer_extract_reads_stage_focus():
     composed = compose(gradation_arrow(Grade.WEAK), identity_arrow)
     assert composed(start)[1] == "v"
     assert extract(writer_extend(gradation_arrow(Grade.WEAK), start)) == "v"
+
+
+@pytest.mark.parametrize("grade", Grade)
+def test_standard_stages_carry_their_supports(grade):
+    stages = standard_pipeline(grade).stages
+    assert stages == (gradation_stage(grade), HARMONY_STAGE, POSSESSIVE_STAGE)
+    assert [support for _, _, support in stages[1:]] == [frozenset("AOU"), frozenset("V")]
+
+
+contract_words = st.text(alphabet=CONTRACT_ALPHABET, min_size=1, max_size=16)
+
+
+@pytest.mark.parametrize(
+    "grade,stage",
+    [(g, k) for g in Grade for k in range(3)],
+    ids=lambda v: v.value if isinstance(v, Grade) else str(v),
+)
+@given(word=contract_words)
+@example(word="aPaDanGa")  # upper-case consonants that grade between vowels
+def test_stage_is_the_identity_outside_its_support(grade, stage, word):
+    _, arrow, support = standard_pipeline(grade).stages[stage]
+    for i, c in enumerate(word):
+        if c not in support:
+            view = WriterZipper(EMPTY_DELETIONS, from_sequence(word, i))
+            assert arrow(view) == (EMPTY_DELETIONS, c), (word, i)
+
+
+def _outcome(run, word, grade):
+    try:
+        return run(word, grade)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def _oracle_outcome(word, grade):
+    # The oracle materializes gradation's deletions before the copy stage,
+    # so a V error names a position among the letters that survived; map it
+    # back to the input word, the frame run_pipeline reports in.
+    out = _outcome(sentinel_pipeline, word, grade)
+    if isinstance(out, tuple):
+        kept = [i for i in range(len(word)) if gradate_at(from_sequence(word, i), grade)]
+        exc_type, message = out
+        message = re.sub(r"position (\d+)", lambda m: f"position {kept[int(m[1])]}", message)
+        out = (exc_type, message)
+    return out
+
+
+@given(contract_words, st.sampled_from(Grade))
+@example("ptpttV", Grade.WEAK)  # a V error after a deletion
+def test_run_pipeline_matches_sentinel_oracle_on_contract_words(word, grade):
+    assert _outcome(run_pipeline, word, grade) == _oracle_outcome(word, grade)

@@ -140,3 +140,21 @@ def test_gradation_matches_sentinel_filtering(word):
     wz = WriterZipper(frozenset(), from_sequence(word, 0))
     out = materialize(writer_extend(gradation_arrow(Grade.WEAK), wz))
     assert out == sentinel_gradate(word, Grade.WEAK)
+
+
+def test_supported_pass_calls_the_rule_only_on_support_cells():
+    seen = []
+
+    def f(v):
+        seen.append((v.index, "".join(v.cells)))
+        return (frozenset({v.index}), v.focus.upper())
+
+    wz = WriterZipper(frozenset({0}), kaappi_at(5))
+    out = writer_extend(f, wz, frozenset("p"))
+    assert seen == [(3, "kaappi"), (4, "kaappi")]
+    assert (out.cells, out.index, out.log) == (tuple("kaaPPi"), 5, frozenset({0, 3, 4}))
+
+
+def test_supported_pass_with_no_support_cell_returns_its_input():
+    wz = WriterZipper(frozenset({4}), kaappi_at(1))
+    assert writer_extend(lambda v: 1 / 0, wz, frozenset("tV")) is wz
