@@ -18,11 +18,9 @@ from .gradation import PATTERNS, Grade
 from .generator import NounCase, generate
 from .pipeline import HARMONY_STAGE, Pipeline, gradation_stage, run_pipeline
 
-GRADES = {g.value: g for g in Grade}
-
 
 def _cmd_grad(args: argparse.Namespace) -> int:
-    pipeline = Pipeline((gradation_stage(GRADES[args.grade]),))
+    pipeline = Pipeline((gradation_stage(Grade(args.grade)),))
     if args.trace:
         for row in pipeline.trace(args.word):
             print(row.render())
@@ -37,7 +35,7 @@ def _cmd_harmony(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    print(run_pipeline(args.word, GRADES[args.grade]))
+    print(run_pipeline(args.word, Grade(args.grade)))
     return 0
 
 
@@ -47,9 +45,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_cg(args: argparse.Namespace) -> int:
-    with open(args.rules, encoding="utf-8") as fh:
+    with open(args.rules, encoding="utf-8-sig") as fh:
         rules = parse_rules(fh.read())
-    with open(args.input, encoding="utf-8") as fh:
+    with open(args.input, encoding="utf-8-sig") as fh:
         sentences = parse_readings(fh.read())
 
     def trace(rule_no: int, token_idx: int, before, after) -> None:
@@ -114,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad", help="apply consonant gradation to one word")
     p.add_argument("word")
-    p.add_argument("--grade", choices=sorted(GRADES), required=True)
+    p.add_argument("--grade", choices=[g.value for g in Grade], required=True)
     p.add_argument("--trace", action="store_true", help="print the stage trace")
     p.set_defaults(func=_cmd_grad)
 
@@ -124,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run gradation, harmony and possessive copy")
     p.add_argument("word")
-    p.add_argument("--grade", choices=sorted(GRADES), required=True)
+    p.add_argument("--grade", choices=[g.value for g in Grade], required=True)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("generate", help="inflect a vowel-final lemma")

@@ -5,13 +5,14 @@ read-only left neighbour, position 1 the character that changes. Geminates
 outrank clusters, clusters outrank single consonants, and a suppression
 check keeps a character that opens a higher-priority window from being
 rewritten by a lower-priority rule (the first p of "kaappi" must not fall
-to the single-p rule). Deletions are reported as positions to drop, never
-applied in place.
+to the single-p rule). Each grade has one rule, ``gradation_arrow(grade)``,
+built from ``PATTERNS`` and guarded by ``gradation_support(grade)``: a cell
+outside the support is never rewritten. Deletions are reported as positions
+to drop, never applied in place.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -21,7 +22,6 @@ from .writer import (
     EMPTY_DELETIONS,
     DeletionSet,
     WriterArrow,
-    WriterZipper,
     materialize,
     start,
     writer_extend,
@@ -65,7 +65,7 @@ QUAL_SINGLE = "qualitative-single"
 QUAL_CLUSTER = "qualitative-cluster"
 
 # Listed in priority order: geminates, then clusters, then single consonants.
-# The order is the priority; ``_rewrite`` keeps the first window that matches.
+# The order is the priority; ``gradation_arrow`` keeps the first window that matches.
 PATTERNS: tuple[GradationPattern, ...] = (
     GradationPattern(1, ("p", "p"), ("p", None), QUANTITATIVE, ("kaappi", "kaapi")),
     GradationPattern(2, ("t", "t"), ("t", None), QUANTITATIVE, ("matto", "mato")),
@@ -90,27 +90,28 @@ def _fold(c: str) -> str:
     return c if c in _PLACEHOLDERS else c.lower()
 
 
-def _focus_letters(grade: Grade) -> frozenset[str]:
-    return frozenset(pat.source_window(grade)[1] for pat in PATTERNS) - {None}
-
-
 @cache
 def gradation_support(grade: Grade) -> frozenset[str]:
-    """Where gradation toward ``grade`` may change a cell: the focus letters,
-    upper-case too (``_fold`` grades those), never a placeholder."""
-    focus = _focus_letters(grade)
+    """The cells gradation toward ``grade`` may change, and the guard of its
+    arrow: the focus letters of the source windows, upper-case too (``_fold``
+    grades those), never a placeholder."""
+    focus = frozenset(pat.source_window(grade)[1] for pat in PATTERNS) - {None}
     return (focus | {c.upper() for c in focus}) - _PLACEHOLDERS
 
 
 @cache
-def _rewrite(grade: Grade) -> Callable[[tuple[str, ...], int], str | None]:
-    """The rule toward ``grade``: what ``cells[i]`` becomes, None if deleted.
+def gradation_arrow(grade: Grade) -> WriterArrow:
+    """Gradation toward ``grade`` as one deleting local rule, built once per grade.
 
     Built from ``PATTERNS`` in priority order, the first window wins. An
     exact window (geminate or cluster) maps (left, focus) to its target; a
     window with a wildcard left is a single consonant and maps the focus
-    alone. A focus that opens an exact window with its right neighbour is
-    kept, and a single consonant changes only between two vowels.
+    alone. The arrow is the identity outside ``gradation_support(grade)``
+    and at the first cell. A focus that opens an exact window with its right
+    neighbour is kept, and a single consonant changes only between two
+    vowels; without the right vowel, suffix onsets such as the k of -ksi
+    would alternate after every vowel-final stem. A deleted focus is logged
+    at its position.
     """
     exact: dict[tuple[str, str], str | None] = {}
     single: dict[str, str | None] = {}
@@ -122,53 +123,39 @@ def _rewrite(grade: Grade) -> Callable[[tuple[str, ...], int], str | None]:
             single.setdefault(focus, target)
         else:
             exact.setdefault((left, focus), target)
-    focus_chars = _focus_letters(grade)
+    support = gradation_support(grade)
 
-    def rewrite(cells: tuple[str, ...], i: int) -> str | None:
+    def arrow(z: Zipper[str]) -> tuple[DeletionSet, str]:
+        cells, i = z.cells, z.index
         c = cells[i]
+        if c not in support or i == 0:
+            return (EMPTY_DELETIONS, c)
         f = _fold(c)
-        if f not in focus_chars or i == 0:
-            return c
         r = _fold(cells[i + 1]) if i + 1 < len(cells) else None
         if (f, r) in exact:
-            return c
+            return (EMPTY_DELETIONS, c)
         l = _fold(cells[i - 1])
         if (l, f) in exact:
-            return exact[l, f]
-        if f in single and l in VOWELS and r in VOWELS:
-            return single[f]
-        return c
+            out = exact[l, f]
+        elif f in single and l in VOWELS and r in VOWELS:
+            out = single[f]
+        else:
+            return (EMPTY_DELETIONS, c)
+        if out is None:
+            return (frozenset((i,)), c)
+        return (EMPTY_DELETIONS, out)
 
-    return rewrite
+    return arrow
 
 
 def gradate_at(z: Zipper[str], grade: Grade) -> str | None:
     """Grade the focused character of ``z``: its output, or None if deleted.
 
-    Suppression: a character opening a higher-priority window is kept
-    untouched so only position 1 of that window transforms.
-    Single-consonant patterns additionally need a vowel on the right, the
-    true intervocalic position; without this, suffix onsets such as the k
-    of -ksi would alternate after every vowel-final stem.
+    A reading of ``gradation_arrow(grade)``: None exactly when the arrow
+    logs a deletion.
     """
-    return _rewrite(grade)(z.cells, z.index)
-
-
-@cache
-def gradation_arrow(grade: Grade) -> WriterArrow:
-    """Gradation as a deleting local rule toward ``grade``.
-
-    Built once per grade and shared.
-    """
-    rewrite = _rewrite(grade)
-
-    def arrow(wz: WriterZipper) -> tuple[DeletionSet, str]:
-        out = rewrite(wz.cells, wz.index)
-        if out is None:
-            return (frozenset((wz.index,)), wz.focus)
-        return (EMPTY_DELETIONS, out)
-
-    return arrow
+    deletions, out = gradation_arrow(grade)(z)
+    return None if deletions else out
 
 
 def _grade_word(word: str, grade: Grade) -> str:

@@ -60,15 +60,8 @@ class WriterZipper(Zipper[str]):
     def zipper(self) -> Zipper[str]:
         return _at(self.cells, self.index)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not WriterZipper:
-            return NotImplemented
-        return (
-            self.index == other.index and self.cells == other.cells and self.log == other.log
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cells, self.index, self.log))
+    def _key(self) -> tuple:
+        return (self.cells, self.index, self.log)
 
     def __repr__(self) -> str:
         return f"WriterZipper(log={self.log!r}, zipper={self.zipper!r})"

@@ -45,13 +45,17 @@ class Zipper(Generic[A]):
             return self.cells[i]
         return None
 
+    def _key(self) -> tuple:
+        # What identifies a zipper of this class; subclasses add their fields.
+        return (self.cells, self.index)
+
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Zipper:
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.index == other.index and self.cells == other.cells
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.cells, self.index))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"from_sequence({self.cells!r}, {self.index!r})"

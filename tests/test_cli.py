@@ -109,11 +109,12 @@ def test_generate_bad_stem_fails(capsys):
     assert "unsupported stem" in err
 
 
-def test_cg_selects_numeral(tmp_path, capsys):
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])  # with a BOM too
+def test_cg_selects_numeral(tmp_path, capsys, encoding):
     rules = tmp_path / "rules.txt"
-    rules.write_text(RULES_NUM, encoding="utf-8")
+    rules.write_text(RULES_NUM, encoding=encoding)
     readings = tmp_path / "sentence.tsv"
-    readings.write_text(READINGS_KUUSI, encoding="utf-8")
+    readings.write_text(READINGS_KUUSI, encoding=encoding)
     code, out, _ = run(capsys, "cg", str(rules), str(readings))
     assert code == 0
     assert out.splitlines() == ["kuusi\tnum:kuusi", "koiraa\tnoun:koira"]

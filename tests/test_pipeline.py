@@ -183,6 +183,7 @@ contract_words = st.text(alphabet=CONTRACT_ALPHABET, min_size=1, max_size=16)
 )
 @given(word=contract_words)
 @example(word="aPaDanGa")  # upper-case consonants that grade between vowels
+@example(word="ka\u212a\u212aa")  # KELVIN SIGN lower-cases to k but is not in the support
 def test_stage_is_the_identity_outside_its_support(grade, stage, word):
     _, arrow, support = standard_pipeline(grade).stages[stage]
     for i, c in enumerate(word):
