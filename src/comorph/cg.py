@@ -112,9 +112,19 @@ class Condition:
 
 @dataclass(frozen=True, slots=True)
 class CgRule:
+    """A rule as data. ``run_cg`` runs it as ``extend(z, rule.arrow, rule.support)``."""
+
     action: RuleAction
     target: ReadingTest
     condition: Condition | None = None
+
+    def arrow(self, z: Zipper[ReadingSet]) -> ReadingSet:
+        return apply_rule(z, self)
+
+    def support(self, rs: ReadingSet) -> bool:
+        """The target matches some but not all readings: the only tokens it can change."""
+        field, value, n = self.target.field, self.target.value, len(rs.readings)
+        return n > 1 and 0 < [getattr(r, field) for r in rs.readings].count(value) < n
 
 
 _RULE_RE = re.compile(
@@ -212,16 +222,17 @@ def run_cg(
     rules: Iterable[CgRule],
     on_fire: FireCallback | None = None,
 ) -> Sentence:
-    """Run every rule in order, one full pass per rule."""
+    """Run every rule in order, one pass per rule over the tokens it can change."""
     if not sentence:
         raise ValueError("cannot disambiguate an empty sentence")
     z = from_sequence(tuple(sentence), 0)
     for number, rule in enumerate(rules, start=1):
-        before = to_sequence(z)
-        z = extend(z, lambda w, _rule=rule: apply_rule(w, _rule))
-        if on_fire is not None:
-            for idx, (old, new) in enumerate(zip(before, to_sequence(z))):
-                if old != new:
+        before = z
+        z = extend(z, rule.arrow, rule.support)
+        if on_fire is not None and z is not before:
+            # An unchanged token is the very object it was before the pass.
+            for idx, (old, new) in enumerate(zip(to_sequence(before), to_sequence(z))):
+                if old is not new:
                     on_fire(number, idx, old, new)
     return list(to_sequence(z))
 

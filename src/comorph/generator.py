@@ -19,6 +19,7 @@ from .writer import start
 
 
 class NounCase(Enum):
+    __hash__ = object.__hash__
     NOMINATIVE = "nominative"
     GENITIVE = "genitive"
     PARTITIVE = "partitive"

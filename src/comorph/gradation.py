@@ -30,6 +30,7 @@ from .zipper import Zipper
 
 
 class Grade(Enum):
+    __hash__ = object.__hash__
     STRONG = "strong"
     WEAK = "weak"
 

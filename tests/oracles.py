@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from comorph.cg import ReadingSet
 from comorph.gradation import Grade, gradate_at
-from comorph.vowels import harmony_arrow, possessive_arrow
+from comorph.vowels import COPY_PLACEHOLDER, VOWELS, harmony_arrow, possessive_arrow
 from comorph.zipper import Zipper, from_sequence, to_sequence
 
 SENTINEL = "\0"
@@ -30,19 +30,34 @@ def naive_extend_word(word: str, f) -> str:
     return "".join(refocus_enumerate(from_sequence(word, 0), f))
 
 
-def sentinel_gradate(word: str, grade: Grade) -> str:
+def _sentinel_marks(word: str, grade: Grade) -> str:
+    # ``word`` graded, with SENTINEL in place of each deleted letter.
     def local(w: Zipper) -> str:
         out = gradate_at(w, grade)
         return SENTINEL if out is None else out
 
-    marked = naive_extend_word(word, local)
-    return marked.replace(SENTINEL, "")
+    return naive_extend_word(word, local)
+
+
+def sentinel_gradate(word: str, grade: Grade) -> str:
+    return _sentinel_marks(word, grade).replace(SENTINEL, "")
 
 
 def sentinel_pipeline(word: str, grade: Grade) -> str:
-    """Three stages with an eager filter-and-rebuild between each."""
-    stage1 = sentinel_gradate(word, grade)
+    """Three stages with an eager filter-and-rebuild between each.
+
+    A V with no vowel to its left raises ValueError naming its position in
+    ``word``, not in the shorter word left after gradation's deletions.
+    """
+    marked = _sentinel_marks(word, grade)
+    origin = [i for i, c in enumerate(marked) if c != SENTINEL]
+    stage1 = marked.replace(SENTINEL, "")
     stage2 = naive_extend_word(stage1, harmony_arrow) if stage1 else stage1
+    for j, c in enumerate(stage2):
+        if c == COPY_PLACEHOLDER and not VOWELS.intersection(stage2[:j]):
+            raise ValueError(
+                f"copy placeholder V at position {origin[j]} has no vowel to its left"
+            )
     stage3 = naive_extend_word(stage2, possessive_arrow) if stage2 else stage2
     return stage3
 

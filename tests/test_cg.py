@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 import unicodedata
 
@@ -415,7 +417,7 @@ def rule_lines(draw):
     condition = None
     if draw(st.booleans()):
         negated = draw(st.booleans())
-        offset = draw(st.integers(-2, 2))
+        offset = draw(st.integers(-3, 3))
         test_text, test = draw(rule_tests)
         line += f" IF ({'NOT ' if negated else ''}{offset:+d} {test_text})"
         condition = Condition(offset, test, negated)
@@ -436,6 +438,46 @@ def test_run_cg_matches_list_indexing_oracle(sentence, drawn):
     rules = parse_rules("\n".join(lines))
     assert rules == list(expected)
     assert run_cg(sentence, rules) == cg_reference(sentence, expected)
+
+
+@given(sentences(), rule_lines(), st.data())
+def test_supported_pass_equals_full_apply_rule_pass(sentence, drawn, data):
+    [rule] = parse_rules(drawn[0])
+    z = from_sequence(tuple(sentence), data.draw(st.integers(0, len(sentence) - 1)))
+    passed = extend(z, rule.arrow, rule.support)
+    assert passed == extend(z, lambda w: apply_rule(w, rule))
+    assert list(to_sequence(passed)) == cg_reference(sentence, [rule])
+
+
+@given(sentences(), rule_lines())
+def test_support_holds_where_the_target_splits_the_readings(sentence, drawn):
+    [rule] = parse_rules(drawn[0])
+    for token in sentence:
+        hits = sum(reading_matches(rule.target, r) for r in token.readings)
+        assert rule.support(token) == (0 < hits < len(token.readings))
+
+
+@given(rule_lines())
+def test_rules_pickle_as_their_three_fields(drawn):
+    [rule] = parse_rules(drawn[0])
+    assert pickle.loads(pickle.dumps(rule)) == rule
+    assert [f.name for f in dataclasses.fields(rule)] == ["action", "target", "condition"]
+
+
+@given(sentences(), st.lists(rule_lines(), min_size=1, max_size=4))
+def test_on_fire_reports_the_changes_of_the_apply_rule_passes(sentence, drawn):
+    rules = parse_rules("\n".join(line for line, _ in drawn))
+    expected = []
+    z = from_sequence(tuple(sentence), 0)
+    for number, rule in enumerate(rules, start=1):
+        passed = extend(z, lambda w, _rule=rule: apply_rule(w, _rule))
+        for i, (old, new) in enumerate(zip(to_sequence(z), to_sequence(passed))):
+            if old != new:
+                expected.append((number, i, old, new))
+        z = passed
+    fired = []
+    run_cg(sentence, rules, on_fire=lambda *event: fired.append(event))
+    assert fired == expected
 
 
 def test_runs_are_deterministic():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import unicodedata
 
 import pytest
@@ -18,6 +19,27 @@ from comorph.pipeline import run_pipeline
 def test_template_table_covers_all_cases():
     assert set(CASE_TEMPLATES) == set(NounCase)
     assert len(NounCase) == 11
+
+
+def test_generate_hashes_its_enums_without_a_python_call():
+    """Grade and NounCase set ``__hash__ = object.__hash__``.
+
+    ``Enum.__hash__`` is Python code, and ``generate`` hashes a member twice
+    per call: the ``CASE_TEMPLATES`` lookup and the cached ``standard_pipeline``.
+    Members equal only themselves, so hashing by identity keeps the tables.
+    """
+    hashes = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__hash__":
+            hashes.append(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        generate("kukka", NounCase.GENITIVE, possessive_3=True)
+    finally:
+        sys.setprofile(None)
+    assert hashes == []
 
 
 def test_template_spot_checks():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comorph.zipper import extend, extract, from_sequence, to_sequence
-from conftest import char_functions, zippers
+from conftest import LAW_ALPHABET, char_functions, zippers
 from oracles import refocus_enumerate
 
 
@@ -99,3 +99,16 @@ def test_extend_preserves_shape(z, f):
 @given(zippers(max_size=10), char_functions)
 def test_extend_agrees_with_refocusing_oracle(z, f):
     assert list(to_sequence(extend(z, f))) == refocus_enumerate(z, f)
+
+
+@given(zippers(), char_functions, st.frozensets(st.sampled_from(LAW_ALPHABET)))
+def test_supported_extend_equals_full_extend(z, f, support):
+    # A rule that is the identity outside its support.
+    g = lambda w: f(w) if w.focus in support else w.focus
+    assert extend(z, g, support.__contains__) == extend(z, g)
+
+
+@given(zippers(), char_functions)
+def test_extend_returns_its_input_when_no_cell_changes(z, f):
+    assert extend(z, f, lambda c: False) is z
+    assert extend(z, extract, lambda c: True) is z
