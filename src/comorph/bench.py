@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .cg import Reading, ReadingSet, parse_rules, run_cg
+from .cg import Reading, ReadingSet, TagIndex, parse_rules, run_cg
 from .gradation import PATTERNS, Grade, weaken
 from .pipeline import run_pipeline
 from .vowels import harmony_arrow, possessive_arrow
@@ -117,8 +117,12 @@ def run_benchmarks(iterations: int = 10_000) -> list[BenchRow]:
     sentence = demo_sentence()
     rules = demo_rules()
     zipped = from_sequence(tuple(sentence), 0)
-    # One rule's pass exactly as run_cg runs it, over the tokens it can change.
-    single_rule_ops = [(lambda r=rule: extend(zipped, r.arrow, r.support)) for rule in rules]
+    # One rule's pass exactly as run_cg runs it, over the tokens its target and
+    # condition can reach; run_cg builds the index once per sentence.
+    index = TagIndex(zipped.cells)
+    single_rule_ops = [
+        (lambda r=rule: extend(zipped, r.arrow, r.reach(index, zipped.cells))) for rule in rules
+    ]
 
     rows = [
         _avg_row(f"gradation (avg/{len(grad_ops)})", grad_ops, iterations),

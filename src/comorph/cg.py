@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .zipper import Zipper, extend, from_sequence, to_sequence
 
@@ -55,18 +57,27 @@ FINNISH_TAG_ALIASES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Reading:
-    baseform: str
-    pos: str
-    features: frozenset[str] = frozenset()
+class Reading(namedtuple("Reading", ("baseform", "pos", "features"))):
+    """One analysis of a token: ``Reading(baseform, pos, features=frozenset())``.
 
-    def __post_init__(self) -> None:
-        if not self.baseform or not self.pos:
+    A tuple, so hashing and comparing one in a reading set runs no Python code;
+    it also equals the plain tuple of its three fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, baseform: str, pos: str, features: frozenset[str] = frozenset()) -> Reading:
+        if not baseform or not pos:
             raise ValueError("a reading needs a non-empty baseform and POS tag")
+        return tuple.__new__(cls, (baseform, pos, features))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Reading:
+        # namedtuple's _make, and so _replace, would skip the check above.
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadingSet:
     """The candidates still standing for one token. Never empty."""
 
@@ -74,7 +85,8 @@ class ReadingSet:
     readings: frozenset[Reading]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "readings", frozenset(self.readings))
+        if not isinstance(self.readings, frozenset):
+            object.__setattr__(self, "readings", frozenset(self.readings))
         if not self.readings:
             raise ValueError(f"token {self.surface!r} has no readings")
 
@@ -110,9 +122,44 @@ class Condition:
     negated: bool = False
 
 
+class TagIndex(dict):
+    """The values a ``ReadingTest`` can compare, indexed over a sentence.
+
+    ``index[field]`` is ``(values, split)``: each token's set of values of
+    that field, and for each value the ascending positions of the tokens
+    whose readings it splits (some but not all have it), which is where the
+    token has it and some other value. A field is indexed from the cells
+    given, on first use, so a field no rule reads costs nothing. Readings
+    only shrink while rules run, so a token never gains a value or a split:
+    built once per ``run_cg`` call and never updated, the index stays a
+    superset of the truth.
+    """
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: Sequence[ReadingSet]) -> None:
+        super().__init__()
+        self.cells = cells
+
+    def __missing__(self, field: str) -> tuple[list[set[str]], dict[str, list[int]]]:
+        get = attrgetter(field)
+        values = [set(map(get, token.readings)) for token in self.cells]
+        split: dict[str, list[int]] = {}
+        for i, here in enumerate(values):
+            if len(here) > 1:
+                for v in here:
+                    split.setdefault(v, []).append(i)
+        self[field] = (values, split)
+        return values, split
+
+
 @dataclass(frozen=True, slots=True)
 class CgRule:
-    """A rule as data. ``run_cg`` runs it as ``extend(z, rule.arrow, rule.support)``."""
+    """A rule as data.
+
+    ``run_cg`` runs it as ``extend(z, rule.arrow, rule.reach(index, z.cells))``,
+    with ``index = TagIndex(z.cells)`` built once per sentence.
+    """
 
     action: RuleAction
     target: ReadingTest
@@ -125,6 +172,29 @@ class CgRule:
         """The target matches some but not all readings: the only tokens it can change."""
         field, value, n = self.target.field, self.target.value, len(rs.readings)
         return n > 1 and 0 < [getattr(r, field) for r in rs.readings].count(value) < n
+
+    def reach(self, index: TagIndex, cells: Sequence[ReadingSet]) -> list[int]:
+        """The ascending positions of ``cells`` where the rule may change a token.
+
+        ``index``, built on ``cells`` or an earlier state of them, names the
+        candidates: the tokens whose readings the target splits and, under a
+        condition that is not negated, whose token at the offset has the
+        tested value. ``support`` then checks each against its readings now.
+        """
+        _, split = index[self.target.field]
+        positions = split.get(self.target.value)
+        if positions is None:
+            return []
+        condition, support = self.condition, self.support
+        if condition is None or condition.negated:
+            return [i for i in positions if support(cells[i])]
+        values, _ = index[condition.test.field]
+        tag, offset, n = condition.test.value, condition.offset, len(values)
+        return [
+            i
+            for i in positions
+            if 0 <= i + offset < n and tag in values[i + offset] and support(cells[i])
+        ]
 
 
 _RULE_RE = re.compile(
@@ -226,9 +296,13 @@ def run_cg(
     if not sentence:
         raise ValueError("cannot disambiguate an empty sentence")
     z = from_sequence(tuple(sentence), 0)
+    index = TagIndex(z.cells)
     for number, rule in enumerate(rules, start=1):
+        positions = rule.reach(index, z.cells)
+        if not positions:
+            continue
         before = z
-        z = extend(z, rule.arrow, rule.support)
+        z = extend(z, rule.arrow, positions)
         if on_fire is not None and z is not before:
             # An unchanged token is the very object it was before the pass.
             for idx, (old, new) in enumerate(zip(to_sequence(before), to_sequence(z))):

@@ -4,8 +4,9 @@ A zipper is a cursor: a tuple of cells plus the index of the focused one.
 Refocusing shares the cells, so moving the focus costs O(1) and ``extend``,
 which re-runs a context-reading local rule at every position to turn a
 windowed rule into a whole-sequence pass, costs one rule call per cell and
-nothing more (given a support, ``extend`` and ``writer_extend`` call it only
-there). Rules read their neighbours with ``peek``, or scan ``cells`` from
+nothing more (given the positions a rule can change, ``extend`` calls it only
+there; given a support, ``writer_extend`` calls it only at cells in it).
+Rules read their neighbours with ``peek``, or scan ``cells`` from
 ``index``. Nothing here mutates a zipper, and rules must not either.
 
 Input is checked where it enters: ``from_sequence`` rejects an empty
@@ -100,26 +101,30 @@ def to_sequence(z: Zipper[A]) -> tuple[A, ...]:
 def extend(
     z: Zipper[A],
     f: Callable[[Zipper[A]], B],
-    support: Callable[[A], bool] | None = None,
+    positions: Sequence[int] | None = None,
 ) -> Zipper[B]:
-    """Apply ``f`` at every position of ``z``, or only where ``support`` holds.
+    """Apply ``f`` at every position of ``z``, or only at ``positions``.
 
     Each call sees the whole sequence refocused at that position; the result
     keeps the original length and focus position. ``f`` must be pure.
 
-    A support is a predicate on a cell's value outside which ``f`` returns
-    the focus unchanged. Cells where it fails are copied without calling
-    ``f``, and ``z`` itself comes back when no call returned a new value.
+    ``positions`` are ascending indices outside which ``f`` returns the focus
+    unchanged, such as ``[i for i, c in enumerate(z.cells) if support(c)]``.
+    Other cells are copied without calling ``f``, and ``z`` itself comes back
+    when no call returned a new value.
     """
     cells = z.cells
-    if support is None:
+    if positions is None:
         return _at(tuple([f(_at(cells, i)) for i in range(len(cells))]), z.index)
+    if positions and not 0 <= positions[0] <= positions[-1] < len(cells):
+        raise ValueError(
+            f"positions {positions[0]}..{positions[-1]} out of range for length {len(cells)}"
+        )
     out = None
-    for i, c in enumerate(cells):
-        if support(c):
-            new = f(_at(cells, i))
-            if new is not c:
-                if out is None:
-                    out = list(cells)
-                out[i] = new
+    for i in positions:
+        new = f(_at(cells, i))
+        if new is not cells[i]:
+            if out is None:
+                out = list(cells)
+            out[i] = new
     return z if out is None else _at(tuple(out), z.index)

@@ -3,10 +3,12 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+import sys
 import unicodedata
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from comorph.bench import demo_rules
@@ -19,6 +21,7 @@ from comorph.cg import (
     ReadingsFormatError,
     RuleAction,
     RuleSyntaxError,
+    TagIndex,
     apply_rule,
     eval_condition,
     format_sentences,
@@ -150,6 +153,52 @@ def test_parse_readings_rejects_malformed_reading():
 def test_reading_set_never_born_empty():
     with pytest.raises(ValueError):
         ReadingSet("x", frozenset())
+    with pytest.raises(ValueError):
+        ReadingSet("x", [])
+
+
+def test_reading_set_keeps_a_frozenset_and_freezes_any_other_iterable():
+    readings = frozenset({Reading("kuusi", "num"), Reading("kuusi", "noun")})
+    assert ReadingSet("kuusi", readings).readings is readings
+    listed = ReadingSet("kuusi", [Reading("kuusi", "num"), Reading("kuusi", "noun")])
+    assert type(listed.readings) is frozenset and listed.readings == readings
+    assert not hasattr(listed, "__dict__")
+
+
+def test_reading_is_the_tuple_of_its_three_fields():
+    r = Reading(baseform="koira", pos="noun")
+    assert (r.baseform, r.pos, r.features) == ("koira", "noun", frozenset())
+    assert repr(r) == "Reading(baseform='koira', pos='noun', features=frozenset())"
+    assert r == ("koira", "noun", frozenset())
+    assert pickle.loads(pickle.dumps(r)) == r
+    for baseform, pos in (("", "noun"), ("koira", "")):
+        with pytest.raises(ValueError, match="non-empty baseform and POS tag"):
+            Reading(baseform, pos)
+    with pytest.raises(ValueError, match="non-empty baseform and POS tag"):
+        r._replace(pos="")
+
+
+def test_readings_hash_without_a_python_call():
+    """``Reading`` is a tuple, hashed in C.
+
+    Parsing and every rule pass put readings into sets; a frozen dataclass
+    would run its generated ``__hash__``, Python code, each time.
+    """
+    rules = parse_rules("SELECT POS=num IF (+1 POS=noun)\nREMOVE BASEFORM=voi")
+    text = "kuusi\tnum:kuusi;noun:kuusi:sg,nom\nvoi\tnoun:voi;verb:voida\n"
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("__hash__", "__eq__"):
+            calls.append(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        for sentence in parse_readings(text):
+            run_cg(sentence, rules)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 # --- predicates and conditions ----------------------------------------------
@@ -425,10 +474,10 @@ def rule_lines(draw):
 
 
 @st.composite
-def sentences(draw):
-    reading = st.builds(Reading, st.sampled_from(BASE_POOL), st.sampled_from(POS_POOL))
+def sentences(draw, bases=BASE_POOL, tags=POS_POOL, max_size=8):
+    reading = st.builds(Reading, st.sampled_from(bases), st.sampled_from(tags))
     sets = st.frozensets(reading, min_size=1, max_size=4)
-    tokens = draw(st.lists(sets, min_size=1, max_size=8))
+    tokens = draw(st.lists(sets, min_size=1, max_size=max_size))
     return [ReadingSet(f"w{t}", readings) for t, readings in enumerate(tokens)]
 
 
@@ -444,7 +493,7 @@ def test_run_cg_matches_list_indexing_oracle(sentence, drawn):
 def test_supported_pass_equals_full_apply_rule_pass(sentence, drawn, data):
     [rule] = parse_rules(drawn[0])
     z = from_sequence(tuple(sentence), data.draw(st.integers(0, len(sentence) - 1)))
-    passed = extend(z, rule.arrow, rule.support)
+    passed = extend(z, rule.arrow, rule.reach(TagIndex(z.cells), z.cells))
     assert passed == extend(z, lambda w: apply_rule(w, rule))
     assert list(to_sequence(passed)) == cg_reference(sentence, [rule])
 
@@ -455,6 +504,10 @@ def test_support_holds_where_the_target_splits_the_readings(sentence, drawn):
     for token in sentence:
         hits = sum(reading_matches(rule.target, r) for r in token.readings)
         assert rule.support(token) == (0 < hits < len(token.readings))
+    # On the sentence it was built from, the index splits exactly there.
+    _, split = TagIndex(sentence)[rule.target.field]
+    supported = [i for i, token in enumerate(sentence) if rule.support(token)]
+    assert split.get(rule.target.value, []) == supported
 
 
 @given(rule_lines())
@@ -464,20 +517,126 @@ def test_rules_pickle_as_their_three_fields(drawn):
     assert [f.name for f in dataclasses.fields(rule)] == ["action", "target", "condition"]
 
 
-@given(sentences(), st.lists(rule_lines(), min_size=1, max_size=4))
-def test_on_fire_reports_the_changes_of_the_apply_rule_passes(sentence, drawn):
-    rules = parse_rules("\n".join(line for line, _ in drawn))
-    expected = []
+def apply_rule_passes(sentence, rules):
+    """One full ``extend`` of ``apply_rule`` per rule: the changes, then the result."""
+    changes = []
     z = from_sequence(tuple(sentence), 0)
     for number, rule in enumerate(rules, start=1):
         passed = extend(z, lambda w, _rule=rule: apply_rule(w, _rule))
         for i, (old, new) in enumerate(zip(to_sequence(z), to_sequence(passed))):
             if old != new:
-                expected.append((number, i, old, new))
+                changes.append((number, i, old, new))
         z = passed
+    return changes, list(to_sequence(z))
+
+
+@given(sentences(), st.lists(rule_lines(), min_size=1, max_size=4))
+def test_on_fire_reports_the_changes_of_the_apply_rule_passes(sentence, drawn):
+    rules = parse_rules("\n".join(line for line, _ in drawn))
     fired = []
     run_cg(sentence, rules, on_fire=lambda *event: fired.append(event))
-    assert fired == expected
+    assert fired == apply_rule_passes(sentence, rules)[0]
+
+
+# Two tags and two baseforms: early rules often shrink a token before a later
+# rule on the same key, so the index run_cg built at the start is stale.
+TINY_POS = ("noun", "verb")
+TINY_BASE = ("kuusi", "voi")
+tiny_tests = st.one_of(
+    st.sampled_from(TINY_POS).map(lambda tag: ReadingTest("pos", tag)),
+    st.sampled_from(TINY_BASE).map(lambda form: ReadingTest("baseform", form)),
+)
+tiny_rules = st.builds(
+    CgRule,
+    st.sampled_from(RuleAction),
+    tiny_tests,
+    st.none() | st.builds(Condition, st.integers(-3, 3), tiny_tests, st.booleans()),
+)
+tiny_sentences = sentences(TINY_BASE, TINY_POS, max_size=6)
+
+
+@given(tiny_sentences, st.lists(tiny_rules, min_size=2, max_size=8))
+def test_run_cg_with_a_stale_index_equals_the_apply_rule_passes(sentence, rules):
+    changes, result = apply_rule_passes(sentence, rules)
+    fired = []
+    assert run_cg(sentence, rules, on_fire=lambda *event: fired.append(event)) == result
+    assert fired == changes
+    assert result == cg_reference(sentence, rules)
+
+
+@given(tiny_sentences, st.lists(tiny_rules, min_size=1, max_size=8))
+@example(  # the second rule's key no longer splits the token the first one shrank
+    sentence=[rs("kuusi", ("noun", "kuusi"), ("verb", "kuusi"))],
+    rules=parse_rules("SELECT POS=noun\nREMOVE POS=verb"),
+)
+def test_apply_rule_is_reached_only_where_the_rule_can_act(sentence, rules):
+    """Never at an unambiguous token or one whose readings the target does not
+    split, and under a condition that is not negated, never where the token at
+    the offset had no reading passing the test when the run began."""
+    wasted = []
+
+    def counting_apply_rule(z, rule):
+        readings = z.focus.readings
+        hits = sum(reading_matches(rule.target, r) for r in readings)
+        can_act = 0 < hits < len(readings)
+        c = rule.condition
+        if c is not None and not c.negated:
+            j = z.index + c.offset
+            can_act = can_act and 0 <= j < len(sentence) and any(
+                reading_matches(c.test, r) for r in sentence[j].readings
+            )
+        if not can_act:
+            wasted.append((rule, z.index))
+        return apply_rule(z, rule)
+
+    with mock.patch("comorph.cg.apply_rule", counting_apply_rule):
+        run_cg(sentence, rules)
+    assert wasted == []
+
+
+def four_tokens():
+    return [
+        rs("koira", ("noun", "koira")),
+        rs("voi", ("noun", "voi"), ("verb", "voida")),
+        rs("kuusi", ("num", "kuusi"), ("noun", "kuusi")),
+        rs("tuuli", ("verb", "tuulla"), ("adj", "tuuli")),
+    ]
+
+
+def test_tag_index_indexes_a_field_on_first_use():
+    sentence = four_tokens()
+    index = TagIndex(sentence)
+    assert parse_rules("SELECT POS=noun IF (+1 POS=num)")[0].reach(index, sentence) == [1]
+    assert list(index) == ["pos"]
+    values, split = index["baseform"]
+    assert values == [{"koira"}, {"voi", "voida"}, {"kuusi"}, {"tuulla", "tuuli"}]
+    assert split == {"voi": [1], "voida": [1], "tuulla": [3], "tuuli": [3]}
+
+
+@pytest.mark.parametrize(
+    "line, reached",
+    [
+        ("SELECT POS=noun", [1, 2]),
+        ("SELECT POS=noun IF (-1 POS=num)", []),  # no num before either
+        ("SELECT POS=noun IF (+1 POS=num)", [1]),
+        ("REMOVE POS=adj IF (+2 POS=noun)", []),  # 3 + 2 is past the end
+        ("REMOVE POS=noun IF (-2 POS=noun)", [2]),  # 1 - 2 is before the start
+        ("REMOVE POS=verb IF (NOT +1 POS=adv)", [1, 3]),  # NOT is not narrowed
+        ("SELECT POS=adv IF (0 POS=num)", []),  # no token has an adv
+        ("SELECT POS=noun IF (0 POS=num)", [2]),
+    ],
+)
+def test_apply_rule_calls_on_a_fixed_sentence(line, reached):
+    sentence = four_tokens()
+    calls = []
+
+    def counting_apply_rule(z, rule):
+        calls.append(z.index)
+        return apply_rule(z, rule)
+
+    with mock.patch("comorph.cg.apply_rule", counting_apply_rule):
+        run_cg(sentence, parse_rules(line))
+    assert calls == reached
 
 
 def test_runs_are_deterministic():

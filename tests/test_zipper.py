@@ -105,10 +105,17 @@ def test_extend_agrees_with_refocusing_oracle(z, f):
 def test_supported_extend_equals_full_extend(z, f, support):
     # A rule that is the identity outside its support.
     g = lambda w: f(w) if w.focus in support else w.focus
-    assert extend(z, g, support.__contains__) == extend(z, g)
+    positions = [i for i, c in enumerate(z.cells) if c in support]
+    assert extend(z, g, positions) == extend(z, g)
 
 
 @given(zippers(), char_functions)
 def test_extend_returns_its_input_when_no_cell_changes(z, f):
-    assert extend(z, f, lambda c: False) is z
-    assert extend(z, extract, lambda c: True) is z
+    assert extend(z, f, []) is z
+    assert extend(z, extract, range(len(z.cells))) is z
+
+
+@pytest.mark.parametrize("positions", [[-1], [0, 3], [3]])
+def test_extend_rejects_positions_outside_the_sequence(positions):
+    with pytest.raises(ValueError, match="out of range for length 3"):
+        extend(from_sequence("abc", 0), extract, positions)
