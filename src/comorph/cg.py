@@ -23,6 +23,11 @@ Readings file format (UTF-8 TSV, blank line between sentences)::
 where a reading is ``pos:baseform`` or ``pos:baseform:feat(,feat)*``.
 Both parsers normalize their text to NFC, so a rule and a reading written in
 different Unicode forms still match.
+
+A reading is validated once, where it enters: ``parse_readings`` checks each
+line, then builds through private trusted constructors, as ``apply_rule``
+does for the non-empty subset of a checked set that it keeps. The public
+``Reading(...)`` and ``ReadingSet(...)`` keep every check.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import itemgetter
 
 from .zipper import Zipper, extend, from_sequence, to_sequence
 
@@ -91,6 +96,23 @@ class ReadingSet:
             raise ValueError(f"token {self.surface!r} has no readings")
 
 
+# Trusted construction, for fields already checked: a Reading is
+# _tuple_new(Reading, (baseform, pos, features)), a ReadingSet _reading_set(...).
+_tuple_new, _new, _set = tuple.__new__, object.__new__, object.__setattr__
+# A field's slot in a Reading tuple, and the C getter that reads it.
+_SLOT = {"baseform": 0, "pos": 1}
+_GET = {field: itemgetter(slot) for field, slot in _SLOT.items()}
+_BLANK = frozenset(("",))  # the feature that "pos:base:" and ",," leave
+
+
+def _reading_set(surface: str, readings: frozenset[Reading]) -> ReadingSet:
+    # Callers guarantee a non-empty frozenset of Readings.
+    rs = _new(ReadingSet)
+    _set(rs, "surface", surface)
+    _set(rs, "readings", readings)
+    return rs
+
+
 Sentence = list[ReadingSet]
 
 
@@ -112,7 +134,7 @@ class ReadingTest:
 
 
 def reading_matches(test: ReadingTest, reading: Reading) -> bool:
-    return getattr(reading, test.field) == test.value
+    return reading[_SLOT[test.field]] == test.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,14 +160,15 @@ class TagIndex(dict):
     __slots__ = ("cells",)
 
     def __init__(self, cells: Sequence[ReadingSet]) -> None:
-        super().__init__()
         self.cells = cells
 
     def __missing__(self, field: str) -> tuple[list[set[str]], dict[str, list[int]]]:
-        get = attrgetter(field)
-        values = [set(map(get, token.readings)) for token in self.cells]
+        get = _GET[field]
+        values: list[set[str]] = []
         split: dict[str, list[int]] = {}
-        for i, here in enumerate(values):
+        for i, token in enumerate(self.cells):
+            here = set(map(get, token.readings))
+            values.append(here)
             if len(here) > 1:
                 for v in here:
                     split.setdefault(v, []).append(i)
@@ -170,8 +193,8 @@ class CgRule:
 
     def support(self, rs: ReadingSet) -> bool:
         """The target matches some but not all readings: the only tokens it can change."""
-        field, value, n = self.target.field, self.target.value, len(rs.readings)
-        return n > 1 and 0 < [getattr(r, field) for r in rs.readings].count(value) < n
+        here = set(map(_GET[self.target.field], rs.readings))
+        return len(here) > 1 and self.target.value in here
 
     def reach(self, index: TagIndex, cells: Sequence[ReadingSet]) -> list[int]:
         """The ascending positions of ``cells`` where the rule may change a token.
@@ -179,22 +202,29 @@ class CgRule:
         ``index``, built on ``cells`` or an earlier state of them, names the
         candidates: the tokens whose readings the target splits and, under a
         condition that is not negated, whose token at the offset has the
-        tested value. ``support`` then checks each against its readings now.
+        tested value. A candidate the run has changed since is checked again,
+        by ``support``'s test written out, so no call is made per candidate.
         """
-        _, split = index[self.target.field]
-        positions = split.get(self.target.value)
+        field, value = self.target.field, self.target.value
+        positions = index[field][1].get(value)
         if positions is None:
             return []
-        condition, support = self.condition, self.support
-        if condition is None or condition.negated:
-            return [i for i in positions if support(cells[i])]
-        values, _ = index[condition.test.field]
-        tag, offset, n = condition.test.value, condition.offset, len(values)
-        return [
-            i
-            for i in positions
-            if 0 <= i + offset < n and tag in values[i + offset] and support(cells[i])
-        ]
+        condition = self.condition
+        narrow = condition is not None and not condition.negated
+        if narrow:
+            values = index[condition.test.field][0]
+            tag, offset, n = condition.test.value, condition.offset, len(values)
+        get, indexed, reached = _GET[field], index.cells, []
+        for i in positions:
+            if narrow and not (0 <= i + offset < n and tag in values[i + offset]):
+                continue
+            token = cells[i]
+            if token is not indexed[i]:
+                here = set(map(get, token.readings))
+                if len(here) < 2 or value not in here:
+                    continue
+            reached.append(i)
+        return reached
 
 
 _RULE_RE = re.compile(
@@ -263,10 +293,8 @@ def eval_condition(z: Zipper[ReadingSet], condition: Condition) -> bool:
     test, false when none does or the offset leaves the sentence; NOT flips
     that final result, so a negated test fires at the boundary too.
     """
-    other = z.peek(condition.offset)
-    hit = other is not None and any(
-        reading_matches(condition.test, r) for r in other.readings
-    )
+    i, cells, test = z.index + condition.offset, z.cells, condition.test
+    hit = 0 <= i < len(cells) and test.value in map(_GET[test.field], cells[i].readings)
     return hit != condition.negated
 
 
@@ -276,11 +304,15 @@ def apply_rule(z: Zipper[ReadingSet], rule: CgRule) -> ReadingSet:
     if rule.condition is not None and not eval_condition(z, rule.condition):
         return focus
     readings = focus.readings
-    matching = {r for r in readings if reading_matches(rule.target, r)}
-    keep = matching if rule.action is RuleAction.SELECT else readings - matching
-    if not keep or keep == readings:
+    slot, value = _SLOT[rule.target.field], rule.target.value
+    select = rule.action is RuleAction.SELECT
+    keep = []
+    for r in readings:
+        if (r[slot] == value) == select:
+            keep.append(r)
+    if not keep or len(keep) == len(readings):
         return focus
-    return ReadingSet(focus.surface, keep)
+    return _reading_set(focus.surface, frozenset(keep))
 
 
 # Called for every token a rule changed: (rule number, token index, before, after).
@@ -311,17 +343,6 @@ def run_cg(
     return list(to_sequence(z))
 
 
-def _parse_reading(token: str, line_no: int) -> Reading:
-    parts = token.split(":", 2)
-    if len(parts) < 2 or not parts[0] or not parts[1]:
-        raise ReadingsFormatError(
-            f"line {line_no}: malformed reading {token!r} "
-            "(expected pos:baseform or pos:baseform:feat,feat)"
-        )
-    features = frozenset(f for f in parts[2].split(",") if f) if len(parts) == 3 else frozenset()
-    return Reading(baseform=parts[1], pos=parts[0], features=features)
-
-
 def parse_readings(text: str) -> list[Sentence]:
     """Parse a readings file into sentences.
 
@@ -338,40 +359,42 @@ def parse_readings(text: str) -> list[Sentence]:
                 current = []
             continue
         surface, sep, rest = line.partition("\t")
-        if not sep or not surface.strip() or not rest.strip():
+        surface = surface.strip()
+        if not sep or not surface or not rest.strip():
             raise ReadingsFormatError(
                 f"line {line_no}: expected 'surface<TAB>reading(;reading)*'"
             )
-        readings = frozenset(
-            _parse_reading(tok.strip(), line_no)
-            for tok in rest.split(";")
-            if tok.strip()
-        )
+        readings = set()
+        for token in rest.split(";"):
+            token = token.strip()
+            if not token:
+                continue
+            parts = token.split(":", 2)
+            if len(parts) < 2 or not parts[0] or not parts[1]:
+                raise ReadingsFormatError(
+                    f"line {line_no}: malformed reading {token!r} "
+                    "(expected pos:baseform or pos:baseform:feat,feat)"
+                )
+            features = frozenset(parts[2].split(",")) - _BLANK if len(parts) == 3 else frozenset()
+            readings.add(_tuple_new(Reading, (parts[1], parts[0], features)))
         if not readings:
             raise ReadingsFormatError(f"line {line_no}: token has no readings")
-        current.append(ReadingSet(surface=surface.strip(), readings=readings))
+        current.append(_reading_set(surface, frozenset(readings)))
     if current:
         sentences.append(current)
     return sentences
 
 
-def format_reading(reading: Reading) -> str:
-    base = f"{reading.pos}:{reading.baseform}"
-    if reading.features:
-        return f"{base}:{','.join(sorted(reading.features))}"
-    return base
-
-
 def format_reading_set(rs: ReadingSet) -> str:
-    ordered = sorted(rs.readings, key=lambda r: (r.pos, r.baseform, sorted(r.features)))
-    return ";".join(format_reading(r) for r in ordered)
+    # Ordered by (pos, baseform, sorted features), each key built once.
+    out = []
+    for pos, baseform, features in sorted([(r[1], r[0], sorted(r[2])) for r in rs.readings]):
+        out.append(f"{pos}:{baseform}:{','.join(features)}" if features else f"{pos}:{baseform}")
+    return ";".join(out)
 
 
 def format_sentences(sentences: Iterable[Sentence]) -> str:
     """Render sentences back to the TSV format, deterministically ordered."""
-    blocks = []
-    for sentence in sentences:
-        blocks.append(
-            "\n".join(f"{rs.surface}\t{format_reading_set(rs)}" for rs in sentence)
-        )
-    return "\n\n".join(blocks)
+    return "\n\n".join(
+        ["\n".join([f"{rs.surface}\t{format_reading_set(rs)}" for rs in s]) for s in sentences]
+    )

@@ -2,13 +2,18 @@
 
 Nothing here may call the code path it is used to verify: refocusing is done
 by rebuilding from the flat sequence, deletion by filtering, the sentinel
-pipeline really does materialize between stages, and the CG reference
-indexes a plain list and takes nothing from ``comorph.cg`` but its data.
+pipeline really does materialize between stages, the CG reference indexes
+a plain list and takes nothing from ``comorph.cg`` but its data, and the
+readings-file references build only through the public, checking ``Reading``
+and ``ReadingSet`` constructors.
 """
 
 from __future__ import annotations
 
-from comorph.cg import ReadingSet
+import re
+import unicodedata
+
+from comorph.cg import Reading, ReadingSet, ReadingsFormatError
 from comorph.gradation import Grade, gradate_at
 from comorph.vowels import COPY_PLACEHOLDER, VOWELS, harmony_arrow, possessive_arrow
 from comorph.zipper import Zipper, from_sequence, to_sequence
@@ -100,3 +105,51 @@ def cg_reference(sentence, rules) -> list[ReadingSet]:
                 token = ReadingSet(token.surface, frozenset(survivors))
             current.append(token)
     return current
+
+
+def parse_readings_reference(text: str) -> list[list[ReadingSet]]:
+    """The README's readings format, one line at a time, through the public constructors.
+
+    A malformed line raises ReadingsFormatError whose message starts with
+    ``line N:``; the rest of the message is not part of the reference.
+    """
+    sentences: list[list[ReadingSet]] = [[]]
+    for number, line in enumerate(unicodedata.normalize("NFC", text).splitlines(), start=1):
+        if line.isspace() or not line:
+            sentences.append([])
+            continue
+        m = re.fullmatch(r"([^\t]*)\t(.*)", line, re.DOTALL)
+        if m is None or not m[1].strip() or not m[2].strip():
+            raise ReadingsFormatError(f"line {number}: not surface<TAB>readings")
+        readings = []
+        for item in (item.strip() for item in m[2].split(";")):
+            if not item:
+                continue
+            pos, _, rest = item.partition(":")
+            baseform, _, features = rest.partition(":")
+            if ":" not in item or not pos or not baseform:
+                raise ReadingsFormatError(f"line {number}: malformed reading")
+            readings.append(Reading(baseform, pos, frozenset(features.split(",")) - {""}))
+        if not readings:
+            raise ReadingsFormatError(f"line {number}: no readings")
+        sentences[-1].append(ReadingSet(m[1].strip(), readings))
+    return [sentence for sentence in sentences if sentence]
+
+
+def format_sentences_reference(sentences) -> str:
+    """The TSV format back, readings ordered by (pos, baseform, sorted features)."""
+
+    def reading(r: Reading) -> str:
+        features = sorted(r.features)
+        return f"{r.pos}:{r.baseform}" + (f":{','.join(features)}" if features else "")
+
+    def key(r: Reading):
+        return (r.pos, r.baseform, sorted(r.features))
+
+    return "\n\n".join(
+        "\n".join(
+            f"{rs.surface}\t" + ";".join(reading(r) for r in sorted(rs.readings, key=key))
+            for rs in sentence
+        )
+        for sentence in sentences
+    )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+import re
 import sys
 import unicodedata
 from unittest import mock
@@ -31,7 +32,7 @@ from comorph.cg import (
     reading_matches,
 )
 from comorph.zipper import extend, from_sequence, to_sequence
-from oracles import cg_reference
+from oracles import cg_reference, format_sentences_reference, parse_readings_reference
 
 
 def rs(surface, *readings):
@@ -498,16 +499,23 @@ def test_supported_pass_equals_full_apply_rule_pass(sentence, drawn, data):
     assert list(to_sequence(passed)) == cg_reference(sentence, [rule])
 
 
-@given(sentences(), rule_lines())
-def test_support_holds_where_the_target_splits_the_readings(sentence, drawn):
+@given(sentences(), rule_lines(), rule_lines())
+def test_support_holds_where_the_target_splits_the_readings(sentence, drawn, earlier):
     [rule] = parse_rules(drawn[0])
     for token in sentence:
         hits = sum(reading_matches(rule.target, r) for r in token.readings)
         assert rule.support(token) == (0 < hits < len(token.readings))
     # On the sentence it was built from, the index splits exactly there.
-    _, split = TagIndex(sentence)[rule.target.field]
+    index = TagIndex(sentence)
+    _, split = index[rule.target.field]
     supported = [i for i, token in enumerate(sentence) if rule.support(token)]
     assert split.get(rule.target.value, []) == supported
+    # After an earlier rule shrank some tokens, reach's own split test on the
+    # stale index keeps exactly the tokens where support still holds.
+    shrunk = cg_reference(sentence, parse_rules(earlier[0]))
+    unconditional = CgRule(rule.action, rule.target)
+    supported = [i for i, token in enumerate(shrunk) if rule.support(token)]
+    assert unconditional.reach(index, shrunk) == supported
 
 
 @given(rule_lines())
@@ -594,6 +602,33 @@ def test_apply_rule_is_reached_only_where_the_rule_can_act(sentence, rules):
     assert wasted == []
 
 
+def test_run_cg_makes_no_call_per_stale_candidate():
+    """Python calls during ``run_cg`` are bounded by the rules and the
+    ``apply_rule`` calls, not by the candidates a stale index names.
+
+    The first rule leaves every token one reading, so each later rule's
+    index entry names all 40 tokens and none can change.
+    """
+    sentence = [rs(f"w{i}", ("noun", "voi"), ("verb", "voida")) for i in range(40)]
+    rules = parse_rules("SELECT POS=noun\n" + "REMOVE POS=verb\n" * 10)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        out = run_cg(sentence, rules)
+    finally:
+        sys.setprofile(None)
+    assert out == [rs(f"w{i}", ("noun", "voi")) for i in range(40)]
+    applied = calls.count("apply_rule")
+    assert applied == 40
+    assert "support" not in calls
+    assert len(calls) <= 5 * (len(rules) + applied)
+
+
 def four_tokens():
     return [
         rs("koira", ("noun", "koira")),
@@ -652,3 +687,77 @@ def test_format_roundtrips_through_parse():
     assert text.endswith("koiralle\tnoun:koira:all,sg")
     assert parse_readings(text) == sentences
     assert format_sentences(parse_readings(text)) == text
+
+
+# Pieces of readings files: NFD text, padding, duplicate readings, empty
+# feature lists (``n:b:``, ``,,``), features containing ``:`` and malformed
+# readings and lines.
+NFD_POYTA = unicodedata.normalize("NFD", "pöytä")
+reading_items = st.one_of(
+    st.builds(
+        "{3}{0}:{1}{2}{3}".format,
+        st.sampled_from(("noun", "verb", "n")),
+        st.sampled_from(("voi", "pöytä", NFD_POYTA, "b")),
+        st.sampled_from(("", ":", ":,,", ":sg", ":pl,sg,", ":a:b", ":ä,a,,Sg")),
+        st.sampled_from(("", " ", "\t")),
+    ),
+    st.sampled_from(("", " ", "nounvoi", ":voi", "noun:", "n::", "noun")),
+)
+token_lines = st.builds(
+    "{0}\t{1}".format,
+    st.sampled_from(("voi", " voi ", "pöytä", NFD_POYTA)),
+    st.lists(reading_items, min_size=1, max_size=4).map(";".join),
+)
+readings_lines = st.one_of(
+    token_lines,
+    token_lines,
+    st.sampled_from(("", "  ", "voi", "\tnoun:voi", "voi\t", "voi\t ;", " \tn:b")),
+)
+readings_texts = st.one_of(
+    st.lists(readings_lines, max_size=8).map("\n".join),
+    st.text(alphabet="nb:;, \t\na\u0308", max_size=40),
+)
+
+
+def _error_line(exc: Exception) -> str:
+    return re.match(r"line (\d+):", str(exc))[1]
+
+
+@given(readings_texts)
+@example("voi\tn:b:;n:b:,,;n:b:a:b;n:b;n:b:a:b\n\n pöytä \tn:b:,x,\n")
+@example("voi\tn:b\nvoi\tn::\n")
+def test_parse_readings_matches_the_reference_parser(text):
+    """The trusted constructors build what the public ones would, or the
+    parser raises the reference's error type at the same line."""
+    try:
+        expected = parse_readings_reference(text)
+    except ReadingsFormatError as exc:
+        with pytest.raises(ReadingsFormatError) as raised:
+            parse_readings(text)
+        assert _error_line(raised.value) == _error_line(exc)
+        return
+    parsed = parse_readings(text)
+    assert parsed == expected
+    for token in (token for sentence in parsed for token in sentence):
+        assert type(token) is ReadingSet and type(token.readings) is frozenset
+        for reading in token.readings:
+            assert type(reading) is Reading and type(reading.features) is frozenset
+            assert all(type(field) is str for field in (reading.baseform, reading.pos))
+
+
+feature_readings = st.builds(
+    Reading,
+    st.sampled_from(("voi", "pöytä")),
+    st.sampled_from(("noun", "verb")),
+    st.frozensets(st.sampled_from(("sg", "Sg", "a", "a:b", "ä", "pl", "b")), max_size=3),
+)
+feature_sentences = st.lists(
+    st.builds(ReadingSet, st.sampled_from(("voi", "pöytä")), st.frozensets(feature_readings, min_size=1)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(st.lists(feature_sentences, max_size=3))
+def test_format_sentences_matches_the_reference_formatter(sentences):
+    assert format_sentences(sentences) == format_sentences_reference(sentences)

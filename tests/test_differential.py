@@ -1,0 +1,38 @@
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+HARNESS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "differential.py")
+SECTIONS = [
+    "parse_rules",
+    "parse_readings",
+    "run_cg",
+    "format_sentences",
+    "comorph cg",
+    "comorph cg --trace",
+    "exceptions",
+]
+
+
+def transcript(hash_seed: str) -> str:
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    return subprocess.run(
+        [sys.executable, HARNESS, "--seed", "3", "--scale", "1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
+
+def test_differential_transcript_repeats_and_covers_every_section():
+    """One seed gives one transcript, whatever the hash seed, and no section is empty."""
+    first = transcript("1")
+    assert transcript("2") == first
+    blocks = first.split("== ")[1:]
+    assert [block.split("\n", 1)[0] for block in blocks] == SECTIONS
+    for block in blocks:
+        assert block.split("\n", 1)[1].strip(), block
+    assert "fire rule" in first and "error ReadingsFormatError" in first
