@@ -9,11 +9,12 @@ paradigm never touch rule code.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
 from .gradation import Grade
-from .pipeline import run_pipeline
+from .pipeline import standard_pipeline
 from .vowels import VOWELS
 from .writer import start
 
@@ -65,10 +66,12 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     possessive ending.
 
     Only vowel-final stems are supported; consonant-final stems would need
-    epenthetic material the rule set cannot insert.
+    epenthetic material the rule set cannot insert. A lemma refused here meets
+    ``start`` first; the pipeline validates the rest, once.
     """
-    lemma = "".join(start(lemma).cells)
-    if lemma[-1] not in VOWELS:
+    lemma = unicodedata.normalize("NFC", lemma)
+    if not lemma or lemma[-1] not in VOWELS:
+        start(lemma)
         raise UnsupportedStemError(
             f"unsupported stem {lemma!r}: only vowel-final lemmas are handled"
         )
@@ -76,4 +79,4 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     underlying = lemma + template.suffix
     if possessive_3 and not template.suffix.endswith(POSSESSIVE_3_SUFFIX):
         underlying += POSSESSIVE_3_SUFFIX
-    return run_pipeline(underlying, template.grade)
+    return standard_pipeline(template.grade).run(underlying)

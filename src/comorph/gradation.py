@@ -82,20 +82,19 @@ PATTERNS: tuple[GradationPattern, ...] = (
 )
 
 
-# Uppercase placeholders are unresolved suffix segments, never gradable
-# letters; case folding must leave them distinct from p/t/k/v/d.
+# Uppercase placeholders are unresolved suffix segments, never gradable letters.
 _PLACEHOLDERS = frozenset(HARMONY_PLACEHOLDERS) | {COPY_PLACEHOLDER}
 
 
-def _fold(c: str) -> str:
-    return c if c in _PLACEHOLDERS else c.lower()
+def _cells(letter: str) -> frozenset[str]:
+    # Cells that read as ``letter``; U+212A KELVIN SIGN also lowers to a table letter, k.
+    return frozenset(letter + letter.upper() + ("\u212a" if letter == "k" else "")) - _PLACEHOLDERS
 
 
 @cache
 def gradation_support(grade: Grade) -> frozenset[str]:
-    """The cells gradation toward ``grade`` may change, and the guard of its
-    arrow: the focus letters of the source windows, upper-case too (``_fold``
-    grades those), never a placeholder."""
+    """The cells gradation toward ``grade`` may change, and its arrow's guard:
+    the source windows' focus letters, upper-case too, never a placeholder."""
     focus = frozenset(pat.source_window(grade)[1] for pat in PATTERNS) - {None}
     return (focus | {c.upper() for c in focus}) - _PLACEHOLDERS
 
@@ -112,7 +111,7 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
     neighbour is kept, and a single consonant changes only between two
     vowels; without the right vowel, suffix onsets such as the k of -ksi
     would alternate after every vowel-final stem. A deleted focus is logged
-    at its position.
+    at its position. The tables are keyed on raw cells: a visit folds no case.
     """
     exact: dict[tuple[str, str], str | None] = {}
     single: dict[str, str | None] = {}
@@ -120,26 +119,28 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
         (left, focus), target = pat.source_window(grade), pat.target_window(grade)[1]
         if focus is None:
             continue  # a deleted segment has no source side to match
-        if left is None:
-            single.setdefault(focus, target)
-        else:
-            exact.setdefault((left, focus), target)
+        for f in _cells(focus):
+            if left is None:
+                single.setdefault(f, target)
+            else:
+                for l in _cells(left):
+                    exact.setdefault((l, f), target)
     support = gradation_support(grade)
+    vowels = frozenset().union(*map(_cells, VOWELS))
 
     def arrow(z: Zipper[str]) -> tuple[DeletionSet, str]:
         cells, i = z.cells, z.index
         c = cells[i]
         if c not in support or i == 0:
             return (EMPTY_DELETIONS, c)
-        f = _fold(c)
-        r = _fold(cells[i + 1]) if i + 1 < len(cells) else None
-        if (f, r) in exact:
+        r = cells[i + 1] if i + 1 < len(cells) else None
+        if (c, r) in exact:
             return (EMPTY_DELETIONS, c)
-        l = _fold(cells[i - 1])
-        if (l, f) in exact:
-            out = exact[l, f]
-        elif f in single and l in VOWELS and r in VOWELS:
-            out = single[f]
+        l = cells[i - 1]
+        if (l, c) in exact:
+            out = exact[l, c]
+        elif c in single and l in vowels and r in vowels:
+            out = single[c]
         else:
             return (EMPTY_DELETIONS, c)
         if out is None:

@@ -33,6 +33,7 @@ HARMONY_PLACEHOLDERS = {
 }
 
 COPY_PLACEHOLDER = "V"
+_BACK, _FRONT = HarmonyClass.BACK, HarmonyClass.FRONT  # read once: a member lookup is slow
 
 
 def detect_harmony(z: Zipper[str]) -> HarmonyClass:
@@ -45,10 +46,10 @@ def detect_harmony(z: Zipper[str]) -> HarmonyClass:
     for i in range(z.index - 1, -1, -1):
         c = cells[i]
         if c in BACK_VOWELS:
-            return HarmonyClass.BACK
+            return _BACK
         if c in FRONT_VOWELS:
-            return HarmonyClass.FRONT
-    return HarmonyClass.FRONT
+            return _FRONT
+    return _FRONT
 
 
 def harmony_arrow(z: Zipper[str]) -> str:
@@ -56,7 +57,7 @@ def harmony_arrow(z: Zipper[str]) -> str:
     pair = HARMONY_PLACEHOLDERS.get(z.focus)
     if pair is None:
         return z.focus
-    return pair[0] if detect_harmony(z) is HarmonyClass.BACK else pair[1]
+    return pair[0] if detect_harmony(z) is _BACK else pair[1]
 
 
 def possessive_arrow(z: Zipper[str]) -> str:

@@ -9,9 +9,9 @@ here ever changes the sequence length.
 
 The log is validated where it crosses the public boundary: when a caller
 builds a ``WriterZipper``, and when ``writer_extend`` merges what its rule
-emitted, once per pass. The refocused views a pass hands to its rule share
-the log that was already checked and are not validated again. A pass given
-its rule's support calls the rule only at the cells in it.
+emitted, once per pass; the views a pass hands to its rule share the checked
+log. A pass given its rule's support calls the rule only at the cells in it,
+and a pass that changes nothing returns the zipper it was given.
 
 Words enter through ``start``, the one place that normalizes them to NFC
 and rejects empty input and non-letters.
@@ -106,24 +106,24 @@ def writer_extend(f: WriterArrow, wz: WriterZipper, support: Support = None) -> 
 
     The incoming log is passed unchanged to ``f`` at each refocusing; the
     new log is the old one unioned with everything ``f`` emitted, checked
-    once against the word's length. The character outputs are reassembled
-    into a zipper of the same length and focus position, so deletions stay
-    deferred.
+    once against the word's length. The outputs form a zipper of the same
+    length and focus position, so deletions stay deferred.
 
     A support is the set of cell values outside which ``f`` returns
     ``(EMPTY_DELETIONS, focus)``. Cells outside it are copied without calling
-    ``f``, and ``wz`` itself comes back when none is in it. A visited cell
-    still sees the whole word.
+    ``f``, and a visited cell still sees the whole word. Cells are copied at
+    the first change; ``wz`` itself comes back when no visit changed or deleted.
     """
     log = wz.log
     cells = wz.cells
-    if support is not None and support.isdisjoint(cells):
+    support = frozenset(cells) if support is None else support  # None: every cell
+    if support.isdisjoint(cells):
         return wz
     merged = log
-    out = list(cells)
+    out = cells
     new = _new
     for i, c in enumerate(cells):
-        if support is not None and c not in support:
+        if c not in support:
             continue
         # _view(log, cells, i), written out: this is the per-visit cost.
         view = new(WriterZipper)
@@ -134,9 +134,14 @@ def writer_extend(f: WriterArrow, wz: WriterZipper, support: Support = None) -> 
         deletions, ch = f(view)
         if deletions:
             merged = merged | deletions
-        out[i] = ch
+        if ch != c:
+            if out is cells:
+                out = list(cells)
+            out[i] = ch
     if merged is not log:
         _check(merged, len(cells))
+    elif out is cells:
+        return wz
     return _view(merged, tuple(out), wz.index)
 
 

@@ -1,15 +1,21 @@
-"""A seeded differential transcript of the CG layer, for comparing two trees.
+"""A seeded differential transcript of the CG and word layers, for comparing two trees.
 
     python tests/differential.py --seed N [--scale k]
 
-prints one canonical transcript: random rule and readings files, with NFD
-text, padding, duplicate readings, empty feature lists and a few malformed
-lines, through ``parse_rules``, ``parse_readings``, ``run_cg`` with an
-``on_fire`` trace and ``format_sentences``, then through ``comorph cg`` and
-``comorph cg --trace`` by way of ``cli.main``, then a fixed list of inputs
-that must raise. An exception is printed as its type and message. Every set
-is printed in sorted order, so the transcript depends on the seed and the
-scale only, never on ``PYTHONHASHSEED``.
+prints one canonical transcript. The CG sections: random rule and readings
+files, with NFD text, padding, duplicate readings, empty feature lists and a
+few malformed lines, through ``parse_rules``, ``parse_readings``, ``run_cg``
+with an ``on_fire`` trace and ``format_sentences``, then through ``comorph
+cg`` and ``comorph cg --trace`` by way of ``cli.main``. The word sections:
+random words of the contract alphabet, with NFD text, upper-case letters,
+U+212A KELVIN SIGN, non-letters and the empty word, through ``run_pipeline``
+and ``Pipeline.trace`` at both grades, ``weaken`` and ``strengthen``; lemmas,
+bad ones among them, through ``generate`` in every case, plain and with the
+possessive; then ``comorph grad [--trace]`` and ``comorph pipeline`` by way of
+``cli.main``. Last comes a fixed list of inputs that must raise. An exception
+is printed as its type and message. Every set is printed in sorted order, so
+the transcript depends on the seed and the scale only, never on
+``PYTHONHASHSEED``.
 
 The script imports ``comorph`` from the ``src`` directory of the tree it sits
 in. To compare a change with its parent, run it in both trees at one seed
@@ -42,10 +48,16 @@ from comorph.cg import (  # noqa: E402
     run_cg,
 )
 from comorph.cli import main as cli_main  # noqa: E402
+from comorph.generator import NounCase, generate  # noqa: E402
+from comorph.gradation import Grade, strengthen, weaken  # noqa: E402
+from comorph.pipeline import run_pipeline, standard_pipeline  # noqa: E402
 
 # Cases per unit of --scale.
 FILE_PAIRS = 150
 CLI_PAIRS = 25
+WORDS = 400
+LEMMAS = 30
+CLI_WORDS = 25
 
 POS_TAGS = ("noun", "verb", "adj", "adv", "num", "pron")
 ALIASES = ("lukusana", "nimisana", "teonsana", "laatusana", "seikkasana")
@@ -66,6 +78,23 @@ BAD_RULE_LINES = (
 )
 BAD_READINGS = ("nounvoi", ":voi", "noun:", "noun")
 BAD_TOKEN_LINES = ("voi", "voi\t", "\tnoun:voi", "kuusi\t;", "kuusi\t ; ", "  \tnoun:voi")
+
+
+# Word onsets: every gradation window of both grades, single consonants and none.
+ONSETS = (
+    "pp", "tt", "kk", "mp", "lt", "nt", "rt", "nk",
+    "mm", "ll", "nn", "rr", "ng", "p", "t", "k", "v", "d", "g",
+    "h", "j", "l", "m", "n", "r", "s", "",
+)
+NUCLEI = ("a", "o", "u", "ä", "ö", "y", "e", "i", "aa", "ie", "uo", "äi")
+SUFFIXES = ("", "n", "A", "ssA", "stA", "Vn", "llA", "ltA", "lle", "nA", "ksi", "ssAVn")
+KELVIN = "\u212a"
+NON_LETTERS = ("1", " ", ".", "'", "_", "\t")
+FIXED_LEMMAS = (
+    "kala", "talo", "kaappi", "kukka", "tupakka", "papukaija", "kenkä", "pöytä",
+    "kampa", "ranta", "kivi", "sade", "Kaappi", "KAAPPI", "KALA", KELVIN + "issa",
+    "", "kala1", "kal1a", "kalan", "1", unicodedata.normalize("NFD", "kenkä"),
+)
 
 
 def _maybe_nfd(rng: random.Random, text: str) -> str:
@@ -225,6 +254,85 @@ def cli_sections(rng: random.Random, pairs: int) -> dict[str, list[str]]:
     return sections
 
 
+def stem(rng: random.Random) -> str:
+    return "".join(rng.choice(ONSETS) + rng.choice(NUCLEI) for _ in range(rng.randint(1, 4)))
+
+
+def contract_word(rng: random.Random) -> str:
+    """A stem and a suffix, sometimes with a cell swapped for an odd one."""
+    if rng.random() < 0.02:
+        return ""
+    cells = list(stem(rng) + rng.choice(SUFFIXES))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(len(cells))
+        k = rng.random()
+        if k < 0.5:
+            cells[i] = cells[i].upper()
+        elif k < 0.7:
+            cells[i] = KELVIN
+        elif k < 0.9:
+            cells[i] = rng.choice("AOUV")
+        else:
+            cells[i] = rng.choice(NON_LETTERS)
+    return _maybe_nfd(rng, "".join(cells))
+
+
+def _outcome(fn, *args, **kwargs) -> str:
+    try:
+        return repr(fn(*args, **kwargs))
+    except ValueError as exc:
+        return show_error(exc)
+
+
+def _trace(word: str, grade: Grade) -> list[str]:
+    try:
+        return [row.render() for row in standard_pipeline(grade).trace(word)]
+    except ValueError as exc:
+        return [show_error(exc)]
+
+
+def word_sections(rng: random.Random, words: int, lemmas: int) -> dict[str, list[str]]:
+    sections: dict[str, list[str]] = {
+        "run_pipeline": [],
+        "Pipeline.trace": [],
+        "weaken": [],
+        "strengthen": [],
+        "generate": [],
+    }
+    for case in range(words):
+        word = contract_word(rng)
+        for grade in Grade:
+            out = _outcome(run_pipeline, word, grade)
+            sections["run_pipeline"].append(f"case {case} {grade.value} {word!r} -> {out}")
+            sections["Pipeline.trace"].append(f"case {case} {grade.value} {word!r}")
+            sections["Pipeline.trace"].extend(f"  {line!r}" for line in _trace(word, grade))
+        sections["weaken"].append(f"case {case} {word!r} -> {_outcome(weaken, word)}")
+        sections["strengthen"].append(f"case {case} {word!r} -> {_outcome(strengthen, word)}")
+    for lemma in FIXED_LEMMAS + tuple(stem(rng) for _ in range(lemmas)):
+        sections["generate"].append(f"lemma {lemma!r}")
+        for noun_case in NounCase:
+            for poss3 in (False, True):
+                out = _outcome(generate, lemma, noun_case, possessive_3=poss3)
+                sections["generate"].append(f"  {noun_case.value} poss3={poss3} -> {out}")
+    return sections
+
+
+def word_cli_sections(rng: random.Random, words: int) -> dict[str, list[str]]:
+    commands = {
+        "comorph grad": ["grad"],
+        "comorph grad --trace": ["grad", "--trace"],
+        "comorph pipeline": ["pipeline"],
+    }
+    sections: dict[str, list[str]] = {name: [] for name in commands}
+    for case in range(words):
+        word = contract_word(rng)
+        for name, argv in commands.items():
+            for grade in Grade:
+                result = _cli([*argv, word, "--grade", grade.value])
+                sections[name].append(f"case {case} {grade.value} {word!r}\n{result}")
+    return sections
+
+
 def exception_section() -> list[str]:
     calls = [
         ("parse_rules", lambda: parse_rules("SELECT POS=noun\nDISCARD POS=adj")),
@@ -259,6 +367,8 @@ def transcript(seed: int, scale: int) -> str:
     rng = random.Random(seed)
     sections = library_sections(rng, FILE_PAIRS * scale)
     sections.update(cli_sections(rng, CLI_PAIRS * scale))
+    sections.update(word_sections(rng, WORDS * scale, LEMMAS * scale))
+    sections.update(word_cli_sections(rng, CLI_WORDS * scale))
     sections["exceptions"] = exception_section()
     return "".join(
         f"== {name}\n" + "".join(f"{line}\n" for line in lines)
@@ -269,7 +379,12 @@ def transcript(seed: int, scale: int) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--scale", type=int, default=1, help="cases, in units of %d file pairs" % FILE_PAIRS)
+    parser.add_argument(
+        "--scale",
+        type=int,
+        default=1,
+        help=f"cases, in units of {FILE_PAIRS} file pairs, {WORDS} words and {LEMMAS} lemmas",
+    )
     args = parser.parse_args(argv)
     if args.scale < 1:
         parser.error("--scale must be at least 1")

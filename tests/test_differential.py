@@ -12,6 +12,14 @@ SECTIONS = [
     "format_sentences",
     "comorph cg",
     "comorph cg --trace",
+    "run_pipeline",
+    "Pipeline.trace",
+    "weaken",
+    "strengthen",
+    "generate",
+    "comorph grad",
+    "comorph grad --trace",
+    "comorph pipeline",
     "exceptions",
 ]
 
@@ -36,3 +44,4 @@ def test_differential_transcript_repeats_and_covers_every_section():
     for block in blocks:
         assert block.split("\n", 1)[1].strip(), block
     assert "fire rule" in first and "error ReadingsFormatError" in first
+    assert "error UnsupportedStemError" in first and "'gradation\\t" in first

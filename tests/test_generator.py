@@ -134,3 +134,58 @@ def test_decomposed_lemma_is_normalized():
 def test_consonant_final_lemma_rejected():
     with pytest.raises(UnsupportedStemError):
         generate("kaunis", NounCase.GENITIVE)
+
+
+VOWEL_FINAL_ONLY = "only vowel-final lemmas are handled"
+
+
+@pytest.mark.parametrize(
+    "lemma,error,message",
+    [
+        ("", ValueError, "cannot process an empty word"),
+        ("kala1", ValueError, "character '1' at position 4 is not a letter"),
+        ("kal1a", ValueError, "character '1' at position 3 is not a letter"),
+        (
+            unicodedata.normalize("NFD", "pöytä") + "1",
+            ValueError,
+            "character '1' at position 5 is not a letter",
+        ),
+        ("kalan", UnsupportedStemError, f"unsupported stem 'kalan': {VOWEL_FINAL_ONLY}"),
+        ("KALA", UnsupportedStemError, f"unsupported stem 'KALA': {VOWEL_FINAL_ONLY}"),
+    ],
+)
+@pytest.mark.parametrize("case", [NounCase.NOMINATIVE, NounCase.GENITIVE, NounCase.ILLATIVE])
+def test_bad_lemma_error_type_and_message(lemma, error, message, case):
+    """A non-letter outranks the stem error, wherever it sits, and its position is in NFC."""
+    for possessive_3 in (False, True):
+        with pytest.raises(ValueError) as info:
+            generate(lemma, case, possessive_3=possessive_3)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+def test_decomposed_lemma_gives_the_composed_forms():
+    nfd = unicodedata.normalize("NFD", "pöytä")
+    for case in NounCase:
+        for possessive_3 in (False, True):
+            assert generate(nfd, case, possessive_3) == generate("pöytä", case, possessive_3)
+    assert generate(nfd, NounCase.INESSIVE) == "pöydässä"
+
+
+def test_generate_validates_the_word_once():
+    """``writer.start`` runs once per call: in the pipeline, or on a refused lemma."""
+    starts = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "start" and code.co_filename.endswith("writer.py"):
+            starts.append(frame.f_locals["word"])
+
+    sys.setprofile(profile)
+    try:
+        generate("kukka", NounCase.GENITIVE, possessive_3=True)
+        with pytest.raises(UnsupportedStemError):
+            generate("kalan", NounCase.GENITIVE)
+    finally:
+        sys.setprofile(None)
+    assert starts == ["kukkanVn", "kalan"]

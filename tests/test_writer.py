@@ -13,8 +13,8 @@ from comorph.writer import (
     writer_extend,
 )
 from comorph.zipper import Zipper, extend, extract, from_sequence, to_sequence
-from conftest import char_functions, writer_arrows, writer_zippers
-from oracles import filter_materialize, sentinel_gradate
+from conftest import LAW_ALPHABET, char_functions, writer_arrows, writer_zippers
+from oracles import always_copy_extend, filter_materialize, sentinel_gradate
 
 position_sets = st.frozensets(st.integers(0, 19), max_size=6)
 
@@ -158,3 +158,54 @@ def test_supported_pass_calls_the_rule_only_on_support_cells():
 def test_supported_pass_with_no_support_cell_returns_its_input():
     wz = WriterZipper(frozenset({4}), kaappi_at(1))
     assert writer_extend(lambda v: 1 / 0, wz, frozenset("tV")) is wz
+
+
+supports = st.none() | st.frozensets(st.sampled_from(LAW_ALPHABET))
+
+
+@given(writer_zippers(), supports)
+def test_a_pass_that_changes_nothing_returns_its_input(wz, support):
+    assert writer_extend(lift_pure(extract), wz, support) is wz
+
+
+@given(writer_zippers(), supports)
+def test_a_pass_that_only_relogs_returns_an_equal_zipper(wz, support):
+    """Logging a position already in the log is still a deletion: a new, equal zipper."""
+    out = writer_extend(lambda v: (wz.log, v.focus), wz, support)
+    assert out == wz
+
+
+@given(writer_zippers(), writer_arrows, st.data())
+def test_copy_on_write_matches_an_always_copy_pass(wz, f, data):
+    """Equal to the reference for every support, whichever cells the rule leaves alone."""
+    support = data.draw(supports)
+    kept = data.draw(st.frozensets(st.sampled_from(LAW_ALPHABET)))
+
+    def g(v):
+        return (EMPTY_DELETIONS, v.focus) if v.focus in kept else f(v)
+
+    out = writer_extend(g, wz, support)
+    assert out == always_copy_extend(g, wz, support)
+    views = [
+        WriterZipper(wz.log, from_sequence(wz.cells, i))
+        for i, c in enumerate(wz.cells)
+        if support is None or c in support
+    ]
+    wrote = any(g(v)[0] or g(v)[1] != v.focus for v in views)
+    assert (out is wz) == (not wrote)
+
+
+def test_cells_are_copied_only_when_a_cell_changes():
+    wz = WriterZipper(frozenset(), kaappi_at(2))
+
+    def upper_at_4(v):
+        return (EMPTY_DELETIONS, v.focus.upper() if v.index == 4 else v.focus)
+
+    def delete_4(v):
+        return (frozenset({4}) if v.index == 4 else EMPTY_DELETIONS, v.focus)
+
+    upper = writer_extend(upper_at_4, wz)
+    assert (upper.cells, upper.index, upper.log) == (tuple("kaapPi"), 2, frozenset())
+    assert wz.cells == tuple("kaappi")
+    deleted = writer_extend(delete_4, wz)
+    assert deleted.log == frozenset({4}) and deleted.cells is wz.cells
