@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .cg import Reading, ReadingSet, TagIndex, parse_rules, run_cg
+from .cg import ReadingSet, TagIndex, parse_readings, parse_rules, run_cg
 from .gradation import PATTERNS, Grade, weaken
 from .pipeline import run_pipeline
 from .vowels import harmony_arrow, possessive_arrow
@@ -26,22 +26,14 @@ POSSESSIVE_WORDS = ("kammastaVn", "kengästäVn", "taloVn")
 PIPELINE_WORDS = ("kampAstAVn", "rantAssA", "pukussA", "kenkästAVn")
 
 
-def _reading_set(surface: str, *readings: tuple[str, str]) -> ReadingSet:
-    return ReadingSet(surface, frozenset(Reading(b, p) for p, b in readings))
-
-
 def demo_sentence() -> list[ReadingSet]:
-    return [
-        _reading_set("koira", ("noun", "koira")),
-        _reading_set(
-            "tuuli",
-            ("noun", "tuuli"),
-            ("verb", "tuulla"),
-            ("adj", "tuuli"),
-            ("adv", "tuuli"),
-        ),
-        _reading_set("kasvaa", ("verb", "kasvaa")),
-    ]
+    """The three-token sentence, parsed as ``comorph cg`` parses a readings file."""
+    [sentence] = parse_readings(
+        "koira\tnoun:koira\n"
+        "tuuli\tnoun:tuuli;verb:tuulla;adj:tuuli;adv:tuuli\n"
+        "kasvaa\tverb:kasvaa\n"
+    )
+    return sentence
 
 
 def demo_rules():

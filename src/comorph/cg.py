@@ -20,9 +20,9 @@ Readings file format (UTF-8 TSV, blank line between sentences)::
 
     surface<TAB>reading(;reading)*
 
-where a reading is ``pos:baseform`` or ``pos:baseform:feat(,feat)*``.
-Both parsers normalize their text to NFC, so a rule and a reading written in
-different Unicode forms still match.
+where a reading is ``pos:baseform`` or ``pos:baseform:feat(,feat)*``, with
+spaces around each field stripped. Both parsers normalize their text to NFC, so
+a rule and a reading written in different Unicode forms still match.
 
 A reading is validated once, where it enters: ``parse_readings`` checks each
 line, then builds through private trusted constructors, as ``apply_rule``
@@ -66,14 +66,15 @@ class Reading(namedtuple("Reading", ("baseform", "pos", "features"))):
     """One analysis of a token: ``Reading(baseform, pos, features=frozenset())``.
 
     A tuple, so hashing and comparing one in a reading set runs no Python code;
-    it also equals the plain tuple of its three fields.
+    it also equals the plain tuple of its three fields. Features are frozen.
     """
 
     __slots__ = ()
 
-    def __new__(cls, baseform: str, pos: str, features: frozenset[str] = frozenset()) -> Reading:
+    def __new__(cls, baseform: str, pos: str, features: Iterable[str] = frozenset()) -> Reading:
         if not baseform or not pos:
             raise ValueError("a reading needs a non-empty baseform and POS tag")
+        features = features if isinstance(features, frozenset) else frozenset(features)
         return tuple.__new__(cls, (baseform, pos, features))
 
     @classmethod
@@ -133,10 +134,6 @@ class ReadingTest:
             raise ValueError(f"a test reads pos or baseform, not {self.field!r}")
 
 
-def reading_matches(test: ReadingTest, reading: Reading) -> bool:
-    return reading[_SLOT[test.field]] == test.value
-
-
 @dataclass(frozen=True, slots=True)
 class Condition:
     offset: int  # relative token position; 0 is the focus
@@ -191,19 +188,14 @@ class CgRule:
     def arrow(self, z: Zipper[ReadingSet]) -> ReadingSet:
         return apply_rule(z, self)
 
-    def support(self, rs: ReadingSet) -> bool:
-        """The target matches some but not all readings: the only tokens it can change."""
-        here = set(map(_GET[self.target.field], rs.readings))
-        return len(here) > 1 and self.target.value in here
-
     def reach(self, index: TagIndex, cells: Sequence[ReadingSet]) -> list[int]:
         """The ascending positions of ``cells`` where the rule may change a token.
 
         ``index``, built on ``cells`` or an earlier state of them, names the
         candidates: the tokens whose readings the target splits and, under a
         condition that is not negated, whose token at the offset has the
-        tested value. A candidate the run has changed since is checked again,
-        by ``support``'s test written out, so no call is made per candidate.
+        tested value. A candidate the run has changed since is kept only if the
+        target still splits its readings, tested inline with no call per candidate.
         """
         field, value = self.target.field, self.target.value
         positions = index[field][1].get(value)
@@ -370,13 +362,16 @@ def parse_readings(text: str) -> list[Sentence]:
             if not token:
                 continue
             parts = token.split(":", 2)
-            if len(parts) < 2 or not parts[0] or not parts[1]:
+            pos, baseform = parts[0].strip(), (parts[1].strip() if len(parts) > 1 else "")
+            if not pos or not baseform:
                 raise ReadingsFormatError(
                     f"line {line_no}: malformed reading {token!r} "
                     "(expected pos:baseform or pos:baseform:feat,feat)"
                 )
-            features = frozenset(parts[2].split(",")) - _BLANK if len(parts) == 3 else frozenset()
-            readings.add(_tuple_new(Reading, (parts[1], parts[0], features)))
+            features = frozenset()
+            if len(parts) == 3:
+                features = frozenset(map(str.strip, parts[2].split(","))) - _BLANK
+            readings.add(_tuple_new(Reading, (baseform, pos, features)))
         if not readings:
             raise ReadingsFormatError(f"line {line_no}: token has no readings")
         current.append(_reading_set(surface, frozenset(readings)))

@@ -56,10 +56,6 @@ class GradationPattern:
     def target_window(self, grade: Grade) -> tuple[str | None, str | None]:
         return self.weak if grade is Grade.WEAK else self.strong
 
-    @property
-    def deleting(self) -> bool:
-        return self.weak[1] is None
-
 
 QUANTITATIVE = "quantitative"
 QUAL_SINGLE = "qualitative-single"
@@ -148,16 +144,6 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
         return (EMPTY_DELETIONS, out)
 
     return arrow
-
-
-def gradate_at(z: Zipper[str], grade: Grade) -> str | None:
-    """Grade the focused character of ``z``: its output, or None if deleted.
-
-    A reading of ``gradation_arrow(grade)``: None exactly when the arrow
-    logs a deletion.
-    """
-    deletions, out = gradation_arrow(grade)(z)
-    return None if deletions else out
 
 
 def _grade_word(word: str, grade: Grade) -> str:

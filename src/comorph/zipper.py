@@ -110,13 +110,13 @@ def extend(
 
     ``positions`` are ascending indices outside which ``f`` returns the focus
     unchanged, such as ``[i for i, c in enumerate(z.cells) if support(c)]``.
-    Other cells are copied without calling ``f``, and ``z`` itself comes back
-    when no call returned a new value.
+    Other cells are copied without calling ``f``. Either way ``z`` itself
+    comes back when no call returned a new value.
     """
     cells = z.cells
     if positions is None:
-        return _at(tuple([f(_at(cells, i)) for i in range(len(cells))]), z.index)
-    if positions and not 0 <= positions[0] <= positions[-1] < len(cells):
+        positions = range(len(cells))
+    elif positions and not 0 <= positions[0] <= positions[-1] < len(cells):
         raise ValueError(
             f"positions {positions[0]}..{positions[-1]} out of range for length {len(cells)}"
         )

@@ -4,9 +4,10 @@
 
 prints one canonical transcript. The CG sections: random rule and readings
 files, with NFD text, padding, duplicate readings, empty feature lists and a
-few malformed lines, through ``parse_rules``, ``parse_readings``, ``run_cg``
-with an ``on_fire`` trace and ``format_sentences``, then through ``comorph
-cg`` and ``comorph cg --trace`` by way of ``cli.main``. The word sections:
+few malformed lines, and after them a few fixed files, through
+``parse_rules``, ``parse_readings``, ``run_cg`` with an ``on_fire`` trace and
+``format_sentences``, then through ``comorph cg`` and ``comorph cg --trace``
+by way of ``cli.main``. The word sections:
 random words of the contract alphabet, with NFD text, upper-case letters,
 U+212A KELVIN SIGN, non-letters and the empty word, through ``run_pipeline``
 and ``Pipeline.trace`` at both grades, ``weaken`` and ``strengthen``; lemmas,
@@ -78,6 +79,13 @@ BAD_RULE_LINES = (
 )
 BAD_READINGS = ("nounvoi", ":voi", "noun:", "noun")
 BAD_TOKEN_LINES = ("voi", "voi\t", "\tnoun:voi", "kuusi\t;", "kuusi\t ; ", "  \tnoun:voi")
+# (rules, readings) files run after the random ones: spaces around the fields
+# of a reading, and fields that stripping leaves empty.
+FIXED_FILES = (
+    ("SELECT POS=num\n", "kuusi\tnum :kuusi;noun:kuusi: sg\n"),
+    ("SELECT POS=num\n", "kuusi\t :kuusi\n"),
+    ("SELECT POS=num\n", "kuusi\tnoun:kuusi;num: :sg\n"),
+)
 
 
 # Word onsets: every gradation window of both grades, single consonants and none.
@@ -198,8 +206,8 @@ def library_sections(rng: random.Random, pairs: int) -> dict[str, list[str]]:
         "run_cg": [],
         "format_sentences": [],
     }
-    for case in range(pairs):
-        rules_src, readings_src = file_pair(rng)
+    files = [file_pair(rng) for _ in range(pairs)] + list(FIXED_FILES)
+    for case, (rules_src, readings_src) in enumerate(files):
         sections["parse_rules"].append(f"case {case} {rules_src!r}")
         sections["parse_readings"].append(f"case {case} {readings_src!r}")
         try:
@@ -241,9 +249,11 @@ def cli_sections(rng: random.Random, pairs: int) -> dict[str, list[str]]:
     with tempfile.TemporaryDirectory() as tmp:
         rules_path = os.path.join(tmp, "rules.txt")
         readings_path = os.path.join(tmp, "readings.tsv")
-        for case in range(pairs):
-            rules_src, readings_src = file_pair(rng)
-            encoding = "utf-8-sig" if rng.random() < 0.1 else "utf-8"
+        files = [
+            (*file_pair(rng), "utf-8-sig" if rng.random() < 0.1 else "utf-8") for _ in range(pairs)
+        ]
+        files += [(*pair, "utf-8") for pair in FIXED_FILES]
+        for case, (rules_src, readings_src, encoding) in enumerate(files):
             with open(rules_path, "w", encoding=encoding) as fh:
                 fh.write(rules_src)
             with open(readings_path, "w", encoding=encoding) as fh:

@@ -17,7 +17,7 @@ import re
 import unicodedata
 
 from comorph.cg import Reading, ReadingSet, ReadingsFormatError
-from comorph.gradation import PATTERNS, Grade, gradate_at
+from comorph.gradation import PATTERNS, Grade, gradation_arrow
 from comorph.vowels import (
     COPY_PLACEHOLDER,
     HARMONY_PLACEHOLDERS,
@@ -46,10 +46,12 @@ def naive_extend_word(word: str, f) -> str:
 
 
 def _sentinel_marks(word: str, grade: Grade) -> str:
-    # ``word`` graded, with SENTINEL in place of each deleted letter.
+    # ``word`` graded, with SENTINEL in place of each letter the arrow logs as deleted.
+    arrow = gradation_arrow(grade)
+
     def local(w: Zipper) -> str:
-        out = gradate_at(w, grade)
-        return SENTINEL if out is None else out
+        deletions, out = arrow(w)
+        return SENTINEL if deletions else out
 
     return naive_extend_word(word, local)
 
@@ -144,7 +146,8 @@ def always_copy_extend(f, wz: WriterZipper, support=None) -> WriterZipper:
     return WriterZipper(frozenset(log), from_sequence(cells, wz.index))
 
 
-def _passes(test, reading) -> bool:
+def passes(test, reading) -> bool:
+    """Whether ``reading`` passes a ``ReadingTest``, read by field name."""
     if test.field == "pos":
         return reading.pos == test.value
     if test.field == "baseform":
@@ -168,12 +171,12 @@ def cg_reference(sentence, rules) -> list[ReadingSet]:
             if cond is not None:
                 j = i + cond.offset
                 hit = 0 <= j < len(before) and any(
-                    _passes(cond.test, r) for r in before[j].readings
+                    passes(cond.test, r) for r in before[j].readings
                 )
                 if hit == cond.negated:
                     current.append(token)
                     continue
-            picked = {r for r in token.readings if _passes(rule.target, r)}
+            picked = {r for r in token.readings if passes(rule.target, r)}
             if rule.action.value == "SELECT":
                 survivors = picked
             else:
@@ -204,9 +207,11 @@ def parse_readings_reference(text: str) -> list[list[ReadingSet]]:
                 continue
             pos, _, rest = item.partition(":")
             baseform, _, features = rest.partition(":")
+            pos, baseform = pos.strip(), baseform.strip()
             if ":" not in item or not pos or not baseform:
                 raise ReadingsFormatError(f"line {number}: malformed reading")
-            readings.append(Reading(baseform, pos, frozenset(features.split(",")) - {""}))
+            features = {feature.strip() for feature in features.split(",")} - {""}
+            readings.append(Reading(baseform, pos, frozenset(features)))
         if not readings:
             raise ReadingsFormatError(f"line {number}: no readings")
         sentences[-1].append(ReadingSet(m[1].strip(), readings))

@@ -29,10 +29,9 @@ from comorph.cg import (
     parse_readings,
     parse_rules,
     run_cg,
-    reading_matches,
 )
 from comorph.zipper import extend, from_sequence, to_sequence
-from oracles import cg_reference, format_sentences_reference, parse_readings_reference
+from oracles import cg_reference, format_sentences_reference, parse_readings_reference, passes
 
 
 def rs(surface, *readings):
@@ -151,6 +150,24 @@ def test_parse_readings_rejects_malformed_reading():
         parse_readings("ei\tverb:ei\nvoi\tnounvoi\n")
 
 
+def test_parse_readings_strips_spaces_around_each_field():
+    # A POS of "num " would never pass SELECT POS=num, and would be written back.
+    [[token]] = parse_readings("kuusi\tnum :kuusi;noun:kuusi: sg\n")
+    assert token == ReadingSet("kuusi", [Reading("kuusi", "num"), Reading("kuusi", "noun", ["sg"])])
+    [selected] = run_cg([token], parse_rules("SELECT POS=num"))
+    assert format_sentences([[selected]]) == "kuusi\tnum:kuusi"
+    [[token]] = parse_readings("voi\t noun : voi : sg , pl ; verb :voida\n")
+    assert token == ReadingSet(
+        "voi", [Reading("voi", "noun", ["sg", "pl"]), Reading("voida", "verb")]
+    )
+
+
+@pytest.mark.parametrize("reading", [" :kuusi", "num: :sg", "num :\t:sg"])
+def test_parse_readings_rejects_a_field_that_stripping_empties(reading):
+    with pytest.raises(ReadingsFormatError, match="line 2: malformed reading"):
+        parse_readings(f"ei\tverb:ei\nkuusi\tnoun:kuusi;{reading}\n")
+
+
 def test_reading_set_never_born_empty():
     with pytest.raises(ValueError):
         ReadingSet("x", frozenset())
@@ -164,6 +181,16 @@ def test_reading_set_keeps_a_frozenset_and_freezes_any_other_iterable():
     listed = ReadingSet("kuusi", [Reading("kuusi", "num"), Reading("kuusi", "noun")])
     assert type(listed.readings) is frozenset and listed.readings == readings
     assert not hasattr(listed, "__dict__")
+
+
+def test_reading_keeps_a_frozenset_and_freezes_any_other_iterable():
+    features = frozenset({"sg", "nom"})
+    assert Reading("koira", "noun", features).features is features
+    listed = Reading("koira", "noun", ["sg", "nom"])
+    assert type(listed.features) is frozenset and listed.features == features
+    assert ReadingSet("koira", [listed]).readings == {Reading("koira", "noun", features)}
+    replaced = listed._replace(features=("pl",))
+    assert type(replaced.features) is frozenset and replaced.features == {"pl"}
 
 
 def test_reading_is_the_tuple_of_its_three_fields():
@@ -206,10 +233,18 @@ def test_readings_hash_without_a_python_call():
 
 
 def test_predicates_match_readings():
-    r = Reading("koira", "noun")
-    assert reading_matches(ReadingTest("pos", "noun"), r)
-    assert not reading_matches(ReadingTest("pos", "verb"), r)
-    assert reading_matches(ReadingTest("baseform", "koira"), r)
+    # SELECT keeps exactly the readings its target passes.
+    z = from_sequence((VOI,), 0)
+    for field, value, kept in (
+        ("pos", "noun", ("noun", "voi")),
+        ("pos", "verb", ("verb", "voida")),
+        ("baseform", "voi", ("noun", "voi")),
+        ("baseform", "voida", ("verb", "voida")),
+    ):
+        assert apply_rule(z, CgRule(RuleAction.SELECT, ReadingTest(field, value))) == rs("voi", kept)
+    # No reading passes: the token is left as it is.
+    for field, value in (("pos", "adj"), ("baseform", "noun")):
+        assert apply_rule(z, CgRule(RuleAction.SELECT, ReadingTest(field, value))) is VOI
 
 
 def test_reading_test_compares_only_pos_or_baseform():
@@ -502,19 +537,24 @@ def test_supported_pass_equals_full_apply_rule_pass(sentence, drawn, data):
 @given(sentences(), rule_lines(), rule_lines())
 def test_support_holds_where_the_target_splits_the_readings(sentence, drawn, earlier):
     [rule] = parse_rules(drawn[0])
+    unconditional = CgRule(rule.action, rule.target)
+
+    def support(token):
+        # The only tokens the target can change: it passes some but not all readings.
+        hits = sum(passes(rule.target, r) for r in token.readings)
+        return 0 < hits < len(token.readings)
+
     for token in sentence:
-        hits = sum(reading_matches(rule.target, r) for r in token.readings)
-        assert rule.support(token) == (0 < hits < len(token.readings))
+        assert unconditional.reach(TagIndex([token]), [token]) == ([0] if support(token) else [])
     # On the sentence it was built from, the index splits exactly there.
     index = TagIndex(sentence)
     _, split = index[rule.target.field]
-    supported = [i for i, token in enumerate(sentence) if rule.support(token)]
+    supported = [i for i, token in enumerate(sentence) if support(token)]
     assert split.get(rule.target.value, []) == supported
     # After an earlier rule shrank some tokens, reach's own split test on the
     # stale index keeps exactly the tokens where support still holds.
     shrunk = cg_reference(sentence, parse_rules(earlier[0]))
-    unconditional = CgRule(rule.action, rule.target)
-    supported = [i for i, token in enumerate(shrunk) if rule.support(token)]
+    supported = [i for i, token in enumerate(shrunk) if support(token)]
     assert unconditional.reach(index, shrunk) == supported
 
 
@@ -585,13 +625,13 @@ def test_apply_rule_is_reached_only_where_the_rule_can_act(sentence, rules):
 
     def counting_apply_rule(z, rule):
         readings = z.focus.readings
-        hits = sum(reading_matches(rule.target, r) for r in readings)
+        hits = sum(passes(rule.target, r) for r in readings)
         can_act = 0 < hits < len(readings)
         c = rule.condition
         if c is not None and not c.negated:
             j = z.index + c.offset
             can_act = can_act and 0 <= j < len(sentence) and any(
-                reading_matches(c.test, r) for r in sentence[j].readings
+                passes(c.test, r) for r in sentence[j].readings
             )
         if not can_act:
             wasted.append((rule, z.index))
@@ -689,19 +729,20 @@ def test_format_roundtrips_through_parse():
     assert format_sentences(parse_readings(text)) == text
 
 
-# Pieces of readings files: NFD text, padding, duplicate readings, empty
-# feature lists (``n:b:``, ``,,``), features containing ``:`` and malformed
-# readings and lines.
+# Pieces of readings files: NFD text, padding around readings and their
+# fields, duplicate readings, empty feature lists (``n:b:``, ``,,``),
+# features containing ``:`` and malformed readings and lines.
 NFD_POYTA = unicodedata.normalize("NFD", "pöytä")
 reading_items = st.one_of(
     st.builds(
-        "{3}{0}:{1}{2}{3}".format,
+        "{3}{0}{4}:{4}{1}{2}{3}".format,
         st.sampled_from(("noun", "verb", "n")),
         st.sampled_from(("voi", "pöytä", NFD_POYTA, "b")),
-        st.sampled_from(("", ":", ":,,", ":sg", ":pl,sg,", ":a:b", ":ä,a,,Sg")),
+        st.sampled_from(("", ":", ":,,", ":sg", ":pl,sg,", ":a:b", ":ä,a,,Sg", ": sg , pl", ":a : b, ")),
         st.sampled_from(("", " ", "\t")),
+        st.sampled_from(("", "", " ")),
     ),
-    st.sampled_from(("", " ", "nounvoi", ":voi", "noun:", "n::", "noun")),
+    st.sampled_from(("", " ", "nounvoi", ":voi", "noun:", "n::", "noun", "n: :sg")),
 )
 token_lines = st.builds(
     "{0}\t{1}".format,
@@ -726,6 +767,7 @@ def _error_line(exc: Exception) -> str:
 @given(readings_texts)
 @example("voi\tn:b:;n:b:,,;n:b:a:b;n:b;n:b:a:b\n\n pöytä \tn:b:,x,\n")
 @example("voi\tn:b\nvoi\tn::\n")
+@example("kuusi\tnum :kuusi;noun:kuusi: sg\n")
 def test_parse_readings_matches_the_reference_parser(text):
     """The trusted constructors build what the public ones would, or the
     parser raises the reference's error type at the same line."""

@@ -11,7 +11,6 @@ from comorph.gradation import (
     PATTERNS,
     GradationPattern,
     Grade,
-    gradate_at,
     gradation_arrow,
     gradation_support,
     strengthen,
@@ -53,7 +52,7 @@ def test_priority_ordering_geminates_clusters_singles():
 
 
 def test_deletion_rows_are_exactly_the_four():
-    assert sorted(p.kotus_index for p in PATTERNS if p.deleting) == [1, 2, 3, 6]
+    assert sorted(p.kotus_index for p in PATTERNS if p.weak[1] is None) == [1, 2, 3, 6]
 
 
 @pytest.mark.parametrize("strong,weak", TABLE_ROWS)
@@ -62,7 +61,9 @@ def test_weaken_reproduces_table(strong, weak):
 
 
 def weak_at(word: str, i: int) -> str | None:
-    return gradate_at(from_sequence(word, i), Grade.WEAK)
+    # The arrow's output at ``i``, or None where it logs the cell as deleted.
+    deletions, out = gradation_arrow(Grade.WEAK)(from_sequence(word, i))
+    return None if deletions else out
 
 
 def test_is_pos0_geminate():
@@ -115,14 +116,15 @@ def test_gradate_at_deletes_geminate_tail():
 
 def test_gradate_at_replaces_single():
     assert weak_at("tupa", 2) == "v"
-    assert gradate_at(from_sequence("tuva", 2), Grade.STRONG) == "p"
+    assert gradation_arrow(Grade.STRONG)(from_sequence("tuva", 2)) == (frozenset(), "p")
 
 
 @given(st.text(alphabet="aeikmnoprstuvyäö", min_size=1, max_size=12), st.data())
 def test_gradate_at_yields_exactly_one_outcome(word, data):
     i = data.draw(st.integers(0, len(word) - 1))
-    out = gradate_at(from_sequence(word, i), Grade.WEAK)
-    assert out is None or (isinstance(out, str) and len(out) == 1)
+    deletions, out = gradation_arrow(Grade.WEAK)(from_sequence(word, i))
+    assert deletions in (frozenset(), frozenset({i}))
+    assert isinstance(out, str) and len(out) == 1
 
 
 def test_arrow_logs_deleted_position():

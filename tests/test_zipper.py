@@ -113,6 +113,7 @@ def test_supported_extend_equals_full_extend(z, f, support):
 def test_extend_returns_its_input_when_no_cell_changes(z, f):
     assert extend(z, f, []) is z
     assert extend(z, extract, range(len(z.cells))) is z
+    assert extend(z, extract) is z
 
 
 @pytest.mark.parametrize("positions", [[-1], [0, 3], [3]])
