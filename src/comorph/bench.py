@@ -6,14 +6,12 @@ means. Timings are wall-clock and hardware specific, meant for relative
 comparison only.
 """
 
-from __future__ import annotations
-
 import os
 import statistics
 import time
+from collections import namedtuple
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .cg import ReadingSet, TagIndex, parse_readings, parse_rules, run_cg
 from .gradation import PATTERNS, Grade, weaken
@@ -45,11 +43,7 @@ def demo_rules():
     )
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    label: str
-    mean_us: float
-    std_us: float
+BenchRow = namedtuple("BenchRow", ("label", "mean_us", "std_us"))
 
 
 @contextmanager

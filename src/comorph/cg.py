@@ -30,16 +30,14 @@ does for the non-empty subset of a checked set that it keeps. The public
 ``Reading(...)`` and ``ReadingSet(...)`` keep every check.
 """
 
-from __future__ import annotations
-
 import re
 import unicodedata
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
+from .record import Record
 from .zipper import Zipper, extend, from_sequence, to_sequence
 
 
@@ -61,6 +59,9 @@ FINNISH_TAG_ALIASES = {
     "seikkasana": "adv",
 }
 
+# namedtuple's _make, and so _replace, would skip the checks in __new__.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
 
 class Reading(namedtuple("Reading", ("baseform", "pos", "features"))):
     """One analysis of a token: ``Reading(baseform, pos, features=frozenset())``.
@@ -71,47 +72,43 @@ class Reading(namedtuple("Reading", ("baseform", "pos", "features"))):
 
     __slots__ = ()
 
-    def __new__(cls, baseform: str, pos: str, features: Iterable[str] = frozenset()) -> Reading:
+    def __new__(cls, baseform: str, pos: str, features: Iterable[str] = frozenset()) -> "Reading":
         if not baseform or not pos:
             raise ValueError("a reading needs a non-empty baseform and POS tag")
+        if isinstance(features, str):
+            raise TypeError(f"features must be feature strings, not the string {features!r}")
         features = features if isinstance(features, frozenset) else frozenset(features)
         return tuple.__new__(cls, (baseform, pos, features))
 
-    @classmethod
-    def _make(cls, fields: Iterable) -> Reading:
-        # namedtuple's _make, and so _replace, would skip the check above.
-        return cls(*fields)
+    _make = _checked_make
 
 
-@dataclass(frozen=True, slots=True)
-class ReadingSet:
-    """The candidates still standing for one token. Never empty."""
+class ReadingSet(namedtuple("ReadingSet", ("surface", "readings"))):
+    """The candidates still standing for one token, never empty: a tuple equal to
+    ``(surface, readings)``, compared and hashed in C, whose readings are frozen ``Reading``s."""
 
-    surface: str
-    readings: frozenset[Reading]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.readings, frozenset):
-            object.__setattr__(self, "readings", frozenset(self.readings))
-        if not self.readings:
-            raise ValueError(f"token {self.surface!r} has no readings")
+    def __new__(cls, surface: str, readings: Iterable[Reading]) -> "ReadingSet":
+        if isinstance(readings, str):
+            raise TypeError(f"readings must be Readings, not the string {readings!r}")
+        readings = readings if isinstance(readings, frozenset) else frozenset(readings)
+        if not readings:
+            raise ValueError(f"token {surface!r} has no readings")
+        for r in readings:
+            if not isinstance(r, Reading):
+                raise TypeError(f"readings must be Readings, not {r!r}")
+        return tuple.__new__(cls, (surface, readings))
+
+    _make = _checked_make
 
 
-# Trusted construction, for fields already checked: a Reading is
-# _tuple_new(Reading, (baseform, pos, features)), a ReadingSet _reading_set(...).
-_tuple_new, _new, _set = tuple.__new__, object.__new__, object.__setattr__
+# Trusted construction of checked fields: _tuple_new(Reading or ReadingSet, fields).
+_tuple_new = tuple.__new__
 # A field's slot in a Reading tuple, and the C getter that reads it.
 _SLOT = {"baseform": 0, "pos": 1}
 _GET = {field: itemgetter(slot) for field, slot in _SLOT.items()}
 _BLANK = frozenset(("",))  # the feature that "pos:base:" and ",," leave
-
-
-def _reading_set(surface: str, readings: frozenset[Reading]) -> ReadingSet:
-    # Callers guarantee a non-empty frozenset of Readings.
-    rs = _new(ReadingSet)
-    _set(rs, "surface", surface)
-    _set(rs, "readings", readings)
-    return rs
 
 
 Sentence = list[ReadingSet]
@@ -122,23 +119,22 @@ class RuleAction(Enum):
     REMOVE = "REMOVE"
 
 
-@dataclass(frozen=True, slots=True)
-class ReadingTest:
+class ReadingTest(Record):
     """Passes a reading whose ``field`` (``pos`` or ``baseform``) equals ``value``."""
 
-    field: str
-    value: str
+    __slots__ = ("field", "value")
 
-    def __post_init__(self) -> None:
-        if self.field not in ("pos", "baseform"):
-            raise ValueError(f"a test reads pos or baseform, not {self.field!r}")
+    def __init__(self, field: str, value: str) -> None:
+        if field not in ("pos", "baseform"):
+            raise ValueError(f"a test reads pos or baseform, not {field!r}")
+        super().__init__(field, value)
 
 
-@dataclass(frozen=True, slots=True)
-class Condition:
-    offset: int  # relative token position; 0 is the focus
-    test: ReadingTest
-    negated: bool = False
+class Condition(Record):
+    __slots__ = ("offset", "test", "negated")  # offset: relative token position; 0 is the focus
+
+    def __init__(self, offset: int, test: ReadingTest, negated: bool = False) -> None:
+        super().__init__(offset, test, negated)
 
 
 class TagIndex(dict):
@@ -173,17 +169,19 @@ class TagIndex(dict):
         return values, split
 
 
-@dataclass(frozen=True, slots=True)
-class CgRule:
+class CgRule(Record):
     """A rule as data.
 
     ``run_cg`` runs it as ``extend(z, rule.arrow, rule.reach(index, z.cells))``,
     with ``index = TagIndex(z.cells)`` built once per sentence.
     """
 
-    action: RuleAction
-    target: ReadingTest
-    condition: Condition | None = None
+    __slots__ = ("action", "target", "condition")
+
+    def __init__(
+        self, action: RuleAction, target: ReadingTest, condition: Condition | None = None
+    ) -> None:
+        super().__init__(action, target, condition)
 
     def arrow(self, z: Zipper[ReadingSet]) -> ReadingSet:
         return apply_rule(z, self)
@@ -262,19 +260,10 @@ def parse_rules(text: str) -> list[CgRule]:
         if m is None:
             raise RuleSyntaxError(f"line {line_no}: cannot parse rule {line!r}")
         condition = None
-        if m.group("offset") is not None:
-            condition = Condition(
-                offset=int(m.group("offset")),
-                test=_parse_test(m.group("test"), line_no),
-                negated=m.group("negated") is not None,
-            )
-        rules.append(
-            CgRule(
-                action=RuleAction(m.group("action")),
-                target=_parse_test(m.group("target"), line_no),
-                condition=condition,
-            )
-        )
+        if m["offset"] is not None:
+            test = _parse_test(m["test"], line_no)
+            condition = Condition(int(m["offset"]), test, m["negated"] is not None)
+        rules.append(CgRule(RuleAction(m["action"]), _parse_test(m["target"], line_no), condition))
     return rules
 
 
@@ -304,7 +293,7 @@ def apply_rule(z: Zipper[ReadingSet], rule: CgRule) -> ReadingSet:
             keep.append(r)
     if not keep or len(keep) == len(readings):
         return focus
-    return _reading_set(focus.surface, frozenset(keep))
+    return _tuple_new(ReadingSet, (focus.surface, frozenset(keep)))
 
 
 # Called for every token a rule changed: (rule number, token index, before, after).
@@ -374,7 +363,7 @@ def parse_readings(text: str) -> list[Sentence]:
             readings.add(_tuple_new(Reading, (baseform, pos, features)))
         if not readings:
             raise ReadingsFormatError(f"line {line_no}: token has no readings")
-        current.append(_reading_set(surface, frozenset(readings)))
+        current.append(_tuple_new(ReadingSet, (surface, frozenset(readings))))
     if current:
         sentences.append(current)
     return sentences

@@ -1,12 +1,8 @@
 """Command-line front end. Every command is a thin wrapper over the library."""
 
-from __future__ import annotations
-
 import argparse
 import sys
 
-from . import bench as bench_mod
-from . import laws as laws_mod
 from .cg import (
     format_reading_set,
     format_sentences,
@@ -68,24 +64,26 @@ def _cmd_cg(args: argparse.Namespace) -> int:
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
-    reports = laws_mod.run_all(seed=args.seed, cases=args.cases)
-    failed = False
+    from .laws import run_all  # here, not at the top: other commands start faster
+
+    reports = run_all(seed=args.seed, cases=args.cases)
     for report in reports:
         if report.passed:
             print(f"ok   {report.name} ({report.cases} cases)")
         else:
-            failed = True
             print(f"FAIL {report.name}:")
             for example in report.counterexamples:
                 print(f"     {example}")
-    return 1 if failed else 0
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    with bench_mod.pinned_to_one_core():
-        rows = bench_mod.run_benchmarks(iterations=args.iterations)
+    from .bench import format_table, pinned_to_one_core, run_benchmarks  # as in _cmd_laws
+
+    with pinned_to_one_core():
+        rows = run_benchmarks(iterations=args.iterations)
     print(f"iterations per component: {args.iterations}")
-    print(bench_mod.format_table(rows))
+    print(format_table(rows))
     return 0
 
 

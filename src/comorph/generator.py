@@ -7,14 +7,12 @@ but table lookup followed by the standard pipeline, so corrections to the
 paradigm never touch rule code.
 """
 
-from __future__ import annotations
-
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 
 from .gradation import Grade
 from .pipeline import standard_pipeline
+from .record import Record
 from .vowels import VOWELS
 from .writer import start
 
@@ -34,10 +32,11 @@ class NounCase(Enum):
     TRANSLATIVE = "translative"
 
 
-@dataclass(frozen=True, slots=True)
-class CaseTemplate:
-    suffix: str  # lowercase letters and the placeholders A/O/U/V
-    grade: Grade
+class CaseTemplate(Record):
+    __slots__ = ("suffix", "grade")  # suffix: lowercase letters and the placeholders A/O/U/V
+
+    def __init__(self, suffix: str, grade: Grade) -> None:
+        super().__init__(suffix, grade)
 
 
 CASE_TEMPLATES: dict[NounCase, CaseTemplate] = {

@@ -11,22 +11,15 @@ outside the support is never rewritten. Deletions are reported as positions
 to drop, never applied in place.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
+from .record import Record
 from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, VOWELS
-from .writer import (
-    EMPTY_DELETIONS,
-    DeletionSet,
-    WriterArrow,
-    materialize,
-    start,
-    writer_extend,
-)
+from .writer import EMPTY_DELETIONS, DeletionSet, WriterArrow, materialize, start, writer_extend
 from .zipper import Zipper
+
+Window = tuple[str | None, str | None]  # (left neighbour, focus)
 
 
 class Grade(Enum):
@@ -35,25 +28,25 @@ class Grade(Enum):
     WEAK = "weak"
 
 
-@dataclass(frozen=True, slots=True)
-class GradationPattern:
+class GradationPattern(Record):
     """One alternation row.
 
     Windows are (left neighbour, focus). None at index 0 means any vowel;
     None at index 1 of the weak window means the segment is deleted.
     """
 
-    kotus_index: int
-    strong: tuple[str | None, str]
-    weak: tuple[str | None, str | None]
-    kind: str
-    example: tuple[str, str]
+    __slots__ = ("kotus_index", "strong", "weak", "kind", "example")
 
-    def source_window(self, grade: Grade) -> tuple[str | None, str | None]:
+    def __init__(
+        self, kotus_index: int, strong: Window, weak: Window, kind: str, example: tuple[str, str]
+    ) -> None:
+        super().__init__(kotus_index, strong, weak, kind, example)
+
+    def source_window(self, grade: Grade) -> Window:
         """The side matched against when transforming toward ``grade``."""
         return self.strong if grade is Grade.WEAK else self.weak
 
-    def target_window(self, grade: Grade) -> tuple[str | None, str | None]:
+    def target_window(self, grade: Grade) -> Window:
         return self.weak if grade is Grade.WEAK else self.strong
 
 

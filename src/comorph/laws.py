@@ -8,11 +8,9 @@ full pass. Cases sweep lengths 1 to 20 with every focus position
 represented; failures are shrunk greedily before being reported.
 """
 
-from __future__ import annotations
-
 import random
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .pipeline import compose
 from .writer import EMPTY_DELETIONS, WriterArrow, WriterZipper, lift_pure, writer_extend
@@ -27,11 +25,8 @@ Case = tuple[str, int, int, int]
 Predicate = Callable[[Case], bool]
 
 
-@dataclass
-class SuiteReport:
-    name: str
-    cases: int
-    counterexamples: list[str] = field(default_factory=list)
+class SuiteReport(namedtuple("SuiteReport", ("name", "cases", "counterexamples"))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -187,16 +182,16 @@ def _describe(case: Case) -> str:
 def _run_suite(name: str, holds: Predicate, seed: int, cases: int) -> SuiteReport:
     rng = random.Random(seed)
     shapes = [(n, k) for n in range(1, MAX_LENGTH + 1) for k in range(n)]
-    report = SuiteReport(name=name, cases=cases)
+    counterexamples: list[str] = []
     for i in range(cases):
         length, focus = shapes[i % len(shapes)]
         word = "".join(rng.choice(ALPHABET) for _ in range(length))
         case = (word, focus, rng.randrange(1 << 16), rng.randrange(1 << 16))
         if not holds(case):
-            if len(report.counterexamples) < MAX_REPORTED:
+            if len(counterexamples) < MAX_REPORTED:
                 small = _shrink(case, lambda c: not holds(c))
-                report.counterexamples.append(_describe(small))
-    return report
+                counterexamples.append(_describe(small))
+    return SuiteReport(name, cases, tuple(counterexamples))
 
 
 SUITES: tuple[tuple[str, Predicate], ...] = (

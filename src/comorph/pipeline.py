@@ -9,12 +9,10 @@ pass calling its rule only on its support, the cells its table can change
 exactly once, at the end.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cache
 
 from .gradation import Grade, gradation_arrow, gradation_support
+from .record import Record
 from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, harmony_arrow, possessive_arrow
 from .writer import (
     EMPTY_DELETIONS,
@@ -61,22 +59,24 @@ TRACE_INPUT = "input"
 TRACE_MATERIALIZE = "materialize"
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    stage: str
-    chars: str
-    deletions: DeletionSet
+class TraceRow(Record):
+    __slots__ = ("stage", "chars", "deletions")
+
+    def __init__(self, stage: str, chars: str, deletions: DeletionSet) -> None:
+        super().__init__(stage, chars, deletions)
 
     def render(self) -> str:
         marks = ",".join(str(i) for i in sorted(self.deletions))
         return f"{self.stage}\t{self.chars}\t{marks}"
 
 
-@dataclass(frozen=True)
-class Pipeline:
+class Pipeline(Record):
     """An ordered sequence of named stages, one supported pass each."""
 
-    stages: tuple[Stage, ...]
+    __slots__ = ("stages",)
+
+    def __init__(self, stages: tuple[Stage, ...]) -> None:
+        super().__init__(stages)
 
     def run(self, word: str) -> str:
         wz = start(word)

@@ -8,8 +8,6 @@ vowel outright; a V with no vowel to its left is an error. Underlying forms
 are lowercase except for the placeholders.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 
 from .zipper import Zipper

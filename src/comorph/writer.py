@@ -17,8 +17,6 @@ Words enter through ``start``, the one place that normalizes them to NFC
 and rejects empty input and non-letters.
 """
 
-from __future__ import annotations
-
 import unicodedata
 from collections.abc import Callable
 

@@ -16,8 +16,6 @@ likewise validated once, when a ``WriterZipper`` is built or a pass merges
 what its rule emitted, never per position.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable, Sequence
 from typing import Generic, TypeVar
 

@@ -362,13 +362,16 @@ def exception_section() -> list[str]:
         ("Reading", lambda: Reading("voi", "")),
         ("ReadingSet", lambda: ReadingSet("voi", frozenset())),
         ("ReadingSet", lambda: ReadingSet("voi", [])),
+        ("Reading", lambda: Reading("koira", "noun", "sg")),
+        ("ReadingSet", lambda: ReadingSet("koira", "ab")),
+        ("ReadingSet", lambda: ReadingSet("koira", [("koira", "noun", frozenset())])),
     ]
     lines = []
     for name, call in calls:
         try:
             call()
             lines.append(f"{name}: no error")
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             lines.append(f"{name}: {show_error(exc)}")
     return lines
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import random
 import re
@@ -207,26 +206,65 @@ def test_reading_is_the_tuple_of_its_three_fields():
 
 
 def test_readings_hash_without_a_python_call():
-    """``Reading`` is a tuple, hashed in C.
+    """``Reading`` and ``ReadingSet`` are tuples, hashed and compared in C.
 
     Parsing and every rule pass put readings into sets; a frozen dataclass
-    would run its generated ``__hash__``, Python code, each time.
+    would run its generated ``__hash__``, Python code, each time, and its
+    ``__eq__`` for every comparison of results. Parsing and rule passes
+    build them through the trusted constructor, so no checking ``__new__``
+    runs either.
     """
     rules = parse_rules("SELECT POS=num IF (+1 POS=noun)\nREMOVE BASEFORM=voi")
     text = "kuusi\tnum:kuusi;noun:kuusi:sg,nom\nvoi\tnoun:voi;verb:voida\n"
+    expected = [run_cg(sentence, rules) for sentence in parse_readings(text)]
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name in ("__hash__", "__eq__"):
+        if event == "call" and frame.f_code.co_name in ("__hash__", "__eq__", "__new__"):
             calls.append(frame.f_code.co_filename)
 
     sys.setprofile(profile)
     try:
-        for sentence in parse_readings(text):
-            run_cg(sentence, rules)
+        results = [run_cg(sentence, rules) for sentence in parse_readings(text)]
+        same = results == expected
     finally:
         sys.setprofile(None)
     assert calls == []
+    assert same and results[0][0] is not expected[0][0]
+
+
+def test_public_reading_constructors_refuse_strings_and_non_readings():
+    with pytest.raises(TypeError, match="features must be feature strings, not the string 'sg'"):
+        Reading("koira", "noun", "sg")
+    with pytest.raises(TypeError, match="readings must be Readings, not the string 'ab'"):
+        ReadingSet("koira", "ab")
+    with pytest.raises(TypeError, match="readings must be Readings, not \\('koira', 'noun'"):
+        ReadingSet("koira", [("koira", "noun", frozenset())])
+    with pytest.raises(TypeError, match="features must be feature strings"):
+        Reading("koira", "noun")._replace(features="pl")
+    with pytest.raises(TypeError, match="readings must be Readings"):
+        KOIRAA._replace(readings="koira")
+    with pytest.raises(ValueError, match="token 'koiraa' has no readings"):
+        KOIRAA._replace(readings=())
+
+
+def test_reading_set_is_the_tuple_of_its_two_fields():
+    readings = frozenset({Reading("kuusi", "num"), Reading("kuusi", "noun")})
+    token = ReadingSet("kuusi", readings)
+    assert (token.surface, token.readings) == ("kuusi", readings)
+    assert token == ("kuusi", readings) and hash(token) == hash(("kuusi", readings))
+    assert token == KUUSI and token != ReadingSet("kuusi", [Reading("kuusi", "num")])
+    assert ReadingSet(surface="kuusi", readings=readings) == token
+    assert repr(ReadingSet("koira", [Reading("koira", "noun")])) == (
+        "ReadingSet(surface='koira', readings=frozenset("
+        "{Reading(baseform='koira', pos='noun', features=frozenset())}))"
+    )
+    copy = pickle.loads(pickle.dumps(token))
+    assert type(copy) is ReadingSet and copy == token
+    with pytest.raises(AttributeError):
+        token.surface = "kuuse"
+    with pytest.raises(AttributeError):
+        token.extra = 1
 
 
 # --- predicates and conditions ----------------------------------------------
@@ -562,7 +600,7 @@ def test_support_holds_where_the_target_splits_the_readings(sentence, drawn, ear
 def test_rules_pickle_as_their_three_fields(drawn):
     [rule] = parse_rules(drawn[0])
     assert pickle.loads(pickle.dumps(rule)) == rule
-    assert [f.name for f in dataclasses.fields(rule)] == ["action", "target", "condition"]
+    assert rule.__slots__ == ("action", "target", "condition")
 
 
 def apply_rule_passes(sentence, rules):
