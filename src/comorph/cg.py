@@ -314,13 +314,14 @@ def run_cg(
         positions = rule.reach(index, z.cells)
         if not positions:
             continue
-        before = z
+        before = z.cells
         z = extend(z, rule.arrow, positions)
-        if on_fire is not None and z is not before:
-            # An unchanged token is the very object it was before the pass.
-            for idx, (old, new) in enumerate(zip(to_sequence(before), to_sequence(z))):
-                if old is not new:
-                    on_fire(number, idx, old, new)
+        if on_fire is not None and z.cells is not before:
+            # Only reached tokens can change, and an unchanged one is the very
+            # object it was before the pass.
+            for idx in positions:
+                if before[idx] is not z.cells[idx]:
+                    on_fire(number, idx, before[idx], z.cells[idx])
     return list(to_sequence(z))
 
 

@@ -3,13 +3,6 @@
 import argparse
 import sys
 
-from .cg import (
-    format_reading_set,
-    format_sentences,
-    parse_readings,
-    parse_rules,
-    run_cg,
-)
 from .gradation import PATTERNS, Grade
 from .generator import NounCase, generate
 from .pipeline import HARMONY_STAGE, Pipeline, gradation_stage, run_pipeline
@@ -41,6 +34,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_cg(args: argparse.Namespace) -> int:
+    # Imported here, not at the top, so that other commands start faster.
+    from .cg import format_reading_set, format_sentences, parse_readings, parse_rules, run_cg
+
     with open(args.rules, encoding="utf-8-sig") as fh:
         rules = parse_rules(fh.read())
     with open(args.input, encoding="utf-8-sig") as fh:
@@ -64,7 +60,7 @@ def _cmd_cg(args: argparse.Namespace) -> int:
 
 
 def _cmd_laws(args: argparse.Namespace) -> int:
-    from .laws import run_all  # here, not at the top: other commands start faster
+    from .laws import run_all  # as in _cmd_cg
 
     reports = run_all(seed=args.seed, cases=args.cases)
     for report in reports:
@@ -78,7 +74,7 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import format_table, pinned_to_one_core, run_benchmarks  # as in _cmd_laws
+    from .bench import format_table, pinned_to_one_core, run_benchmarks  # as in _cmd_cg
 
     with pinned_to_one_core():
         rows = run_benchmarks(iterations=args.iterations)

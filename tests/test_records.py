@@ -1,4 +1,7 @@
-"""The record types: built without ``dataclasses``, and loaded without it."""
+"""The record types: built without ``dataclasses``, and loaded without it.
+
+Also what each import loads: only the submodules a call uses.
+"""
 
 from __future__ import annotations
 
@@ -147,3 +150,22 @@ def test_import_loads_neither_dataclasses_nor_the_bench_modules():
     assert "comorph" in library and "comorph.cli" in cli
     assert not {"dataclasses", "inspect"} & set(library)
     assert not {"dataclasses", "statistics", "comorph.bench", "comorph.laws"} & set(cli)
+    # No submodule until a name is read; the CLI loads CG only for `comorph cg`.
+    assert [m for m in library if m.startswith("comorph.")] == []
+    assert "comorph.cg" not in cli
+
+
+def test_the_word_and_cg_paths_load_only_their_own_modules():
+    (word,) = _new_modules("from comorph import generate")
+    assert "comorph.generator" in word and "comorph.cg" not in word
+    (cg,) = _new_modules("from comorph import run_cg")
+    word_modules = {f"comorph.{m}" for m in ("gradation", "writer", "vowels", "pipeline", "generator")}
+    assert "comorph.cg" in cg and not word_modules & set(cg)
+
+
+def test_a_bare_import_still_reaches_the_submodules():
+    submodules = [f"comorph.{m}" for m in ("cg", "gradation", "generator", "pipeline")]
+    submodules += [f"comorph.{m}" for m in ("record", "vowels", "writer", "zipper")]
+    # Reading each as an attribute: an AttributeError fails the child.
+    (loaded,) = _new_modules("import comorph; " + ", ".join(submodules))
+    assert set(submodules) <= set(loaded)
