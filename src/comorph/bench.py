@@ -2,8 +2,9 @@
 
 Each component row times one operation per iteration over a fixed word (or
 sentence) list; avg rows report the mean and spread across the per-input
-means. Timings are wall-clock and hardware specific, meant for relative
-comparison only.
+means, and the mean of the per-input medians, which a few slow outliers (a
+collection, a preemption) do not move as they can move a mean. Timings are
+wall-clock and hardware specific, meant for relative comparison only.
 """
 
 import os
@@ -43,7 +44,7 @@ def demo_rules():
     )
 
 
-BenchRow = namedtuple("BenchRow", ("label", "mean_us", "std_us"))
+BenchRow = namedtuple("BenchRow", ("label", "mean_us", "std_us", "median_us"))
 
 
 @contextmanager
@@ -64,7 +65,7 @@ def pinned_to_one_core() -> Iterator[None]:
             os.sched_setaffinity(0, cores)
 
 
-def _time_op(op: Callable[[], object], iterations: int) -> tuple[float, float]:
+def _time_op(op: Callable[[], object], iterations: int) -> tuple[float, float, float]:
     clock = time.perf_counter_ns
     samples = []
     for _ in range(iterations):
@@ -73,13 +74,13 @@ def _time_op(op: Callable[[], object], iterations: int) -> tuple[float, float]:
         samples.append(clock() - t0)
     mean = statistics.fmean(samples) / 1000.0
     std = statistics.pstdev(samples) / 1000.0
-    return mean, std
+    return mean, std, statistics.median(samples) / 1000.0
 
 
 def _avg_row(label: str, ops: list[Callable[[], object]], iterations: int) -> BenchRow:
-    means = [_time_op(op, iterations)[0] for op in ops]
+    means, _, medians = zip(*[_time_op(op, iterations) for op in ops])
     spread = statistics.pstdev(means) if len(means) > 1 else 0.0
-    return BenchRow(label, statistics.fmean(means), spread)
+    return BenchRow(label, statistics.fmean(means), spread, statistics.fmean(medians))
 
 
 def run_benchmarks(iterations: int = 10_000) -> list[BenchRow]:
@@ -117,15 +118,16 @@ def run_benchmarks(iterations: int = 10_000) -> list[BenchRow]:
         _avg_row(f"full pipeline (avg/{len(pipe_ops)})", pipe_ops, iterations),
         _avg_row(f"single CG rule (avg/{len(single_rule_ops)})", single_rule_ops, iterations),
     ]
-    mean, std = _time_op(lambda: run_cg(sentence, rules), iterations)
-    rows.append(BenchRow(f"full CG ({len(rules)} rules)", mean, std))
+    full_cg = _time_op(lambda: run_cg(sentence, rules), iterations)
+    rows.append(BenchRow(f"full CG ({len(rules)} rules)", *full_cg))
     return rows
 
 
 def format_table(rows: list[BenchRow]) -> str:
     width = max(len(r.label) for r in rows)
-    header = f"{'component'.ljust(width)}  {'mean (µs)':>10}  {'std (µs)':>10}"
+    header = f"{'component'.ljust(width)}  {'mean (µs)':>10}  {'std (µs)':>10}  {'median (µs)'}"
     lines = [header, "-" * len(header)]
     for r in rows:
-        lines.append(f"{r.label.ljust(width)}  {r.mean_us:>10.2f}  {r.std_us:>10.2f}")
+        label = r.label.ljust(width)
+        lines.append(f"{label}  {r.mean_us:>10.2f}  {r.std_us:>10.2f}  {r.median_us:>11.2f}")
     return "\n".join(lines)

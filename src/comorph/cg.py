@@ -24,16 +24,18 @@ where a reading is ``pos:baseform`` or ``pos:baseform:feat(,feat)*``, with
 spaces around each field stripped. Both parsers normalize their text to NFC, so
 a rule and a reading written in different Unicode forms still match.
 
-A reading is validated once, where it enters: ``parse_readings`` checks each
-line, then builds through private trusted constructors, as ``apply_rule``
-does for the non-empty subset of a checked set that it keeps. The public
-``Reading(...)`` and ``ReadingSet(...)`` keep every check.
+A reading is validated once, where it enters: ``iter_readings`` checks each
+line, yielding a sentence at a time (``parse_readings`` lists them), and builds
+through private trusted constructors, as ``apply_rule`` does for the non-empty
+subset of a checked set that it keeps. The public ``Reading(...)`` and
+``ReadingSet(...)`` keep every check. A rule is read once too: ``CgRule``
+computes a plan from its fields, and ``apply_rule`` and ``reach`` read that.
 """
 
 import re
 import unicodedata
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from operator import itemgetter
 
@@ -109,6 +111,7 @@ _tuple_new = tuple.__new__
 _SLOT = {"baseform": 0, "pos": 1}
 _GET = {field: itemgetter(slot) for field, slot in _SLOT.items()}
 _BLANK = frozenset(("",))  # the feature that "pos:base:" and ",," leave
+_NO_FEATURES = frozenset()  # shared by every reading written without features
 
 
 Sentence = list[ReadingSet]
@@ -169,11 +172,17 @@ class TagIndex(dict):
         return values, split
 
 
-class CgRule(Record):
+class _Planned(Record):
+    __slots__ = ("_plan",)  # what a rule derives from its fields; not a field itself
+
+
+class CgRule(_Planned):
     """A rule as data.
 
     ``run_cg`` runs it as ``extend(z, rule.arrow, rule.reach(index, z.cells))``,
-    with ``index = TagIndex(z.cells)`` built once per sentence.
+    with ``index = TagIndex(z.cells)`` built once per sentence. Building a rule
+    also computes its plan, ``(select, field, slot, value, condition)``, with
+    ``condition`` None or ``(offset, field, get, value, negated)``.
     """
 
     __slots__ = ("action", "target", "condition")
@@ -182,6 +191,11 @@ class CgRule(Record):
         self, action: RuleAction, target: ReadingTest, condition: Condition | None = None
     ) -> None:
         super().__init__(action, target, condition)
+        c = condition
+        if c is not None:
+            c = (c.offset, c.test.field, _GET[c.test.field], c.test.value, c.negated)
+        select, field = action is RuleAction.SELECT, target.field
+        object.__setattr__(self, "_plan", (select, field, _SLOT[field], target.value, c))
 
     def arrow(self, z: Zipper[ReadingSet]) -> ReadingSet:
         return apply_rule(z, self)
@@ -195,22 +209,21 @@ class CgRule(Record):
         tested value. A candidate the run has changed since is kept only if the
         target still splits its readings, tested inline with no call per candidate.
         """
-        field, value = self.target.field, self.target.value
+        _, field, _, value, condition = self._plan
         positions = index[field][1].get(value)
         if positions is None:
             return []
-        condition = self.condition
-        narrow = condition is not None and not condition.negated
+        indexed, reached = index.cells, []
+        narrow = condition is not None and not condition[4]  # a NOT is not narrowed
         if narrow:
-            values = index[condition.test.field][0]
-            tag, offset, n = condition.test.value, condition.offset, len(values)
-        get, indexed, reached = _GET[field], index.cells, []
+            offset, test_field, _, tag, _ = condition
+            values, n = index[test_field][0], len(indexed)
         for i in positions:
             if narrow and not (0 <= i + offset < n and tag in values[i + offset]):
                 continue
             token = cells[i]
             if token is not indexed[i]:
-                here = set(map(get, token.readings))
+                here = set(map(_GET[field], token.readings))
                 if len(here) < 2 or value not in here:
                     continue
             reached.append(i)
@@ -267,26 +280,21 @@ def parse_rules(text: str) -> list[CgRule]:
     return rules
 
 
-def eval_condition(z: Zipper[ReadingSet], condition: Condition) -> bool:
-    """Check a positional condition from the focus of ``z``.
-
-    The base result is true when some reading at focus+offset satisfies the
-    test, false when none does or the offset leaves the sentence; NOT flips
-    that final result, so a negated test fires at the boundary too.
-    """
-    i, cells, test = z.index + condition.offset, z.cells, condition.test
-    hit = 0 <= i < len(cells) and test.value in map(_GET[test.field], cells[i].readings)
-    return hit != condition.negated
-
-
 def apply_rule(z: Zipper[ReadingSet], rule: CgRule) -> ReadingSet:
-    """One rule at one token; never returns an empty reading set."""
+    """One rule at one token; never returns an empty reading set.
+
+    The condition holds when some reading at focus+offset passes its test,
+    and not when none does or the offset leaves the sentence; NOT flips that
+    result, so a negated condition holds at the boundary too.
+    """
+    select, _, slot, value, condition = rule._plan
     focus = z.focus
-    if rule.condition is not None and not eval_condition(z, rule.condition):
-        return focus
+    if condition is not None:
+        offset, _, get, tag, negated = condition
+        i, cells = z.index + offset, z.cells
+        if (0 <= i < len(cells) and tag in map(get, cells[i].readings)) == negated:
+            return focus
     readings = focus.readings
-    slot, value = _SLOT[rule.target.field], rule.target.value
-    select = rule.action is RuleAction.SELECT
     keep = []
     for r in readings:
         if (r[slot] == value) == select:
@@ -325,19 +333,17 @@ def run_cg(
     return list(to_sequence(z))
 
 
-def parse_readings(text: str) -> list[Sentence]:
-    """Parse a readings file into sentences.
+def iter_readings(text: str) -> Iterator[Sentence]:
+    """Parse a readings file one sentence at a time, yielding each as it ends.
 
-    Raises ReadingsFormatError for a token with no readings or a malformed
-    reading.
+    Raises ReadingsFormatError, with the line number in the whole text, for a
+    token with no readings or a malformed reading, once it reaches that line.
     """
-    sentences: list[Sentence] = []
     current: Sentence = []
-    text = unicodedata.normalize("NFC", text)
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(unicodedata.normalize("NFC", text).splitlines(), start=1):
         if not line.strip():
             if current:
-                sentences.append(current)
+                yield current
                 current = []
             continue
         surface, sep, rest = line.partition("\t")
@@ -348,38 +354,50 @@ def parse_readings(text: str) -> list[Sentence]:
             )
         readings = set()
         for token in rest.split(";"):
-            token = token.strip()
-            if not token:
-                continue
-            parts = token.split(":", 2)
-            pos, baseform = parts[0].strip(), (parts[1].strip() if len(parts) > 1 else "")
+            pos, _, tail = token.partition(":")
+            baseform, colon, features = tail.partition(":")
+            pos, baseform = pos.strip(), baseform.strip()
             if not pos or not baseform:
+                if not token.strip():
+                    continue
                 raise ReadingsFormatError(
-                    f"line {line_no}: malformed reading {token!r} "
+                    f"line {line_no}: malformed reading {token.strip()!r} "
                     "(expected pos:baseform or pos:baseform:feat,feat)"
                 )
-            features = frozenset()
-            if len(parts) == 3:
-                features = frozenset(map(str.strip, parts[2].split(","))) - _BLANK
+            features = frozenset(map(str.strip, features.split(","))) if colon else _NO_FEATURES
+            if "" in features:
+                features -= _BLANK
             readings.add(_tuple_new(Reading, (baseform, pos, features)))
         if not readings:
             raise ReadingsFormatError(f"line {line_no}: token has no readings")
         current.append(_tuple_new(ReadingSet, (surface, frozenset(readings))))
     if current:
-        sentences.append(current)
-    return sentences
+        yield current
+
+
+def parse_readings(text: str) -> list[Sentence]:
+    """Parse a whole readings file into sentences; see ``iter_readings``."""
+    return list(iter_readings(text))
 
 
 def format_reading_set(rs: ReadingSet) -> str:
     # Ordered by (pos, baseform, sorted features), each key built once.
+    keys = []
+    for baseform, pos, features in rs.readings:
+        keys.append((pos, baseform, sorted(features) if features else []))
+    keys.sort()
     out = []
-    for pos, baseform, features in sorted([(r[1], r[0], sorted(r[2])) for r in rs.readings]):
+    for pos, baseform, features in keys:
         out.append(f"{pos}:{baseform}:{','.join(features)}" if features else f"{pos}:{baseform}")
     return ";".join(out)
 
 
 def format_sentences(sentences: Iterable[Sentence]) -> str:
-    """Render sentences back to the TSV format, deterministically ordered."""
-    return "\n\n".join(
-        ["\n".join([f"{rs.surface}\t{format_reading_set(rs)}" for rs in s]) for s in sentences]
-    )
+    """Render sentences, drawn one at a time, back to the TSV format, deterministically ordered."""
+    out = []
+    for sentence in sentences:
+        lines = []
+        for rs in sentence:
+            lines.append(f"{rs.surface}\t{format_reading_set(rs)}")
+        out.append("\n".join(lines))
+    return "\n\n".join(out)

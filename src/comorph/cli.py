@@ -35,25 +35,25 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_cg(args: argparse.Namespace) -> int:
     # Imported here, not at the top, so that other commands start faster.
-    from .cg import format_reading_set, format_sentences, parse_readings, parse_rules, run_cg
+    from .cg import format_reading_set, format_sentences, iter_readings, parse_rules, run_cg
 
     with open(args.rules, encoding="utf-8-sig") as fh:
         rules = parse_rules(fh.read())
     with open(args.input, encoding="utf-8-sig") as fh:
-        sentences = parse_readings(fh.read())
+        text = fh.read()
+    fired: list[str] = []
 
     def trace(rule_no: int, token_idx: int, before, after) -> None:
-        print(
+        fired.append(
             f"rule {rule_no} fired at token {token_idx + 1}: "
-            f"{format_reading_set(before)} → {format_reading_set(after)}",
-            file=sys.stderr,
+            f"{format_reading_set(before)} → {format_reading_set(after)}"
         )
 
-    results = [
-        run_cg(sentence, rules, on_fire=trace if args.trace else None)
-        for sentence in sentences
-    ]
-    out = format_sentences(results)
+    # Sentence by sentence; printed only once all of it parsed, so a bad line prints nothing.
+    on_fire = trace if args.trace else None
+    out = format_sentences(run_cg(s, rules, on_fire=on_fire) for s in iter_readings(text))
+    if fired:
+        print("\n".join(fired), file=sys.stderr)
     if out:
         print(out)
     return 0

@@ -120,9 +120,14 @@ def extend(
         )
     out = None
     for i in positions:
-        new = f(_at(cells, i))
-        if new is not cells[i]:
+        # _at(cells, i), written out: this is the per-visit cost.
+        view = _new(Zipper)
+        view.cells = cells
+        view.index = i
+        view.focus = c = cells[i]
+        b = f(view)
+        if b is not c:
             if out is None:
                 out = list(cells)
-            out[i] = new
+            out[i] = b
     return z if out is None else _at(tuple(out), z.index)

@@ -1,0 +1,263 @@
+"""Named mutants of comorph's source, each with the tests that must fail on it.
+
+Run from anywhere; it finds the checkout from its own path::
+
+    python tests/mutants.py              # every mutant in the table
+    python tests/mutants.py NAME [NAME]  # only these
+
+For each mutant it copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, replaces the mutant's snippet in the copy and runs
+pytest there on the mutant's tests, so a test that starts a fresh interpreter
+on ``src/`` sees the mutant too. It prints one line per mutant: ``killed``
+or ``survived``, with the number of failing tests. It exits 1 when a mutant
+survives, when its snippet does not occur exactly once in its file, or when
+pytest cannot run its tests; so code that moves must move its mutant too.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# file is relative to src/comorph; tests are pytest paths from the checkout's root.
+Mutant = namedtuple("Mutant", ("name", "file", "snippet", "replacement", "tests"))
+
+CG_TESTS = ("tests/test_cg.py",)
+
+MUTANTS = (
+    # The rule plan, the readings parser, the formatter and streaming `comorph cg`.
+    Mutant(
+        "plan-drops-negated",
+        "cg.py",
+        "c.test.value, c.negated)",
+        "c.test.value, False)",
+        CG_TESTS,
+    ),
+    Mutant(
+        "apply-rule-compares-not-equal-to-negated",
+        "cg.py",
+        "cells[i].readings)) == negated:",
+        "cells[i].readings)) != negated:",
+        CG_TESTS,
+    ),
+    Mutant("parser-keeps-the-blank-feature", "cg.py", "features -= _BLANK", "pass", CG_TESTS),
+    Mutant(
+        "format-reading-set-skips-its-sort",
+        "cg.py",
+        "    keys.sort()\n",
+        "",
+        CG_TESTS,
+    ),
+    Mutant(
+        "cg-command-prints-each-sentence-as-it-goes",
+        "cli.py",
+        "    out = format_sentences(run_cg(s, rules, on_fire=on_fire) for s in iter_readings(text))\n"
+        "    if fired:\n"
+        '        print("\\n".join(fired), file=sys.stderr)\n'
+        "    if out:\n"
+        "        print(out)\n",
+        "    for n, s in enumerate(iter_readings(text)):\n"
+        '        print(("\\n" if n else "") + format_sentences([run_cg(s, rules, on_fire=on_fire)]))\n'
+        "    if fired:\n"
+        '        print("\\n".join(fired), file=sys.stderr)\n',
+        ("tests/test_cli.py",),
+    ),
+    # CG mutants of earlier changes.
+    Mutant(
+        "parser-keeps-spaces-around-the-pos",
+        "cg.py",
+        "pos, baseform = pos.strip(), baseform.strip()",
+        "baseform = baseform.strip()",
+        CG_TESTS,
+    ),
+    Mutant(
+        "parser-keeps-spaces-around-features",
+        "cg.py",
+        'frozenset(map(str.strip, features.split(",")))',
+        'frozenset(features.split(","))',
+        CG_TESTS,
+    ),
+    Mutant(
+        "format-key-leaves-features-unsorted",
+        "cg.py",
+        "sorted(features) if features else []",
+        "list(features)",
+        CG_TESTS,
+    ),
+    Mutant(
+        "reach-trusts-the-index-for-changed-tokens",
+        "cg.py",
+        "            if token is not indexed[i]:\n",
+        "            if False:\n",
+        CG_TESTS,
+    ),
+    Mutant(
+        "reach-keeps-a-token-the-target-no-longer-splits",
+        "cg.py",
+        "if len(here) < 2 or value not in here:",
+        "if value not in here:",
+        CG_TESTS,
+    ),
+    Mutant(
+        "apply-rule-builds-through-the-checking-constructor",
+        "cg.py",
+        "return _tuple_new(ReadingSet, (focus.surface, frozenset(keep)))",
+        "return ReadingSet(focus.surface, frozenset(keep))",
+        CG_TESTS,
+    ),
+    Mutant(
+        "trace-skips-the-first-reached-token",
+        "cg.py",
+        "            for idx in positions:\n",
+        "            for idx in positions[1:]:\n",
+        CG_TESTS,
+    ),
+    Mutant(
+        "reading-keeps-features-unfrozen",
+        "cg.py",
+        "        features = features if isinstance(features, frozenset) else frozenset(features)\n",
+        "",
+        CG_TESTS,
+    ),
+    Mutant(
+        "reading-accepts-a-string-of-features",
+        "cg.py",
+        "        if isinstance(features, str):\n",
+        "        if False:\n",
+        CG_TESTS,
+    ),
+    Mutant(
+        "reading-set-accepts-non-readings",
+        "cg.py",
+        "            if not isinstance(r, Reading):\n",
+        "            if False:\n",
+        CG_TESTS,
+    ),
+    # The word path.
+    Mutant(
+        "writer-extend-returns-its-input-when-no-cell-changed",
+        "writer.py",
+        "    if merged is not log:\n"
+        "        _check(merged, len(cells))\n"
+        "    elif out is cells:\n"
+        "        return wz\n",
+        "    if out is cells:\n"
+        "        return wz\n"
+        "    if merged is not log:\n"
+        "        _check(merged, len(cells))\n",
+        ("tests/test_acceptance.py::test_criterion_1_gradation_table_fidelity",),
+    ),
+    Mutant(
+        "extend-always-rebuilds",
+        "zipper.py",
+        "return z if out is None else _at(tuple(out), z.index)",
+        "return _at(tuple(cells if out is None else out), z.index)",
+        ("tests/test_zipper.py",),
+    ),
+    Mutant(
+        "gradation-tables-without-the-kelvin-sign",
+        "gradation.py",
+        '("\\u212a" if letter == "k" else "")',
+        '""',
+        ("tests/test_gradation.py",),
+    ),
+    Mutant(
+        "generate-skips-start-on-its-error-path",
+        "generator.py",
+        "        start(lemma)\n",
+        "",
+        ("tests/test_generator.py",),
+    ),
+    # Records and lazy loading.
+    Mutant(
+        "record-allows-deleting-a-field",
+        "record.py",
+        "    __delattr__ = __setattr__\n",
+        "",
+        ("tests/test_records.py",),
+    ),
+    Mutant(
+        "eager-cg-import-in-the-package",
+        "__init__.py",
+        '__version__ = "0.1.0"\n',
+        '__version__ = "0.1.0"\nfrom . import cg  # noqa: E402\n',
+        ("tests/test_records.py",),
+    ),
+    Mutant(
+        "eager-cg-import-in-the-cli",
+        "cli.py",
+        "import sys\n\n",
+        "import sys\n\nfrom . import cg  # noqa: F401\n",
+        ("tests/test_records.py",),
+    ),
+    Mutant(
+        "lazy-export-not-stored",
+        "__init__.py",
+        "    globals()[name] = value\n",
+        "",
+        ("tests/test_exports.py",),
+    ),
+    Mutant(
+        "lazy-exports-without-the-submodules",
+        "__init__.py",
+        "_HOME.update((module, module) for module in _EXPORTS)\n",
+        "",
+        ("tests/test_records.py", "tests/test_exports.py"),
+    ),
+)
+
+
+def source(mutant: Mutant, root: Path = ROOT) -> str:
+    return (root / "src" / "comorph" / mutant.file).read_text(encoding="utf-8")
+
+
+def run(mutant: Mutant) -> tuple[str, int]:
+    """``(outcome, failing tests)``, the outcome ``killed``, ``survived`` or an error."""
+    found = source(mutant).count(mutant.snippet)
+    if found != 1:
+        return f"snippet found {found} times", 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "comorph" / mutant.file
+        path.write_text(source(mutant, copy).replace(mutant.snippet, mutant.replacement), "utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors", *mutant.tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    failing = sum(int(n) for n in re.findall(r"(\d+) (?:failed|errors?)\b", done.stdout))
+    if done.returncode == 0:
+        return "survived", 0
+    if done.returncode == 1 and failing:
+        return "killed", failing
+    return f"pytest exited {done.returncode}", failing
+
+
+def main(names: list[str]) -> int:
+    table = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in table]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for mutant in [table[name] for name in names] or MUTANTS:
+        outcome, failing = run(mutant)
+        bad += outcome != "killed"
+        print(f"{outcome:<10} {failing:>3} failing  {mutant.name}", flush=True)
+    print(f"{len(names) or len(MUTANTS)} mutants, {bad} not killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -23,8 +23,8 @@ from comorph.cg import (
     RuleSyntaxError,
     TagIndex,
     apply_rule,
-    eval_condition,
     format_sentences,
+    iter_readings,
     parse_readings,
     parse_rules,
     run_cg,
@@ -115,6 +115,14 @@ def test_parse_unknown_predicate_reports_line():
 def test_parse_malformed_condition_rejected():
     with pytest.raises(RuleSyntaxError):
         parse_rules("SELECT POS=num IF (+1)")
+
+
+def test_iter_readings_yields_a_sentence_before_a_later_malformed_line():
+    sentences = iter_readings("kuusi\tnum:kuusi;noun:kuusi\n\nkoiraa\tnoun:koira\n\nkoira\tnoun\n")
+    assert next(sentences) == [KUUSI]
+    assert next(sentences) == [KOIRAA]
+    with pytest.raises(ReadingsFormatError, match=r"^line 5: malformed reading 'noun' "):
+        next(sentences)
 
 
 def test_parse_readings_two_sentences():
@@ -290,20 +298,27 @@ def test_reading_test_compares_only_pos_or_baseform():
         ReadingTest("features", "sg")
 
 
+def select_num_if(condition):
+    # Splits KUUSI's readings, so at KUUSI it acts exactly when the condition holds.
+    return CgRule(RuleAction.SELECT, ReadingTest("pos", "num"), condition)
+
+
 def test_condition_looks_ahead():
     z = from_sequence((KUUSI, KOIRAA), 0)
-    assert eval_condition(z, Condition(1, ReadingTest("pos", "noun")))
-    assert not eval_condition(z, Condition(1, ReadingTest("pos", "verb")))
+    noun_next = select_num_if(Condition(1, ReadingTest("pos", "noun")))
+    assert apply_rule(z, noun_next) == rs("kuusi", ("num", "kuusi"))
+    assert apply_rule(z, select_num_if(Condition(1, ReadingTest("pos", "verb")))) is KUUSI
 
 
 def test_condition_out_of_bounds_is_false():
-    z = from_sequence((KUUSI, KOIRAA), 1)
-    assert not eval_condition(z, Condition(1, ReadingTest("pos", "noun")))
+    z = from_sequence((KOIRAA, KUUSI), 1)
+    assert apply_rule(z, select_num_if(Condition(1, ReadingTest("pos", "noun")))) is KUUSI
 
 
 def test_negated_condition_fires_at_boundary():
-    z = from_sequence((KUUSI, KOIRAA), 1)
-    assert eval_condition(z, Condition(1, ReadingTest("pos", "noun"), negated=True))
+    z = from_sequence((KOIRAA, KUUSI), 1)
+    no_noun_next = select_num_if(Condition(1, ReadingTest("pos", "noun"), negated=True))
+    assert apply_rule(z, no_noun_next) == rs("kuusi", ("num", "kuusi"))
 
 
 # --- rule application --------------------------------------------------------

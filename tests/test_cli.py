@@ -150,6 +150,21 @@ def test_cg_trace_reports_firings(tmp_path, capsys):
     assert "rule 1 fired at token 1: noun:kuusi;num:kuusi → num:kuusi" in err
 
 
+def test_cg_malformed_later_line_prints_nothing(tmp_path, capsys):
+    """A sentence that parses and fires comes before the bad line, yet stdout
+    stays empty and no trace line is printed: output is all or nothing."""
+    rules = tmp_path / "rules.txt"
+    rules.write_text(RULES_NUM, encoding="utf-8")
+    readings = tmp_path / "sentences.tsv"
+    readings.write_text(READINGS_KUUSI + "\nkoira\tnoun\n", encoding="utf-8")
+    code, out, err = run(capsys, "cg", "--trace", str(rules), str(readings))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: line 4: malformed reading 'noun' "
+        "(expected pos:baseform or pos:baseform:feat,feat)\n"
+    )
+
+
 def test_cg_matches_a_decomposed_rule_file(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text(nfd("SELECT POS=noun IF (+1 BASEFORM=kenkä)\n"), encoding="utf-8")

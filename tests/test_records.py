@@ -116,9 +116,9 @@ def test_shipped_records_survive_a_pickle():
 
 
 def test_bench_and_law_rows_are_named_tuples():
-    row = BenchRow("full pipeline", 1.5, 0.25)
-    assert row == ("full pipeline", 1.5, 0.25) and row.mean_us == 1.5
-    assert repr(row) == "BenchRow(label='full pipeline', mean_us=1.5, std_us=0.25)"
+    row = BenchRow("full pipeline", 1.5, 0.25, 1.25)
+    assert row == ("full pipeline", 1.5, 0.25, 1.25) and row.mean_us == 1.5
+    assert repr(row) == "BenchRow(label='full pipeline', mean_us=1.5, std_us=0.25, median_us=1.25)"
     report = SuiteReport("deletion-monoid", 10, ())
     assert report.passed and not SuiteReport("x", 1, ("word='a'",)).passed
     assert pickle.loads(pickle.dumps(report)) == report
