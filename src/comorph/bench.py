@@ -1,10 +1,15 @@
 """Per-rule latency microbenchmarks.
 
-Each component row times one operation per iteration over a fixed word (or
-sentence) list; avg rows report the mean and spread across the per-input
-means, and the mean of the per-input medians, which a few slow outliers (a
-collection, a preemption) do not move as they can move a mean. Timings are
-wall-clock and hardware specific, meant for relative comparison only.
+Each row times calls the program makes: gradation is ``weaken`` on the
+``PATTERNS`` examples, harmony and possessive copy are the one-stage
+pipelines that ``comorph harmony`` builds, the full pipeline is
+``run_pipeline``, a single CG rule is the pass ``run_cg`` runs for it, and
+full CG is ``run_cg`` on the demo sentence. Every input of a row is timed
+``iterations`` times, and the row reports the mean, population standard
+deviation and median of all those samples pooled; a few slow outliers (a
+collection, a preemption) do not move the median as they can move a mean.
+Timings are wall-clock and hardware specific, meant for relative comparison
+only.
 """
 
 import os
@@ -16,8 +21,7 @@ from contextlib import contextmanager
 
 from .cg import ReadingSet, TagIndex, parse_readings, parse_rules, run_cg
 from .gradation import PATTERNS, Grade, weaken
-from .pipeline import run_pipeline
-from .vowels import harmony_arrow, possessive_arrow
+from .pipeline import HARMONY_STAGE, POSSESSIVE_STAGE, Pipeline, run_pipeline
 from .zipper import extend, from_sequence
 
 HARMONY_WORDS = ("talossA", "kynässA", "pöydässA", "tiessA")
@@ -65,62 +69,41 @@ def pinned_to_one_core() -> Iterator[None]:
             os.sched_setaffinity(0, cores)
 
 
-def _time_op(op: Callable[[], object], iterations: int) -> tuple[float, float, float]:
+def _row(label: str, ops: list[Callable[[], object]], iterations: int) -> BenchRow:
     clock = time.perf_counter_ns
     samples = []
-    for _ in range(iterations):
-        t0 = clock()
-        op()
-        samples.append(clock() - t0)
-    mean = statistics.fmean(samples) / 1000.0
-    std = statistics.pstdev(samples) / 1000.0
-    return mean, std, statistics.median(samples) / 1000.0
-
-
-def _avg_row(label: str, ops: list[Callable[[], object]], iterations: int) -> BenchRow:
-    means, _, medians = zip(*[_time_op(op, iterations) for op in ops])
-    spread = statistics.pstdev(means) if len(means) > 1 else 0.0
-    return BenchRow(label, statistics.fmean(means), spread, statistics.fmean(medians))
+    for op in ops:
+        for _ in range(iterations):
+            t0 = clock()
+            op()
+            samples.append(clock() - t0)
+    mean, std = statistics.fmean(samples), statistics.pstdev(samples)
+    return BenchRow(label, mean / 1000.0, std / 1000.0, statistics.median(samples) / 1000.0)
 
 
 def run_benchmarks(iterations: int = 10_000) -> list[BenchRow]:
-    """Time every component with ``iterations`` iterations each."""
+    """Time every component with ``iterations`` iterations of each input."""
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    grad_ops = [
-        (lambda w=strong: weaken(w)) for strong, _ in (p.example for p in PATTERNS)
-    ]
-    harmony_ops = [
-        (lambda w=w: extend(from_sequence(w, 0), harmony_arrow)) for w in HARMONY_WORDS
-    ]
-    poss_ops = [
-        (lambda w=w: extend(from_sequence(w, 0), possessive_arrow))
-        for w in POSSESSIVE_WORDS
-    ]
-    pipe_ops = [
-        (lambda w=w: run_pipeline(w, Grade.WEAK)) for w in PIPELINE_WORDS
-    ]
-
+    harmony, possessive = Pipeline((HARMONY_STAGE,)), Pipeline((POSSESSIVE_STAGE,))
     sentence = demo_sentence()
     rules = demo_rules()
     zipped = from_sequence(tuple(sentence), 0)
     # One rule's pass exactly as run_cg runs it, over the tokens its target and
     # condition can reach; run_cg builds the index once per sentence.
     index = TagIndex(zipped.cells)
-    single_rule_ops = [
-        (lambda r=rule: extend(zipped, r.arrow, r.reach(index, zipped.cells))) for rule in rules
-    ]
-
-    rows = [
-        _avg_row(f"gradation (avg/{len(grad_ops)})", grad_ops, iterations),
-        _avg_row(f"harmony (avg/{len(harmony_ops)})", harmony_ops, iterations),
-        _avg_row(f"possessive (avg/{len(poss_ops)})", poss_ops, iterations),
-        _avg_row(f"full pipeline (avg/{len(pipe_ops)})", pipe_ops, iterations),
-        _avg_row(f"single CG rule (avg/{len(single_rule_ops)})", single_rule_ops, iterations),
-    ]
-    full_cg = _time_op(lambda: run_cg(sentence, rules), iterations)
-    rows.append(BenchRow(f"full CG ({len(rules)} rules)", *full_cg))
-    return rows
+    ops = {
+        "gradation": [(lambda w=strong: weaken(w)) for strong, _ in (p.example for p in PATTERNS)],
+        "harmony": [(lambda w=w: harmony.run(w)) for w in HARMONY_WORDS],
+        "possessive": [(lambda w=w: possessive.run(w)) for w in POSSESSIVE_WORDS],
+        "full pipeline": [(lambda w=w: run_pipeline(w, Grade.WEAK)) for w in PIPELINE_WORDS],
+        "single CG rule": [
+            (lambda r=r: extend(zipped, r.arrow, r.reach(index, zipped.cells))) for r in rules
+        ],
+    }
+    rows = [_row(f"{name} (avg/{len(fs)})", fs, iterations) for name, fs in ops.items()]
+    full_cg = [lambda: run_cg(sentence, rules)]
+    return [*rows, _row(f"full CG ({len(rules)} rules)", full_cg, iterations)]
 
 
 def format_table(rows: list[BenchRow]) -> str:

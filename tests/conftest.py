@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
+from hypothesis import Phase, settings
 
 from comorph.laws import char_arrow, deleting_arrow
 from comorph.writer import WriterZipper
 from comorph.zipper import from_sequence
+
+# tests/mutants.py runs each mutant's tests under this profile: a failing
+# property need only fail, so its counterexample is not shrunk.
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 LAW_ALPHABET = "abcdgh"
 FINNISH_LOWER = "abdeghijklmnoprstuvyäö"

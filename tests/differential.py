@@ -12,11 +12,12 @@ random words of the contract alphabet, with NFD text, upper-case letters,
 U+212A KELVIN SIGN, non-letters and the empty word, through ``run_pipeline``
 and ``Pipeline.trace`` at both grades, ``weaken`` and ``strengthen``; lemmas,
 bad ones among them, through ``generate`` in every case, plain and with the
-possessive; then ``comorph grad [--trace]`` and ``comorph pipeline`` by way of
-``cli.main``. Last comes a fixed list of inputs that must raise. An exception
-is printed as its type and message. Every set is printed in sorted order, so
-the transcript depends on the seed and the scale only, never on
-``PYTHONHASHSEED``.
+possessive; then ``comorph grad [--trace]``, ``comorph pipeline`` and
+``comorph harmony`` by way of ``cli.main``, on one list of words, and
+``comorph dump-patterns``. Last comes a fixed list of inputs that must raise.
+An exception is printed as its type and message. Every set is printed in
+sorted order, so the transcript depends on the seed and the scale only, never
+on ``PYTHONHASHSEED``.
 
 The script imports ``comorph`` from the ``src`` directory of the tree it sits
 in. To compare a change with its parent, run it in both trees at one seed
@@ -333,13 +334,14 @@ def word_cli_sections(rng: random.Random, words: int) -> dict[str, list[str]]:
         "comorph grad --trace": ["grad", "--trace"],
         "comorph pipeline": ["pipeline"],
     }
-    sections: dict[str, list[str]] = {name: [] for name in commands}
+    sections: dict[str, list[str]] = {name: [] for name in [*commands, "comorph harmony"]}
     for case in range(words):
         word = contract_word(rng)
         for name, argv in commands.items():
             for grade in Grade:
                 result = _cli([*argv, word, "--grade", grade.value])
                 sections[name].append(f"case {case} {grade.value} {word!r}\n{result}")
+        sections["comorph harmony"].append(f"case {case} {word!r}\n{_cli(['harmony', word])}")
     return sections
 
 
@@ -382,6 +384,7 @@ def transcript(seed: int, scale: int) -> str:
     sections.update(cli_sections(rng, CLI_PAIRS * scale))
     sections.update(word_sections(rng, WORDS * scale, LEMMAS * scale))
     sections.update(word_cli_sections(rng, CLI_WORDS * scale))
+    sections["comorph dump-patterns"] = [_cli(["dump-patterns"])]
     sections["exceptions"] = exception_section()
     return "".join(
         f"== {name}\n" + "".join(f"{line}\n" for line in lines)

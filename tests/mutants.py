@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 Mutant = namedtuple("Mutant", ("name", "file", "snippet", "replacement", "tests"))
 
 CG_TESTS = ("tests/test_cg.py",)
+BENCH_TESTS = ("tests/test_bench.py",)
 
 MUTANTS = (
     # The rule plan, the readings parser, the formatter and streaming `comorph cg`.
@@ -210,6 +211,49 @@ MUTANTS = (
         "",
         ("tests/test_records.py", "tests/test_exports.py"),
     ),
+    # comorph bench: one row function over the calls the program makes.
+    Mutant(
+        "bench-row-drops-the-first-input",
+        "bench.py",
+        "    for op in ops:\n",
+        "    for op in ops[1:]:\n",
+        BENCH_TESTS,
+    ),
+    Mutant(
+        "bench-row-times-each-input-once",
+        "bench.py",
+        "for _ in range(iterations):",
+        "for _ in range(1):",
+        BENCH_TESTS,
+    ),
+    Mutant(
+        "bench-row-reports-the-sample-std",
+        "bench.py",
+        "statistics.pstdev(samples)",
+        "statistics.stdev(samples)",
+        BENCH_TESTS,
+    ),
+    Mutant(
+        "bench-row-reports-the-mean-as-the-median",
+        "bench.py",
+        "statistics.median(samples)",
+        "statistics.fmean(samples)",
+        BENCH_TESTS,
+    ),
+    Mutant(
+        "bench-harmony-row-runs-the-possessive-stage",
+        "bench.py",
+        "Pipeline((HARMONY_STAGE,))",
+        "Pipeline((POSSESSIVE_STAGE,))",
+        BENCH_TESTS,
+    ),
+    Mutant(
+        "bench-possessive-row-runs-the-full-pipeline",
+        "bench.py",
+        "possessive.run(w)",
+        "run_pipeline(w, Grade.WEAK)",
+        BENCH_TESTS,
+    ),
 )
 
 
@@ -233,7 +277,7 @@ def run(mutant: Mutant) -> tuple[str, int]:
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors", *mutant.tests],
+             "--continue-on-collection-errors", "--hypothesis-profile=mutants", *mutant.tests],
             cwd=copy, env=env, capture_output=True, text=True,
         )
     failing = sum(int(n) for n in re.findall(r"(\d+) (?:failed|errors?)\b", done.stdout))

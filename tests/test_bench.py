@@ -1,0 +1,53 @@
+from __future__ import annotations
+
+import re
+import statistics
+import time
+
+from comorph import bench
+from comorph.gradation import Grade
+from comorph.pipeline import HARMONY_STAGE, POSSESSIVE_STAGE, Pipeline, standard_pipeline
+
+
+def test_each_row_reports_the_statistics_of_its_pooled_samples(monkeypatch):
+    """Every input of a row is timed ``iterations`` times, and the row pools the samples."""
+    ticks = []
+
+    def clock() -> int:
+        # Cubes: each sample is longer than the one before, so the mean, the
+        # median and both standard deviations of any run of samples differ.
+        ticks.append(len(ticks) ** 3)
+        return ticks[-1]
+
+    monkeypatch.setattr(time, "perf_counter_ns", clock)
+    iterations = 3
+    rows = bench.run_benchmarks(iterations=iterations)
+    monkeypatch.undo()
+    assert len(ticks) % 2 == 0
+    samples = [end - begin for begin, end in zip(ticks[::2], ticks[1::2])]
+    for row in rows:
+        found = re.search(r"\(avg/(\d+)\)", row.label)
+        count = (int(found.group(1)) if found else 1) * iterations
+        pooled, samples = samples[:count], samples[count:]
+        assert len(pooled) == count
+        assert row.mean_us == statistics.fmean(pooled) / 1000.0
+        assert row.std_us == statistics.pstdev(pooled) / 1000.0
+        assert row.median_us == statistics.median(pooled) / 1000.0
+    assert samples == []
+
+
+def test_vowel_rows_run_the_one_stage_pipelines(monkeypatch):
+    calls = []
+    run = Pipeline.run
+
+    def recording_run(self: Pipeline, word: str) -> str:
+        calls.append((self.stages, word))
+        return run(self, word)
+
+    monkeypatch.setattr(Pipeline, "run", recording_run)
+    bench.run_benchmarks(iterations=1)
+    assert calls == [
+        *(((HARMONY_STAGE,), w) for w in bench.HARMONY_WORDS),
+        *(((POSSESSIVE_STAGE,), w) for w in bench.POSSESSIVE_WORDS),
+        *((standard_pipeline(Grade.WEAK).stages, w) for w in bench.PIPELINE_WORDS),
+    ]

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 # sha256 of the seed-3, scale-1 transcript: the same on CPython 3.10, 3.11 and 3.12.
-PIN = "ede8715631d335c771b54d189f4e7d11c8fba332e61356f35ec4e122a80d154b"
+PIN = "4935ca04d77d2e7557c4991ee732773bd1d193c646621ade4ab80d62d0217252"
 HARNESS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "differential.py")
 SECTIONS = [
     "parse_rules",
@@ -23,6 +23,8 @@ SECTIONS = [
     "comorph grad",
     "comorph grad --trace",
     "comorph pipeline",
+    "comorph harmony",
+    "comorph dump-patterns",
     "exceptions",
 ]
 
