@@ -8,16 +8,15 @@ full CG is ``run_cg`` on the demo sentence. Every input of a row is timed
 ``iterations`` times, and the row reports the mean, population standard
 deviation and median of all those samples pooled; a few slow outliers (a
 collection, a preemption) do not move the median as they can move a mean.
-Timings are wall-clock and hardware specific, meant for relative comparison
-only.
+``comorph bench`` prints exactly the rows that acceptance criterion 9 reads,
+timed by the same code with the process's own CPU affinity. Timings are
+wall-clock and hardware specific, meant for relative comparison only.
 """
 
-import os
 import statistics
 import time
 from collections import namedtuple
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 
 from .cg import ReadingSet, TagIndex, parse_readings, parse_rules, run_cg
 from .gradation import PATTERNS, Grade, weaken
@@ -49,24 +48,6 @@ def demo_rules():
 
 
 BenchRow = namedtuple("BenchRow", ("label", "mean_us", "std_us", "median_us"))
-
-
-@contextmanager
-def pinned_to_one_core() -> Iterator[None]:
-    """Run the body on one core, then restore the process's old affinity.
-
-    Best effort; keeps a long run from migrating between cores.
-    """
-    try:
-        cores = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {min(cores)})
-    except (AttributeError, OSError):
-        cores = None
-    try:
-        yield
-    finally:
-        if cores is not None:
-            os.sched_setaffinity(0, cores)
 
 
 def _row(label: str, ops: list[Callable[[], object]], iterations: int) -> BenchRow:

@@ -74,10 +74,9 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import format_table, pinned_to_one_core, run_benchmarks  # as in _cmd_cg
+    from .bench import format_table, run_benchmarks  # as in _cmd_cg
 
-    with pinned_to_one_core():
-        rows = run_benchmarks(iterations=args.iterations)
+    rows = run_benchmarks(iterations=args.iterations)
     print(f"iterations per component: {args.iterations}")
     print(format_table(rows))
     return 0

@@ -13,8 +13,10 @@ emitted, once per pass; the views a pass hands to its rule share the checked
 log. A pass given its rule's support calls the rule only at the cells in it,
 and a pass that changes nothing returns the zipper it was given.
 
-Words enter through ``start``, the one place that normalizes them to NFC
-and rejects empty input and non-letters.
+Words enter through ``start``, which normalizes them to NFC and rejects
+empty input and non-letters. The word path normalizes in one other place:
+``generate`` normalizes its lemma to NFC to read the lemma's last letter,
+before ``start`` sees the whole underlying form.
 """
 
 import unicodedata

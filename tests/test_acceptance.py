@@ -154,6 +154,11 @@ def test_criterion_9_latency_bounds():
     rows = {r.label.split(" (")[0]: r for r in run_benchmarks(iterations=10_000)}
     pipeline = rows["full pipeline"]
     components = [rows["gradation"], rows["harmony"], rows["possessive"]]
+    largest = max(components, key=lambda c: c.mean_us)
+    print(
+        f"full pipeline {pipeline.mean_us:.2f} µs, largest component {largest.label} "
+        f"{largest.mean_us:.2f} µs, ratio {pipeline.mean_us / largest.mean_us:.2f}"
+    )
     ok = pipeline.mean_us < 100.0
     ok = ok and all(pipeline.mean_us >= c.mean_us for c in components)
     report(9, "pipeline latency under budget and above components", ok)

@@ -775,8 +775,27 @@ def test_runs_are_deterministic():
 
 def test_format_roundtrips_through_parse():
     koiralle = Reading("koira", "noun", frozenset({"sg", "all"}))
-    sentences = [[KUUSI, KOIRAA], [EI, VOI], [ReadingSet("koiralle", frozenset({koiralle}))]]
+    # Six readings: their set order depends on the hash seed, so only sorting
+    # gives one line for every seed.
+    voit = [
+        Reading("voida", "verb", frozenset({"sg3", "pres", "act"})),
+        Reading("voi", "noun", frozenset({"sg", "nom"})),
+        Reading("voida", "verb", frozenset({"neg", "act"})),
+        Reading("voi", "interj"),
+        Reading("voida", "verb", frozenset({"sg2", "imp", "act"})),
+        Reading("voi", "noun", frozenset({"pl", "nom"})),
+    ]
+    sentences = [
+        [KUUSI, KOIRAA],
+        [EI, VOI],
+        [ReadingSet("voi", frozenset(voit))],
+        [ReadingSet("koiralle", frozenset({koiralle}))],
+    ]
     text = format_sentences(sentences)
+    assert text.split("\n\n")[2] == (
+        "voi\tinterj:voi;noun:voi:nom,pl;noun:voi:nom,sg;"
+        "verb:voida:act,imp,sg2;verb:voida:act,neg;verb:voida:act,pres,sg3"
+    )
     assert text.endswith("koiralle\tnoun:koira:all,sg")
     assert parse_readings(text) == sentences
     assert format_sentences(parse_readings(text)) == text

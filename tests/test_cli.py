@@ -220,6 +220,14 @@ def test_bench_command_restores_cpu_affinity(capsys):
     assert os.sched_getaffinity(0) == before
 
 
+def test_bench_command_sets_no_cpu_affinity(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda *args: calls.append(args), raising=False)
+    code, _, _ = run(capsys, "bench", "--iterations", "1")
+    assert code == 0
+    assert calls == []
+
+
 def test_dump_patterns(capsys):
     code, out, _ = run(capsys, "dump-patterns")
     assert code == 0
