@@ -42,7 +42,7 @@ class WriterZipper(Zipper[str]):
 
     Being a zipper itself, it can be handed to a pure rule or to ``extract``
     as it is; the ``zipper`` property gives the same cursor without the log.
-    Building one checks that every logged position lies inside the word.
+    Building one freezes the log and checks that each position is in the word.
     """
 
     __slots__ = ("log",)
@@ -50,6 +50,7 @@ class WriterZipper(Zipper[str]):
     log: DeletionSet
 
     def __init__(self, log: DeletionSet, zipper: Zipper[str]) -> None:
+        log = frozenset(log)
         _check(log, len(zipper.cells))
         self.cells = zipper.cells
         self.index = zipper.index

@@ -155,6 +155,13 @@ MUTANTS = (
         ("tests/test_acceptance.py::test_criterion_1_gradation_table_fidelity",),
     ),
     Mutant(
+        "writer-zipper-keeps-the-log-unfrozen",
+        "writer.py",
+        "        log = frozenset(log)\n",
+        "",
+        ("tests/test_writer.py",),
+    ),
+    Mutant(
         "extend-always-rebuilds",
         "zipper.py",
         "return z if out is None else _at(tuple(out), z.index)",
@@ -174,6 +181,14 @@ MUTANTS = (
         "        start(lemma)\n",
         "",
         ("tests/test_generator.py",),
+    ),
+    # The law suites: criterion 3 names every suite in SUITES.
+    Mutant(
+        "laws-table-drops-compose-equivalence",
+        "laws.py",
+        '    ("writer-compose-equivalence", _holds_compose_equivalence),\n',
+        "",
+        ("tests/test_acceptance.py", "tests/test_cli.py"),
     ),
     # Records and lazy loading.
     Mutant(

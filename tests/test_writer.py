@@ -114,6 +114,21 @@ def test_out_of_range_log_rejected_at_birth():
         WriterZipper(frozenset({-1}), kaappi_at(0))
 
 
+def test_a_log_given_as_a_set_is_frozen_at_birth():
+    log = {1}
+    wz = WriterZipper(log, from_sequence("abc", 0))
+    frozen = WriterZipper(frozenset({1}), from_sequence("abc", 0))
+    assert hash(wz) == hash(frozen)
+    assert wz == frozen
+    log.add(99)
+    assert wz.log == frozenset({1})
+    assert materialize(wz) == "ac"
+    drop_c = lambda v: (frozenset({v.index}) if v.focus == "c" else EMPTY_DELETIONS, v.focus)
+    out = writer_extend(drop_c, wz)
+    assert type(out.log) is frozenset
+    assert out.log == frozenset({1, 2})
+
+
 def test_out_of_range_deletion_from_a_rule_rejected():
     wz = WriterZipper(frozenset(), kaappi_at(0))
     with pytest.raises(ValueError):
