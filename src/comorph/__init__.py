@@ -19,8 +19,8 @@ _EXPORTS = {
     "cg": "CgRule Condition Reading ReadingSet ReadingTest ReadingsFormatError RuleAction "
     "RuleSyntaxError parse_readings parse_rules run_cg",
     "generator": "CaseTemplate NounCase UnsupportedStemError generate",
-    "gradation": "Grade GradationPattern PATTERNS strengthen weaken",
-    "pipeline": "Pipeline compose run_pipeline standard_pipeline",
+    "gradation": "Grade GradationPattern PATTERNS",
+    "pipeline": "Pipeline compose run_pipeline standard_pipeline strengthen weaken",
     "record": "",
     "vowels": "HarmonyClass detect_harmony",
     "writer": "DeletionSet WriterZipper lift_pure materialize writer_extend",

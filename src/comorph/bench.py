@@ -1,8 +1,8 @@
 """Per-rule latency microbenchmarks.
 
-Each row times calls the program makes: gradation is ``weaken`` on the
-``PATTERNS`` examples, harmony and possessive copy are the one-stage
-pipelines that ``comorph harmony`` builds, the full pipeline is
+Each row times calls the program makes: gradation (``weaken`` on the
+``PATTERNS`` examples), harmony and possessive copy are the one-stage
+pipelines ``comorph grad`` and ``comorph harmony`` run, the full pipeline is
 ``run_pipeline``, a single CG rule is the pass ``run_cg`` runs for it, and
 full CG is ``run_cg`` on the demo sentence. Every input of a row is timed
 ``iterations`` times, and the row reports the mean, population standard
@@ -19,8 +19,8 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .cg import ReadingSet, TagIndex, parse_readings, parse_rules, run_cg
-from .gradation import PATTERNS, Grade, weaken
-from .pipeline import HARMONY_STAGE, POSSESSIVE_STAGE, Pipeline, run_pipeline
+from .gradation import PATTERNS, Grade
+from .pipeline import HARMONY_STAGE, POSSESSIVE_STAGE, Pipeline, run_pipeline, weaken
 from .zipper import extend, from_sequence
 
 HARMONY_WORDS = ("talossA", "kynässA", "pöydässA", "tiessA")

@@ -5,11 +5,11 @@ import sys
 
 from .gradation import PATTERNS, Grade
 from .generator import NounCase, generate
-from .pipeline import HARMONY_STAGE, Pipeline, gradation_stage, run_pipeline
+from .pipeline import HARMONY_STAGE, Pipeline, gradation_pipeline, run_pipeline
 
 
 def _cmd_grad(args: argparse.Namespace) -> int:
-    pipeline = Pipeline((gradation_stage(Grade(args.grade)),))
+    pipeline = gradation_pipeline(Grade(args.grade))
     if args.trace:
         for row in pipeline.trace(args.word):
             print(row.render())

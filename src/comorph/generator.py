@@ -64,15 +64,15 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     """Inflect ``lemma`` for ``case``, optionally adding the 3rd-person
     possessive ending.
 
-    Only vowel-final stems are supported; consonant-final stems would need
-    epenthetic material the rule set cannot insert. A lemma refused here meets
-    ``start`` first; the pipeline validates the rest, once.
+    Only stems ending in a lowercase vowel are supported; consonant-final stems
+    would need epenthetic material the rule set cannot insert. A lemma refused
+    here meets ``start`` first; the pipeline validates the rest, once.
     """
     lemma = unicodedata.normalize("NFC", lemma)
     if not lemma or lemma[-1] not in VOWELS:
         start(lemma)
         raise UnsupportedStemError(
-            f"unsupported stem {lemma!r}: only vowel-final lemmas are handled"
+            f"unsupported stem {lemma!r}: only lemmas ending in a lowercase vowel are handled"
         )
     template = CASE_TEMPLATES[case]
     underlying = lemma + template.suffix

@@ -16,7 +16,7 @@ from functools import cache
 
 from .record import Record
 from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, VOWELS
-from .writer import EMPTY_DELETIONS, DeletionSet, WriterArrow, materialize, start, writer_extend
+from .writer import EMPTY_DELETIONS, DeletionSet, WriterArrow
 from .zipper import Zipper
 
 Window = tuple[str | None, str | None]  # (left neighbour, focus)
@@ -137,23 +137,3 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
         return (EMPTY_DELETIONS, out)
 
     return arrow
-
-
-def _grade_word(word: str, grade: Grade) -> str:
-    graded = writer_extend(gradation_arrow(grade), start(word), gradation_support(grade))
-    return materialize(graded)
-
-
-def weaken(word: str) -> str:
-    """Strong grade to weak grade across the whole word."""
-    return _grade_word(word, Grade.WEAK)
-
-
-def strengthen(word: str) -> str:
-    """Weak grade to strong grade across the whole word.
-
-    Deletion patterns (weakened geminates and dropped k) leave no weak-side
-    window to match, so they come back unchanged; restoring them would need
-    insertion, which this engine does not do.
-    """
-    return _grade_word(word, Grade.STRONG)

@@ -71,7 +71,7 @@ class TraceRow(Record):
 
 
 class Pipeline(Record):
-    """An ordered sequence of named stages, one supported pass each."""
+    """Named stages in order, one supported pass each; the only driver of word passes."""
 
     __slots__ = ("stages",)
 
@@ -107,3 +107,23 @@ def standard_pipeline(grade: Grade) -> Pipeline:
 def run_pipeline(word: str, grade: Grade) -> str:
     """Surface form of ``word`` after the standard three stages."""
     return standard_pipeline(grade).run(word)
+
+
+@cache
+def gradation_pipeline(grade: Grade) -> Pipeline:
+    """Gradation toward ``grade`` alone, the run of ``comorph grad``; built once per grade."""
+    return Pipeline((gradation_stage(grade),))
+
+
+def weaken(word: str) -> str:
+    """Strong grade to weak grade across the whole word."""
+    return gradation_pipeline(Grade.WEAK).run(word)
+
+
+def strengthen(word: str) -> str:
+    """Weak grade to strong grade across the whole word.
+
+    Deletion patterns (weakened geminates and dropped k) leave no weak-side window
+    to match, so they come back unchanged: restoring them would need insertion.
+    """
+    return gradation_pipeline(Grade.STRONG).run(word)

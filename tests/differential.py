@@ -51,8 +51,8 @@ from comorph.cg import (  # noqa: E402
 )
 from comorph.cli import main as cli_main  # noqa: E402
 from comorph.generator import NounCase, generate  # noqa: E402
-from comorph.gradation import Grade, strengthen, weaken  # noqa: E402
-from comorph.pipeline import run_pipeline, standard_pipeline  # noqa: E402
+from comorph.gradation import Grade  # noqa: E402
+from comorph.pipeline import run_pipeline, standard_pipeline, strengthen, weaken  # noqa: E402
 
 # Cases per unit of --scale.
 FILE_PAIRS = 150

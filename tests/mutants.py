@@ -176,19 +176,33 @@ MUTANTS = (
         ("tests/test_gradation.py",),
     ),
     Mutant(
+        "weaken-grades-toward-strong",
+        "pipeline.py",
+        "return gradation_pipeline(Grade.WEAK).run(word)",
+        "return gradation_pipeline(Grade.STRONG).run(word)",
+        ("tests/test_gradation.py",),
+    ),
+    Mutant(
         "generate-skips-start-on-its-error-path",
         "generator.py",
         "        start(lemma)\n",
         "",
         ("tests/test_generator.py",),
     ),
-    # The law suites: criterion 3 names every suite in SUITES.
+    # The law suites: criterion 3 names every suite in SUITES; failures are shrunk.
     Mutant(
         "laws-table-drops-compose-equivalence",
         "laws.py",
         '    ("writer-compose-equivalence", _holds_compose_equivalence),\n',
         "",
         ("tests/test_acceptance.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "laws-report-the-unshrunk-case",
+        "laws.py",
+        "small = _shrink(case, lambda c: not holds(c))",
+        "small = case",
+        ("tests/test_cli.py",),
     ),
     # Records and lazy loading.
     Mutant(

@@ -11,9 +11,9 @@ import time
 from comorph import laws
 from comorph.bench import run_benchmarks
 from comorph.cg import apply_rule, parse_rules, run_cg
-from comorph.gradation import PATTERNS, Grade, strengthen, weaken
+from comorph.gradation import PATTERNS, Grade
 from comorph.generator import NounCase, generate
-from comorph.pipeline import run_pipeline
+from comorph.pipeline import run_pipeline, strengthen, weaken
 from comorph.vowels import harmony_arrow
 from comorph.zipper import extend, from_sequence, to_sequence
 from oracles import sentinel_pipeline

@@ -5,8 +5,14 @@ import statistics
 import time
 
 from comorph import bench
-from comorph.gradation import Grade
-from comorph.pipeline import HARMONY_STAGE, POSSESSIVE_STAGE, Pipeline, standard_pipeline
+from comorph.gradation import PATTERNS, Grade
+from comorph.pipeline import (
+    HARMONY_STAGE,
+    POSSESSIVE_STAGE,
+    Pipeline,
+    gradation_pipeline,
+    standard_pipeline,
+)
 
 
 def test_each_row_reports_the_statistics_of_its_pooled_samples(monkeypatch):
@@ -36,7 +42,8 @@ def test_each_row_reports_the_statistics_of_its_pooled_samples(monkeypatch):
     assert samples == []
 
 
-def test_vowel_rows_run_the_one_stage_pipelines(monkeypatch):
+def test_component_rows_run_one_stage_pipelines(monkeypatch):
+    """Gradation, harmony and possessive each time a one-stage pipeline; then the full one."""
     calls = []
     run = Pipeline.run
 
@@ -47,6 +54,7 @@ def test_vowel_rows_run_the_one_stage_pipelines(monkeypatch):
     monkeypatch.setattr(Pipeline, "run", recording_run)
     bench.run_benchmarks(iterations=1)
     assert calls == [
+        *((gradation_pipeline(Grade.WEAK).stages, w) for w, _ in (p.example for p in PATTERNS)),
         *(((HARMONY_STAGE,), w) for w in bench.HARMONY_WORDS),
         *(((POSSESSIVE_STAGE,), w) for w in bench.POSSESSIVE_WORDS),
         *((standard_pipeline(Grade.WEAK).stages, w) for w in bench.PIPELINE_WORDS),

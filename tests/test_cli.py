@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from comorph import laws
 from comorph.cli import main
 
 RULES_NUM = "SELECT POS=num IF (+1 POS=noun)\n"
@@ -189,6 +190,18 @@ def test_laws_command(capsys):
     code, out, _ = run(capsys, "laws", "--seed", "5", "--cases", "60")
     assert code == 0
     assert out.count("ok") == 9
+
+
+def test_laws_command_reports_failures_shrunk_and_capped(monkeypatch, capsys):
+    """A failing suite reports at most MAX_REPORTED counterexamples, each shrunk."""
+    monkeypatch.setattr(laws, "SUITES", (("short-words", lambda case: len(case[0]) < 3),))
+    [report] = laws.run_all(seed=0, cases=60)
+    assert not report.passed
+    assert len(report.counterexamples) == laws.MAX_REPORTED == 5
+    assert all(example.startswith("word='aaa'") for example in report.counterexamples)
+    code, out, _ = run(capsys, "laws", "--cases", "60")
+    assert code == 1
+    assert out.splitlines() == ["FAIL short-words:", *(f"     {e}" for e in report.counterexamples)]
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

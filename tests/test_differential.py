@@ -7,9 +7,9 @@ import sys
 
 # sha256 of the scale-1 transcript at each seed: the same on CPython 3.10, 3.11 and 3.12.
 PINS = {
-    0: "71c989e3bf426bb9ab0c60a165b19d7b73fbfb60f4c4a517dc75fcef55d761d1",
-    1: "2fd6122d8ec5465ab2cb78388f4267dd823bc23b7a961bdc168e68776096d3d9",
-    3: "4935ca04d77d2e7557c4991ee732773bd1d193c646621ade4ab80d62d0217252",
+    0: "866f33b9567a5b58610d4a453d690f9174d4eda100a434e17469bc63cb638f10",
+    1: "f2c827f223d672c72fc28e94d5263c6cfe839d736483b0d3f1a5dda9d16a7562",
+    3: "493bdf7397c6869779a37082158eacbab90661912ac10831889c3f8ed7087062",
 }
 HARNESS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "differential.py")
 SECTIONS = [

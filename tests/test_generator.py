@@ -136,7 +136,7 @@ def test_consonant_final_lemma_rejected():
         generate("kaunis", NounCase.GENITIVE)
 
 
-VOWEL_FINAL_ONLY = "only vowel-final lemmas are handled"
+VOWEL_FINAL_ONLY = "only lemmas ending in a lowercase vowel are handled"
 
 
 @pytest.mark.parametrize(
@@ -152,6 +152,7 @@ VOWEL_FINAL_ONLY = "only vowel-final lemmas are handled"
         ),
         ("kalan", UnsupportedStemError, f"unsupported stem 'kalan': {VOWEL_FINAL_ONLY}"),
         ("KALA", UnsupportedStemError, f"unsupported stem 'KALA': {VOWEL_FINAL_ONLY}"),
+        ("KAAPPI", UnsupportedStemError, f"unsupported stem 'KAAPPI': {VOWEL_FINAL_ONLY}"),
     ],
 )
 @pytest.mark.parametrize("case", [NounCase.NOMINATIVE, NounCase.GENITIVE, NounCase.ILLATIVE])

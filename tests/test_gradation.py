@@ -7,15 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from comorph.gradation import (
-    PATTERNS,
-    GradationPattern,
-    Grade,
-    gradation_arrow,
-    gradation_support,
-    strengthen,
-    weaken,
-)
+from comorph.gradation import PATTERNS, GradationPattern, Grade, gradation_arrow, gradation_support
+from comorph.pipeline import strengthen, weaken
 from comorph.vowels import VOWELS
 from comorph.writer import WriterZipper, materialize, writer_extend
 from comorph.zipper import from_sequence
