@@ -1,9 +1,10 @@
 """Inflected surface forms from a lemma and a noun case.
 
-The case data lives in one table: a suffix written with harmony
-placeholders plus the stem grade that case takes (closed syllables take
+The paradigm lives in one table. A row holds everything its case does: the
+suffix, the suffix with the 3rd-person possessive ending written out, both
+with harmony placeholders, and the pipeline it runs (closed syllables take
 the weak grade, open syllables the strong). Generation itself is nothing
-but table lookup followed by the standard pipeline, so corrections to the
+but one row lookup followed by that pipeline, so corrections to the
 paradigm never touch rule code.
 """
 
@@ -11,7 +12,7 @@ import unicodedata
 from enum import Enum
 
 from .gradation import Grade
-from .pipeline import standard_pipeline
+from .pipeline import Pipeline, standard_pipeline
 from .record import Record
 from .vowels import VOWELS
 from .writer import start
@@ -33,27 +34,28 @@ class NounCase(Enum):
 
 
 class CaseTemplate(Record):
-    __slots__ = ("suffix", "grade")  # suffix: lowercase letters and the placeholders A/O/U/V
+    # suffix and poss3: lowercase letters and the placeholders A/O/U/V
+    __slots__ = ("suffix", "poss3", "pipeline")
 
-    def __init__(self, suffix: str, grade: Grade) -> None:
-        super().__init__(suffix, grade)
+    def __init__(self, suffix: str, poss3: str, pipeline: Pipeline) -> None:
+        super().__init__(suffix, poss3, pipeline)
 
+
+_WEAK, _STRONG = standard_pipeline(Grade.WEAK), standard_pipeline(Grade.STRONG)
 
 CASE_TEMPLATES: dict[NounCase, CaseTemplate] = {
-    NounCase.NOMINATIVE: CaseTemplate("", Grade.STRONG),
-    NounCase.GENITIVE: CaseTemplate("n", Grade.WEAK),
-    NounCase.PARTITIVE: CaseTemplate("A", Grade.STRONG),
-    NounCase.INESSIVE: CaseTemplate("ssA", Grade.WEAK),
-    NounCase.ELATIVE: CaseTemplate("stA", Grade.WEAK),
-    NounCase.ILLATIVE: CaseTemplate("Vn", Grade.STRONG),
-    NounCase.ADESSIVE: CaseTemplate("llA", Grade.WEAK),
-    NounCase.ABLATIVE: CaseTemplate("ltA", Grade.WEAK),
-    NounCase.ALLATIVE: CaseTemplate("lle", Grade.WEAK),
-    NounCase.ESSIVE: CaseTemplate("nA", Grade.STRONG),
-    NounCase.TRANSLATIVE: CaseTemplate("ksi", Grade.WEAK),
+    NounCase.NOMINATIVE: CaseTemplate("", "Vn", _STRONG),
+    NounCase.GENITIVE: CaseTemplate("n", "nVn", _WEAK),
+    NounCase.PARTITIVE: CaseTemplate("A", "AVn", _STRONG),
+    NounCase.INESSIVE: CaseTemplate("ssA", "ssAVn", _WEAK),
+    NounCase.ELATIVE: CaseTemplate("stA", "stAVn", _WEAK),
+    NounCase.ILLATIVE: CaseTemplate("Vn", "Vn", _STRONG),
+    NounCase.ADESSIVE: CaseTemplate("llA", "llAVn", _WEAK),
+    NounCase.ABLATIVE: CaseTemplate("ltA", "ltAVn", _WEAK),
+    NounCase.ALLATIVE: CaseTemplate("lle", "lleVn", _WEAK),
+    NounCase.ESSIVE: CaseTemplate("nA", "nAVn", _STRONG),
+    NounCase.TRANSLATIVE: CaseTemplate("ksi", "ksiVn", _WEAK),
 }
-
-POSSESSIVE_3_SUFFIX = "Vn"
 
 
 class UnsupportedStemError(ValueError):
@@ -74,8 +76,5 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
         raise UnsupportedStemError(
             f"unsupported stem {lemma!r}: only lemmas ending in a lowercase vowel are handled"
         )
-    template = CASE_TEMPLATES[case]
-    underlying = lemma + template.suffix
-    if possessive_3 and not template.suffix.endswith(POSSESSIVE_3_SUFFIX):
-        underlying += POSSESSIVE_3_SUFFIX
-    return standard_pipeline(template.grade).run(underlying)
+    row = CASE_TEMPLATES[case]
+    return row.pipeline.run(lemma + (row.poss3 if possessive_3 else row.suffix))

@@ -152,9 +152,7 @@ def _shrink(case: Case, failing: Predicate) -> Case:
     changed = True
     while changed:
         changed = False
-        for i in range(len(word)):
-            if len(word) == 1:
-                break
+        for i in range(len(word) if len(word) > 1 else 0):
             shorter = word[:i] + word[i + 1 :]
             refocus = min(focus if focus <= i else focus - 1, len(shorter) - 1)
             candidate = (shorter, max(refocus, 0), fs, gs)

@@ -30,6 +30,7 @@ Mutant = namedtuple("Mutant", ("name", "file", "snippet", "replacement", "tests"
 
 CG_TESTS = ("tests/test_cg.py",)
 BENCH_TESTS = ("tests/test_bench.py",)
+PARADIGM_TESTS = ("tests/test_paradigm_table.py",)
 
 MUTANTS = (
     # The rule plan, the readings parser, the formatter and streaming `comorph cg`.
@@ -188,6 +189,35 @@ MUTANTS = (
         "        start(lemma)\n",
         "",
         ("tests/test_generator.py",),
+    ),
+    # The case table, checked against paradigms written from Finnish grammar.
+    Mutant(
+        "partitive-runs-the-weak-pipeline",
+        "generator.py",
+        'CaseTemplate("A", "AVn", _STRONG)',
+        'CaseTemplate("A", "AVn", _WEAK)',
+        PARADIGM_TESTS,
+    ),
+    Mutant(
+        "essive-runs-the-weak-pipeline",
+        "generator.py",
+        'CaseTemplate("nA", "nAVn", _STRONG)',
+        'CaseTemplate("nA", "nAVn", _WEAK)',
+        PARADIGM_TESTS,
+    ),
+    Mutant(
+        "allative-ending-takes-harmony",
+        "generator.py",
+        'CaseTemplate("lle", "lleVn", _WEAK)',
+        'CaseTemplate("llA", "llAVn", _WEAK)',
+        PARADIGM_TESTS,
+    ),
+    Mutant(
+        "inessive-poss3-cell-drops-its-ending",
+        "generator.py",
+        'CaseTemplate("ssA", "ssAVn", _WEAK)',
+        'CaseTemplate("ssA", "ssA", _WEAK)',
+        PARADIGM_TESTS,
     ),
     # The law suites: criterion 3 names every suite in SUITES; failures are shrunk.
     Mutant(

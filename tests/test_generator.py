@@ -13,7 +13,7 @@ from comorph.generator import (
     generate,
 )
 from comorph.gradation import Grade
-from comorph.pipeline import run_pipeline
+from comorph.pipeline import run_pipeline, standard_pipeline
 
 
 def test_template_table_covers_all_cases():
@@ -24,9 +24,10 @@ def test_template_table_covers_all_cases():
 def test_generate_hashes_its_enums_without_a_python_call():
     """Grade and NounCase set ``__hash__ = object.__hash__``.
 
-    ``Enum.__hash__`` is Python code, and ``generate`` hashes a member twice
-    per call: the ``CASE_TEMPLATES`` lookup and the cached ``standard_pipeline``.
-    Members equal only themselves, so hashing by identity keeps the tables.
+    ``Enum.__hash__`` is Python code, and ``generate`` hashes a member once
+    per call, in the ``CASE_TEMPLATES`` lookup; the cached ``standard_pipeline``
+    hashes a ``Grade`` when the table is built. Members equal only themselves,
+    so hashing by identity keeps the tables.
     """
     hashes = []
 
@@ -43,15 +44,16 @@ def test_generate_hashes_its_enums_without_a_python_call():
 
 
 def test_template_spot_checks():
-    assert CASE_TEMPLATES[NounCase.GENITIVE] == CaseTemplate("n", Grade.WEAK)
-    assert CASE_TEMPLATES[NounCase.INESSIVE] == CaseTemplate("ssA", Grade.WEAK)
-    assert CASE_TEMPLATES[NounCase.NOMINATIVE] == CaseTemplate("", Grade.STRONG)
-    assert CASE_TEMPLATES[NounCase.ILLATIVE] == CaseTemplate("Vn", Grade.STRONG)
+    weak, strong = standard_pipeline(Grade.WEAK), standard_pipeline(Grade.STRONG)
+    assert CASE_TEMPLATES[NounCase.GENITIVE] == CaseTemplate("n", "nVn", weak)
+    assert CASE_TEMPLATES[NounCase.INESSIVE] == CaseTemplate("ssA", "ssAVn", weak)
+    assert CASE_TEMPLATES[NounCase.NOMINATIVE] == CaseTemplate("", "Vn", strong)
+    assert CASE_TEMPLATES[NounCase.ILLATIVE] == CaseTemplate("Vn", "Vn", strong)
 
 
 def test_template_suffix_alphabet():
     for template in CASE_TEMPLATES.values():
-        for c in template.suffix:
+        for c in template.suffix + template.poss3:
             assert c.islower() or c in "AOUV"
 
 
@@ -82,20 +84,17 @@ def test_possessive_not_doubled_on_illative():
 
 
 def test_generate_is_template_plus_pipeline():
-    template = CASE_TEMPLATES[NounCase.GENITIVE]
-    assert generate("kaappi", NounCase.GENITIVE) == run_pipeline(
-        "kaappi" + template.suffix, template.grade
-    )
+    row = CASE_TEMPLATES[NounCase.GENITIVE]
+    assert generate("kaappi", NounCase.GENITIVE) == row.pipeline.run("kaappi" + row.suffix)
+    assert generate("kaappi", NounCase.GENITIVE, True) == row.pipeline.run("kaappi" + row.poss3)
 
 
 @pytest.mark.parametrize("lemma", ["talo", "vene", "kala", "seinä"])
 def test_grade_irrelevant_for_nongradable_lemmas(lemma):
     for case in NounCase:
-        template = CASE_TEMPLATES[case]
+        row = CASE_TEMPLATES[case]
         assert run_pipeline(lemma, Grade.WEAK) == run_pipeline(lemma, Grade.STRONG)
-        assert generate(lemma, case) == run_pipeline(
-            lemma + template.suffix, template.grade
-        )
+        assert generate(lemma, case) == row.pipeline.run(lemma + row.suffix)
 
 
 # The l+t and l+l suffix clusters of these three cases are themselves live

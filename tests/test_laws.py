@@ -25,6 +25,12 @@ def test_shrink_finds_a_minimal_failing_case():
     assert failing(small)
 
 
+def test_shrink_normalizes_a_one_character_case_toward_a():
+    always = lambda case: True
+    assert _shrink(("b", 0, 1, 2), always) == ("a", 0, 1, 2)
+    assert _shrink(("bc", 1, 1, 2), always) == ("a", 0, 1, 2)
+
+
 def test_distinct_salts_give_distinct_rules():
     z = from_sequence("abcdefg", 3)
     outputs = {char_arrow(s)(z) for s in range(40)}

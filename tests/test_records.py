@@ -58,9 +58,9 @@ RECORDS = [
     ),
     (
         CaseTemplate,
-        ("ssA", Grade.WEAK),
-        ("ssA", Grade.STRONG),
-        "CaseTemplate(suffix='ssA', grade=<Grade.WEAK: 'weak'>)",
+        ("ssA", "ssAVn", Pipeline(())),
+        ("ssA", "ssAVn", Pipeline((HARMONY_STAGE,))),
+        "CaseTemplate(suffix='ssA', poss3='ssAVn', pipeline=Pipeline(stages=()))",
     ),
     (
         TraceRow,
@@ -102,9 +102,9 @@ def test_records_keep_their_defaults_and_checks():
     with pytest.raises(TypeError):
         Condition(1)
     with pytest.raises(TypeError):
-        CaseTemplate("n", Grade.WEAK, "extra")
+        CaseTemplate("n", "nVn", Pipeline(()), "extra")
     # Records of different classes never compare equal, whatever their fields.
-    assert ReadingTest("pos", "noun") != CaseTemplate("pos", "noun")
+    assert ReadingTest("pos", "noun") != CaseTemplate("pos", "noun", None)
 
 
 def test_shipped_records_survive_a_pickle():

@@ -48,6 +48,20 @@ def test_writer_extract_ignores_log():
     assert extract(WriterZipper(frozenset({4}), kaappi_at(3))) == "p"
 
 
+def test_writer_zipper_repr_round_trips_through_eval():
+    wz = WriterZipper(frozenset({1}), from_sequence("abc", 1))
+    text = "WriterZipper(log=frozenset({1}), zipper=from_sequence(('a', 'b', 'c'), 1))"
+    assert repr(wz) == text
+    assert eval(text) == wz
+
+
+def test_a_zipper_never_equals_a_writer_zipper_over_the_same_cells():
+    z = from_sequence("abc", 1)
+    wz = WriterZipper(frozenset(), z)
+    assert z != wz and wz != z
+    assert not (z == wz) and not (wz == z)
+
+
 def test_identity_arrow_emits_nothing():
     wz = WriterZipper(frozenset(), kaappi_at(2))
     assert lift_pure(extract)(wz) == (frozenset(), "a")

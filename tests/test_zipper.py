@@ -35,6 +35,12 @@ def test_from_sequence_rejects_bad_index(index):
         from_sequence("abc", index)
 
 
+def test_repr_round_trips_through_eval():
+    z = from_sequence("abc", 1)
+    assert repr(z) == "from_sequence(('a', 'b', 'c'), 1)"
+    assert eval(repr(z)) == z
+
+
 def test_extract_reads_focus():
     assert extract(from_sequence("kaappi", 3)) == "p"
     assert extract(from_sequence("x", 0)) == "x"
