@@ -28,7 +28,9 @@ A reading is validated once, where it enters: ``iter_readings`` checks each
 line, yielding a sentence at a time (``parse_readings`` lists them), and builds
 through private trusted constructors, as ``apply_rule`` does for the non-empty
 subset of a checked set that it keeps. The public ``Reading(...)`` and
-``ReadingSet(...)`` keep every check. A rule is read once too: ``CgRule``
+``ReadingSet(...)`` keep every check. Readings that write the same feature field
+share one frozenset, and the formatter one sorted tuple of it, each kept in an
+LRU cache of ``_CACHE_SIZE`` entries. A rule is read once too: ``CgRule``
 computes a plan from its fields, and ``apply_rule`` and ``reach`` read that.
 """
 
@@ -37,6 +39,7 @@ import unicodedata
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
+from functools import lru_cache
 from operator import itemgetter
 
 from .record import Record
@@ -112,6 +115,7 @@ _SLOT = {"baseform": 0, "pos": 1}
 _GET = {field: itemgetter(slot) for field, slot in _SLOT.items()}
 _BLANK = frozenset(("",))  # the feature that "pos:base:" and ",," leave
 _NO_FEATURES = frozenset()  # shared by every reading written without features
+_CACHE_SIZE = 1024  # entries in each feature cache below; one costs a few hundred bytes
 
 
 Sentence = list[ReadingSet]
@@ -364,9 +368,7 @@ def iter_readings(text: str) -> Iterator[Sentence]:
                     f"line {line_no}: malformed reading {token.strip()!r} "
                     "(expected pos:baseform or pos:baseform:feat,feat)"
                 )
-            features = frozenset(map(str.strip, features.split(","))) if colon else _NO_FEATURES
-            if "" in features:
-                features -= _BLANK
+            features = _features(features) if colon else _NO_FEATURES
             readings.add(_tuple_new(Reading, (baseform, pos, features)))
         if not readings:
             raise ReadingsFormatError(f"line {line_no}: token has no readings")
@@ -375,16 +377,30 @@ def iter_readings(text: str) -> Iterator[Sentence]:
         yield current
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _features(field: str) -> frozenset[str]:
+    """The features written after a reading's second ``:``, one frozenset per field text."""
+    features = frozenset(map(str.strip, field.split(",")))
+    if "" in features:
+        features -= _BLANK
+    return features
+
+
 def parse_readings(text: str) -> list[Sentence]:
     """Parse a whole readings file into sentences; see ``iter_readings``."""
     return list(iter_readings(text))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _sorted_features(features: frozenset[str]) -> tuple[str, ...]:
+    return tuple(sorted(features))
 
 
 def format_reading_set(rs: ReadingSet) -> str:
     # Ordered by (pos, baseform, sorted features), each key built once.
     keys = []
     for baseform, pos, features in rs.readings:
-        keys.append((pos, baseform, sorted(features) if features else []))
+        keys.append((pos, baseform, _sorted_features(features) if features else ()))
     keys.sort()
     out = []
     for pos, baseform, features in keys:

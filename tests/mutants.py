@@ -57,6 +57,20 @@ MUTANTS = (
         CG_TESTS,
     ),
     Mutant(
+        "feature-sets-not-shared",
+        "cg.py",
+        "@lru_cache(maxsize=_CACHE_SIZE)\ndef _features(",
+        "def _features(",
+        CG_TESTS,
+    ),
+    Mutant(
+        "format-orders-by-joined-feature-text",
+        "cg.py",
+        "    keys.sort()\n",
+        '    keys.sort(key=lambda k: (k[0], k[1], ",".join(k[2])))\n',
+        CG_TESTS,
+    ),
+    Mutant(
         "cg-command-prints-each-sentence-as-it-goes",
         "cli.py",
         "    out = format_sentences(run_cg(s, rules, on_fire=on_fire) for s in iter_readings(text))\n"
@@ -81,15 +95,15 @@ MUTANTS = (
     Mutant(
         "parser-keeps-spaces-around-features",
         "cg.py",
-        'frozenset(map(str.strip, features.split(",")))',
-        'frozenset(features.split(","))',
+        'frozenset(map(str.strip, field.split(",")))',
+        'frozenset(field.split(","))',
         CG_TESTS,
     ),
     Mutant(
         "format-key-leaves-features-unsorted",
         "cg.py",
-        "sorted(features) if features else []",
-        "list(features)",
+        "tuple(sorted(features))",
+        "tuple(features)",
         CG_TESTS,
     ),
     Mutant(

@@ -22,6 +22,9 @@ from comorph.cg import (
     RuleAction,
     RuleSyntaxError,
     TagIndex,
+    _CACHE_SIZE,
+    _features,
+    _sorted_features,
     apply_rule,
     format_sentences,
     iter_readings,
@@ -173,6 +176,25 @@ def test_parse_readings_strips_spaces_around_each_field():
 def test_parse_readings_rejects_a_field_that_stripping_empties(reading):
     with pytest.raises(ReadingsFormatError, match="line 2: malformed reading"):
         parse_readings(f"ei\tverb:ei\nkuusi\tnoun:kuusi;{reading}\n")
+
+
+def test_readings_that_write_one_feature_field_share_its_frozenset():
+    text = "koira\tnoun:koira:sg,nom\nkissa\tnoun:kissa:sg,nom;verb:kissata:sg,nom\n"
+    [[koira, kissa]] = parse_readings(text)
+    [first] = koira.readings
+    assert first.features == {"sg", "nom"}
+    assert all(r.features is first.features for r in kissa.readings)
+    [[again, _]] = parse_readings(text)  # a second call
+    [reading] = again.readings
+    assert reading.features is first.features
+
+
+def test_feature_caches_stay_at_their_bound():
+    text = "".join(f"w\tnoun:w:f{n}\n\n" for n in range(_CACHE_SIZE + 10))
+    format_sentences(parse_readings(text))
+    for cache in (_features, _sorted_features):
+        info = cache.cache_info()
+        assert (info.maxsize, info.currsize) == (_CACHE_SIZE, _CACHE_SIZE)
 
 
 def test_reading_set_never_born_empty():
@@ -799,6 +821,13 @@ def test_format_roundtrips_through_parse():
     assert text.endswith("koiralle\tnoun:koira:all,sg")
     assert parse_readings(text) == sentences
     assert format_sentences(parse_readings(text)) == text
+
+
+def test_format_orders_features_as_sorted_lists_not_as_joined_text():
+    # The first features "a" < "a!" decide, though as text "a,b" > "a!": "," is above "!".
+    token = ReadingSet("a", [Reading("a", "noun", ["a", "b"]), Reading("a", "noun", ["a!"])])
+    expected = "a\tnoun:a:a,b;noun:a:a!"
+    assert format_sentences([[token]]) == format_sentences_reference([[token]]) == expected
 
 
 # Pieces of readings files: NFD text, padding around readings and their
