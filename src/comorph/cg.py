@@ -29,9 +29,9 @@ line, yielding a sentence at a time (``parse_readings`` lists them), and builds
 through private trusted constructors, as ``apply_rule`` does for the non-empty
 subset of a checked set that it keeps. The public ``Reading(...)`` and
 ``ReadingSet(...)`` keep every check. Readings that write the same feature field
-share one frozenset, and the formatter one sorted tuple of it, each kept in an
-LRU cache of ``_CACHE_SIZE`` entries. A rule is read once too: ``CgRule``
-computes a plan from its fields, and ``apply_rule`` and ``reach`` read that.
+share one frozenset, kept in an LRU cache of ``_CACHE_SIZE`` field texts. A rule
+is read once too: ``CgRule`` computes a plan from its fields, and ``apply_rule``
+and ``reach`` read that.
 """
 
 import re
@@ -115,7 +115,7 @@ _SLOT = {"baseform": 0, "pos": 1}
 _GET = {field: itemgetter(slot) for field, slot in _SLOT.items()}
 _BLANK = frozenset(("",))  # the feature that "pos:base:" and ",," leave
 _NO_FEATURES = frozenset()  # shared by every reading written without features
-_CACHE_SIZE = 1024  # entries in each feature cache below; one costs a few hundred bytes
+_CACHE_SIZE = 1024  # field texts in the feature cache below; one costs 0.4-1 KB
 
 
 Sentence = list[ReadingSet]
@@ -391,16 +391,11 @@ def parse_readings(text: str) -> list[Sentence]:
     return list(iter_readings(text))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _sorted_features(features: frozenset[str]) -> tuple[str, ...]:
-    return tuple(sorted(features))
-
-
 def format_reading_set(rs: ReadingSet) -> str:
     # Ordered by (pos, baseform, sorted features), each key built once.
     keys = []
     for baseform, pos, features in rs.readings:
-        keys.append((pos, baseform, _sorted_features(features) if features else ()))
+        keys.append((pos, baseform, sorted(features) if features else []))
     keys.sort()
     out = []
     for pos, baseform, features in keys:

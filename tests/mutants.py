@@ -102,8 +102,8 @@ MUTANTS = (
     Mutant(
         "format-key-leaves-features-unsorted",
         "cg.py",
-        "tuple(sorted(features))",
-        "tuple(features)",
+        "sorted(features) if features else []",
+        "list(features)",
         CG_TESTS,
     ),
     Mutant(
