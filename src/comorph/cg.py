@@ -40,6 +40,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from .record import Record
@@ -337,14 +338,16 @@ def run_cg(
     return list(to_sequence(z))
 
 
-def iter_readings(text: str) -> Iterator[Sentence]:
+def iter_readings(pieces: Iterable[str]) -> Iterator[Sentence]:
     """Parse a readings file one sentence at a time, yielding each as it ends.
 
+    The file comes as pieces that each end at a line break: an open file, or ``(text,)``.
     Raises ReadingsFormatError, with the line number in the whole text, for a
     token with no readings or a malformed reading, once it reaches that line.
     """
     current: Sentence = []
-    for line_no, line in enumerate(unicodedata.normalize("NFC", text).splitlines(), start=1):
+    lines = chain.from_iterable(unicodedata.normalize("NFC", p).splitlines() for p in pieces)
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             if current:
                 yield current
@@ -388,7 +391,7 @@ def _features(field: str) -> frozenset[str]:
 
 def parse_readings(text: str) -> list[Sentence]:
     """Parse a whole readings file into sentences; see ``iter_readings``."""
-    return list(iter_readings(text))
+    return list(iter_readings((text,)))
 
 
 def format_reading_set(rs: ReadingSet) -> str:

@@ -39,23 +39,26 @@ def _cmd_cg(args: argparse.Namespace) -> int:
 
     with open(args.rules, encoding="utf-8-sig") as fh:
         rules = parse_rules(fh.read())
-    with open(args.input, encoding="utf-8-sig") as fh:
-        text = fh.read()
     fired: list[str] = []
 
     def trace(rule_no: int, token_idx: int, before, after) -> None:
-        fired.append(
-            f"rule {rule_no} fired at token {token_idx + 1}: "
-            f"{format_reading_set(before)} → {format_reading_set(after)}"
-        )
+        before, after = format_reading_set(before), format_reading_set(after)
+        fired.append(f"rule {rule_no} fired at token {token_idx + 1}: {before} → {after}")
 
     # Sentence by sentence; printed only once all of it parsed, so a bad line prints nothing.
     on_fire = trace if args.trace else None
-    out = format_sentences(run_cg(s, rules, on_fire=on_fire) for s in iter_readings(text))
+    with open(args.input, encoding="utf-8-sig") as fh:
+        try:
+            out = [format_sentences([run_cg(s, rules, on_fire=on_fire)]) for s in iter_readings(fh)]
+        except ValueError:  # as read whole: a bad byte anywhere comes first, at its file offset
+            if fh.seekable():
+                fh.seek(0)
+                fh.read()
+            raise
     if fired:
         print("\n".join(fired), file=sys.stderr)
     if out:
-        print(out)
+        print(*out, sep="\n\n")
     return 0
 
 

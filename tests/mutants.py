@@ -73,15 +73,38 @@ MUTANTS = (
     Mutant(
         "cg-command-prints-each-sentence-as-it-goes",
         "cli.py",
-        "    out = format_sentences(run_cg(s, rules, on_fire=on_fire) for s in iter_readings(text))\n"
-        "    if fired:\n"
-        '        print("\\n".join(fired), file=sys.stderr)\n'
-        "    if out:\n"
-        "        print(out)\n",
-        "    for n, s in enumerate(iter_readings(text)):\n"
-        '        print(("\\n" if n else "") + format_sentences([run_cg(s, rules, on_fire=on_fire)]))\n'
-        "    if fired:\n"
-        '        print("\\n".join(fired), file=sys.stderr)\n',
+        "            out = [format_sentences([run_cg(s, rules, on_fire=on_fire)]) for s in iter_readings(fh)]\n",
+        "            for n, s in enumerate(iter_readings(fh)):\n"
+        '                print(("\\n" if n else "") + format_sentences([run_cg(s, rules, on_fire=on_fire)]))\n'
+        "            out = []\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cg-command-reads-the-whole-input",
+        "cli.py",
+        "for s in iter_readings(fh)]",
+        "for s in iter_readings((fh.read(),))]",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cg-command-reports-a-bad-byte-at-its-chunk-offset",
+        "cli.py",
+        "            if fh.seekable():",
+        "            if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cg-command-seeks-an-unseekable-input",
+        "cli.py",
+        "            if fh.seekable():",
+        "            if True:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "readings-pieces-split-on-newline-only",
+        "cg.py",
+        'unicodedata.normalize("NFC", p).splitlines()',
+        'unicodedata.normalize("NFC", p).split("\\n")',
         ("tests/test_cli.py",),
     ),
     # CG mutants of earlier changes.

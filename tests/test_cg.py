@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import pickle
 import random
 import re
@@ -120,10 +121,27 @@ def test_parse_malformed_condition_rejected():
 
 
 def test_iter_readings_yields_a_sentence_before_a_later_malformed_line():
-    sentences = iter_readings("kuusi\tnum:kuusi;noun:kuusi\n\nkoiraa\tnoun:koira\n\nkoira\tnoun\n")
+    text = "kuusi\tnum:kuusi;noun:kuusi\n\nkoiraa\tnoun:koira\n\nkoira\tnoun\n"
+    sentences = iter_readings(text.splitlines(keepends=True))
     assert next(sentences) == [KUUSI]
     assert next(sentences) == [KOIRAA]
     with pytest.raises(ReadingsFormatError, match=r"^line 5: malformed reading 'noun' "):
+        next(sentences)
+
+
+class PieceError(Exception):
+    pass
+
+
+def test_iter_readings_yields_a_sentence_before_it_pulls_a_later_piece():
+    def pieces():
+        yield "kuusi\tnum:kuusi;noun:kuusi\n"
+        yield "\n"
+        raise PieceError("a piece after the first sentence was pulled")
+
+    sentences = iter_readings(pieces())
+    assert next(sentences) == [KUUSI]
+    with pytest.raises(PieceError):
         next(sentences)
 
 
@@ -883,6 +901,26 @@ def test_parse_readings_matches_the_reference_parser(text):
         for reading in token.readings:
             assert type(reading) is Reading and type(reading.features) is frozenset
             assert all(type(field) is str for field in (reading.baseform, reading.pos))
+
+
+# Every line break str.splitlines knows, and two a text-mode file translates to "\n".
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@given(st.lists(st.tuples(readings_lines, st.sampled_from(LINE_BREAKS)), max_size=8))
+@example([("voi\tn:b", "\r\n"), ("", "\x1c"), ("\u0308\tn:b", "\u2028"), ("voi", "\n")])
+def test_iter_readings_on_a_text_mode_file_parses_as_the_whole_text(lines):
+    """Pieces cut where a text-mode file cuts its lines give the sentences, or
+    the error at the same line, that the whole text gives."""
+    text = "".join(line + brk for line, brk in lines)
+    try:
+        expected = parse_readings(text)
+    except ReadingsFormatError as exc:
+        with pytest.raises(ReadingsFormatError) as raised:
+            list(iter_readings(io.StringIO(text, newline=None)))
+        assert str(raised.value) == str(exc)
+        return
+    assert list(iter_readings(io.StringIO(text, newline=None))) == expected
 
 
 feature_readings = st.builds(

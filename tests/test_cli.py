@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import os
+import re
 import subprocess
 import sys
 import unicodedata
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from comorph import laws
+from comorph import cli, laws
+from comorph.cg import ReadingsFormatError, parse_readings
 from comorph.cli import main
 
 RULES_NUM = "SELECT POS=num IF (+1 POS=noun)\n"
@@ -164,6 +167,100 @@ def test_cg_malformed_later_line_prints_nothing(tmp_path, capsys):
         "error: line 4: malformed reading 'noun' "
         "(expected pos:baseform or pos:baseform:feat,feat)\n"
     )
+
+
+MALFORMED_NOUN = "malformed reading 'noun' (expected pos:baseform or pos:baseform:feat,feat)"
+
+
+def test_cg_numbers_lines_as_splitlines_does(tmp_path, capsys):
+    """Every line break str.splitlines knows ends a line, after a BOM and in NFD text."""
+    text = (
+        "kuusi\tnum:kuusi;noun:kuusi\r\n"
+        "koiraa\tnoun:koira\x0b\x1c"
+        + nfd("pöytä\tnoun:pöytä\u2028\r\n")
+        + "koira\tnoun\n"
+    )
+    line_no = text.splitlines().index("koira\tnoun") + 1
+    assert line_no == 6
+    with pytest.raises(ReadingsFormatError, match=f"^line {line_no}: {re.escape(MALFORMED_NOUN)}$"):
+        parse_readings(text)
+    rules = tmp_path / "rules.txt"
+    rules.write_text(RULES_NUM, encoding="utf-8")
+    readings = tmp_path / "sentences.tsv"
+    readings.write_bytes(text.encode("utf-8-sig"))
+    code, out, err = run(capsys, "cg", str(rules), str(readings))
+    assert (code, out, err) == (1, "", f"error: line {line_no}: {MALFORMED_NOUN}\n")
+
+
+def _bad_byte_file(tmp_path, head: str, offset: int) -> tuple[Path, str]:
+    """A readings file holding 0xff at ``offset`` after ``head``, and the error one
+    decode of the whole file gives."""
+    data = (head + READINGS_KUUSI * (offset // len(READINGS_KUUSI) + 1)).encode()
+    data = data[:offset] + b"\xff" + data[offset:]
+    readings = tmp_path / "sentences.tsv"
+    readings.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as raised:
+        data.decode("utf-8")
+    assert raised.value.start == offset
+    return readings, f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize("head", ["", "koira\tnoun\n"])  # a malformed line before it too
+def test_cg_bad_byte_past_the_first_chunk_names_its_file_offset(tmp_path, capsys, head):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(RULES_NUM, encoding="utf-8")
+    readings, expected = _bad_byte_file(tmp_path, head, 20011)
+    code, out, err = run(capsys, "cg", "--trace", str(rules), str(readings))
+    assert (code, out, err) == (1, "", expected)
+    assert "position 20011" in err
+
+
+def _open_readings_as(monkeypatch, path, make):
+    """Open ``path`` as ``make(binary file, encoding)`` inside comorph.cli."""
+
+    def fake_open(file, *args, **kwargs):
+        if file == str(path):
+            return make(open(file, "rb"), kwargs["encoding"])
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+
+class ReadRefused(Exception):
+    pass
+
+
+class NoReadFile(io.TextIOWrapper):
+    def read(self, size=-1):
+        raise ReadRefused("read() on the readings file")
+
+
+def test_cg_never_reads_the_readings_file_whole(tmp_path, capsys, monkeypatch):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(RULES_NUM, encoding="utf-8")
+    readings = tmp_path / "sentences.tsv"
+    readings.write_text(READINGS_KUUSI + "\n" + READINGS_KUUSI, encoding="utf-8")
+    _open_readings_as(monkeypatch, readings, lambda raw, enc: NoReadFile(raw, encoding=enc))
+    code, out, _ = run(capsys, "cg", str(rules), str(readings))
+    selected = "kuusi\tnum:kuusi\nkoiraa\tnoun:koira\n"
+    assert (code, out) == (0, selected + "\n" + selected)
+
+
+class Unseekable(io.BufferedReader):
+    def seekable(self):
+        return False
+
+
+def test_cg_reports_a_malformed_line_of_an_unseekable_input(tmp_path, capsys, monkeypatch):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(RULES_NUM, encoding="utf-8")
+    readings = tmp_path / "sentences.tsv"
+    readings.write_text(READINGS_KUUSI + "\nkoira\tnoun\n", encoding="utf-8")
+    _open_readings_as(
+        monkeypatch, readings, lambda raw, enc: io.TextIOWrapper(Unseekable(raw), encoding=enc)
+    )
+    code, out, err = run(capsys, "cg", str(rules), str(readings))
+    assert (code, out, err) == (1, "", f"error: line 4: {MALFORMED_NOUN}\n")
 
 
 def test_cg_matches_a_decomposed_rule_file(tmp_path, capsys):
