@@ -35,30 +35,43 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_cg(args: argparse.Namespace) -> int:
     # Imported here, not at the top, so that other commands start faster.
+    import io
+    import shutil
+    from tempfile import TemporaryFile
+
     from .cg import format_reading_set, format_sentences, iter_readings, parse_rules, run_cg
 
     with open(args.rules, encoding="utf-8-sig") as fh:
         rules = parse_rules(fh.read())
-    fired: list[str] = []
 
     def trace(rule_no: int, token_idx: int, before, after) -> None:
         before, after = format_reading_set(before), format_reading_set(after)
-        fired.append(f"rule {rule_no} fired at token {token_idx + 1}: {before} → {after}")
+        log.write(f"rule {rule_no} fired at token {token_idx + 1}: {before} → {after}\n")
 
-    # Sentence by sentence; printed only once all of it parsed, so a bad line prints nothing.
+    # Sentence by sentence. Output and trace wait in unnamed temporary files and are
+    # copied out only once all of the input parsed, so a bad line prints nothing.
     on_fire = trace if args.trace else None
-    with open(args.input, encoding="utf-8-sig") as fh:
+    with (
+        open(args.input, encoding="utf-8-sig") as fh,
+        TemporaryFile() as copy,
+        TemporaryFile("w+", encoding="utf-8", newline="") as out,
+        TemporaryFile("w+", encoding="utf-8", newline="") as log,
+    ):
+        if not fh.seekable():  # a pipe: parsed from a copy, so that every input can seek
+            shutil.copyfileobj(fh.buffer, copy)
+            copy.seek(0)
+            fh = io.TextIOWrapper(copy, encoding="utf-8-sig")
         try:
-            out = [format_sentences([run_cg(s, rules, on_fire=on_fire)]) for s in iter_readings(fh)]
-        except ValueError:  # as read whole: a bad byte anywhere comes first, at its file offset
-            if fh.seekable():
-                fh.seek(0)
-                fh.read()
+            for n, s in enumerate(iter_readings(fh)):
+                piece = format_sentences([run_cg(s, rules, on_fire=on_fire)])
+                out.write(f"\n{piece}\n" if n else f"{piece}\n")
+        except ValueError:  # as read whole: a bad byte anywhere comes first, at its offset
+            fh.seek(0)
+            fh.read()
             raise
-    if fired:
-        print("\n".join(fired), file=sys.stderr)
-    if out:
-        print(*out, sep="\n\n")
+        for spool, stream in ((log, sys.stderr), (out, sys.stdout)):
+            spool.seek(0)
+            shutil.copyfileobj(spool, stream)
     return 0
 
 

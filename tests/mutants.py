@@ -73,31 +73,43 @@ MUTANTS = (
     Mutant(
         "cg-command-prints-each-sentence-as-it-goes",
         "cli.py",
-        "            out = [format_sentences([run_cg(s, rules, on_fire=on_fire)]) for s in iter_readings(fh)]\n",
-        "            for n, s in enumerate(iter_readings(fh)):\n"
-        '                print(("\\n" if n else "") + format_sentences([run_cg(s, rules, on_fire=on_fire)]))\n'
-        "            out = []\n",
+        '                out.write(f"\\n{piece}\\n" if n else f"{piece}\\n")\n',
+        '                sys.stdout.write(f"\\n{piece}\\n" if n else f"{piece}\\n")\n',
         ("tests/test_cli.py",),
     ),
     Mutant(
         "cg-command-reads-the-whole-input",
         "cli.py",
-        "for s in iter_readings(fh)]",
-        "for s in iter_readings((fh.read(),))]",
+        "enumerate(iter_readings(fh))",
+        "enumerate(iter_readings((fh.read(),)))",
         ("tests/test_cli.py",),
     ),
     Mutant(
-        "cg-command-reports-a-bad-byte-at-its-chunk-offset",
+        "cg-command-reads-a-pipe-in-place",
         "cli.py",
-        "            if fh.seekable():",
-        "            if False:",
+        "        if not fh.seekable():",
+        "        if False:",
         ("tests/test_cli.py",),
     ),
     Mutant(
-        "cg-command-seeks-an-unseekable-input",
+        "cg-command-skips-the-whole-decode-on-error",
         "cli.py",
-        "            if fh.seekable():",
-        "            if True:",
+        "            fh.seek(0)\n            fh.read()\n",
+        "",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cg-command-keeps-its-output-in-memory",
+        "cli.py",
+        'TemporaryFile("w+", encoding="utf-8", newline="") as out,',
+        "io.StringIO() as out,",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cg-command-keeps-its-trace-in-memory",
+        "cli.py",
+        'TemporaryFile("w+", encoding="utf-8", newline="") as log,',
+        "io.StringIO() as log,",
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import unicodedata
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -261,6 +263,69 @@ def test_cg_reports_a_malformed_line_of_an_unseekable_input(tmp_path, capsys, mo
     )
     code, out, err = run(capsys, "cg", str(rules), str(readings))
     assert (code, out, err) == (1, "", f"error: line 4: {MALFORMED_NOUN}\n")
+
+
+@pytest.mark.parametrize("head", ["", "koira\tnoun\n"])  # a malformed line before it too
+def test_cg_bad_byte_in_an_unseekable_input_names_its_offset(tmp_path, capsys, monkeypatch, head):
+    """A pipe is parsed from a copy, so a bad byte is reported as in a file."""
+    rules = tmp_path / "rules.txt"
+    rules.write_text(RULES_NUM, encoding="utf-8")
+    readings, expected = _bad_byte_file(tmp_path, head, 20011)
+    _open_readings_as(
+        monkeypatch, readings, lambda raw, enc: io.TextIOWrapper(Unseekable(raw), encoding=enc)
+    )
+    code, out, err = run(capsys, "cg", "--trace", str(rules), str(readings))
+    assert (code, out, err) == (1, "", expected)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_cg_reads_a_pipe_as_it_reads_a_file(tmp_path):
+    """Through /dev/stdin on a pipe: a file's output and trace, and a bad byte
+    reported at its offset in the input."""
+    rules = tmp_path / "rules.txt"
+    rules.write_text(RULES_NUM, encoding="utf-8")
+    bad, expected = _bad_byte_file(tmp_path, "", 20011)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+    def cg(data: bytes, *argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "comorph", "cg", *argv, str(rules), "/dev/stdin"],
+            input=data,
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+    sentences = (READINGS_KUUSI + "\n") * 3000
+    selected = "kuusi\tnum:kuusi\nkoiraa\tnoun:koira\n"
+    fired = "rule 1 fired at token 1: noun:kuusi;num:kuusi → num:kuusi\n"
+    assert cg(sentences.encode(), "--trace") == (0, "\n".join([selected] * 3000), fired * 3000)
+    assert cg(bad.read_bytes()) == (1, "", expected)
+
+
+@pytest.mark.parametrize("flags", [(), ("--trace",)], ids=["output", "trace"])
+def test_cg_memory_does_not_grow_with_the_input(tmp_path, flags):
+    """Output and trace wait in temporary files, so the peak on 4N sentences is the
+    peak on N. The sentences are long, so that both runs copy out several chunks."""
+    rules = tmp_path / "rules.txt"
+    rules.write_text(RULES_NUM, encoding="utf-8")
+    long = "kuusi" * 200
+    sentence = f"{long}\tnum:{long};noun:{long}\nkoiraa\tnoun:koira\n"
+
+    def peak(n: int) -> int:
+        readings = tmp_path / "sentences.tsv"
+        readings.write_text("\n".join([sentence] * n), encoding="utf-8")
+        with open(os.devnull, "w") as null, redirect_stdout(null), redirect_stderr(null):
+            tracemalloc.start()
+            try:
+                assert main(["cg", *flags, str(rules), str(readings)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(1)  # imports what the command imports outside the measured runs
+    assert peak(1000) - peak(250) < 256 * 1024
 
 
 def test_cg_matches_a_decomposed_rule_file(tmp_path, capsys):
