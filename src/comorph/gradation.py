@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cache
 
 from .record import Record
-from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, VOWELS
+from .vowels import VOWELS
 from .writer import EMPTY_DELETIONS, DeletionSet, WriterArrow
 from .zipper import Zipper
 
@@ -71,21 +71,11 @@ PATTERNS: tuple[GradationPattern, ...] = (
 )
 
 
-# Uppercase placeholders are unresolved suffix segments, never gradable letters.
-_PLACEHOLDERS = frozenset(HARMONY_PLACEHOLDERS) | {COPY_PLACEHOLDER}
-
-
-def _cells(letter: str) -> frozenset[str]:
-    # Cells that read as ``letter``; U+212A KELVIN SIGN also lowers to a table letter, k.
-    return frozenset(letter + letter.upper() + ("\u212a" if letter == "k" else "")) - _PLACEHOLDERS
-
-
 @cache
 def gradation_support(grade: Grade) -> frozenset[str]:
     """The cells gradation toward ``grade`` may change, and its arrow's guard:
-    the source windows' focus letters, upper-case too, never a placeholder."""
-    focus = frozenset(pat.source_window(grade)[1] for pat in PATTERNS) - {None}
-    return (focus | {c.upper() for c in focus}) - _PLACEHOLDERS
+    the source windows' focus letters."""
+    return frozenset(pat.source_window(grade)[1] for pat in PATTERNS) - {None}
 
 
 @cache
@@ -100,7 +90,7 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
     neighbour is kept, and a single consonant changes only between two
     vowels; without the right vowel, suffix onsets such as the k of -ksi
     would alternate after every vowel-final stem. A deleted focus is logged
-    at its position. The tables are keyed on raw cells: a visit folds no case.
+    at its position.
     """
     exact: dict[tuple[str, str], str | None] = {}
     single: dict[str, str | None] = {}
@@ -108,14 +98,11 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
         (left, focus), target = pat.source_window(grade), pat.target_window(grade)[1]
         if focus is None:
             continue  # a deleted segment has no source side to match
-        for f in _cells(focus):
-            if left is None:
-                single.setdefault(f, target)
-            else:
-                for l in _cells(left):
-                    exact.setdefault((l, f), target)
+        if left is None:
+            single.setdefault(focus, target)
+        else:
+            exact.setdefault((left, focus), target)
     support = gradation_support(grade)
-    vowels = frozenset().union(*map(_cells, VOWELS))
 
     def arrow(z: Zipper[str]) -> tuple[DeletionSet, str]:
         cells, i = z.cells, z.index
@@ -128,7 +115,7 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
         l = cells[i - 1]
         if (l, c) in exact:
             out = exact[l, c]
-        elif c in single and l in vowels and r in vowels:
+        elif c in single and l in VOWELS and r in VOWELS:
             out = single[c]
         else:
             return (EMPTY_DELETIONS, c)

@@ -13,10 +13,10 @@ emitted, once per pass; the views a pass hands to its rule share the checked
 log. A pass given its rule's support calls the rule only at the cells in it,
 and a pass that changes nothing returns the zipper it was given.
 
-Words enter through ``start``, which normalizes them to NFC and rejects
-empty input and non-letters. The word path normalizes in one other place:
-``generate`` normalizes its lemma to NFC to read the lemma's last letter,
-before ``start`` sees the whole underlying form.
+Words enter through ``start``, which normalizes them to NFC and checks the
+word contract. The word path normalizes in one other place: ``generate``
+normalizes its lemma to NFC to read the lemma's last letter, before
+``start`` sees the whole underlying form.
 """
 
 import unicodedata
@@ -74,15 +74,26 @@ _new = object.__new__
 def start(word: str) -> WriterZipper:
     """``word`` in NFC, focused at 0 with an empty log.
 
-    Raises on an empty word, and on the first character that is not a letter.
+    Raises on an empty word, and on the first character that is not a letter
+    or is upper-case (``c != c.lower()``) but not a placeholder A, O, U, V.
     """
     word = unicodedata.normalize("NFC", word)
-    if not word.isalpha():
-        if not word:
-            raise ValueError("cannot process an empty word")
-        i, c = next((i, c) for i, c in enumerate(word) if not c.isalpha())
-        raise ValueError(f"character {c!r} at position {i} is not a letter")
+    if not (word.isalpha() and word.islower()):
+        rest = word.replace("A", "").replace("O", "").replace("U", "").replace("V", "")
+        if not (word.isalpha() and rest.islower()):
+            _check_word(word)
     return _view(EMPTY_DELETIONS, tuple(word), 0)
+
+
+def _check_word(word: str) -> None:
+    # One cell at a time; a word whose letters are all caseless passes.
+    if not word:
+        raise ValueError("cannot process an empty word")
+    for i, c in enumerate(word):
+        if not c.isalpha():
+            raise ValueError(f"character {c!r} at position {i} is not a letter")
+        if c != c.lower() and c not in "AOUV":
+            raise ValueError(f"character {c!r} at position {i} is upper-case and not a placeholder")
 
 
 def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:

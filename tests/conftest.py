@@ -13,11 +13,8 @@ settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.
 
 LAW_ALPHABET = "abcdgh"
 FINNISH_LOWER = "abdeghijklmnoprstuvyäö"
-# The word contract: lowercase letters, upper-case consonants (the upper-case
-# v is the copy placeholder V) and the harmony placeholders A/O/U.
-CONTRACT_ALPHABET = (
-    FINNISH_LOWER + "".join(c.upper() for c in FINNISH_LOWER if c not in "aeiouyäö") + "AOU"
-)
+# The word contract: lowercase letters and the placeholders A/O/U/V.
+CONTRACT_ALPHABET = FINNISH_LOWER + "AOUV"
 
 
 @st.composite

@@ -219,11 +219,14 @@ MUTANTS = (
         ("tests/test_zipper.py",),
     ),
     Mutant(
-        "gradation-tables-without-the-kelvin-sign",
-        "gradation.py",
-        '("\\u212a" if letter == "k" else "")',
-        '""',
-        ("tests/test_gradation.py",),
+        "start-accepts-upper-case-letters",
+        "writer.py",
+        '        if c != c.lower() and c not in "AOUV":\n',
+        "        if False:\n",
+        (
+            "tests/test_pipeline.py::test_an_upper_case_letter_is_rejected_at_its_position",
+            "tests/test_gradation.py::test_upper_case_letters_are_rejected",
+        ),
     ),
     Mutant(
         "weaken-grades-toward-strong",

@@ -5,10 +5,8 @@ by rebuilding from the flat sequence, deletion by filtering, the sentinel
 pipeline really does materialize between stages, the CG reference indexes
 a plain list and takes nothing from ``comorph.cg`` but its data, the
 readings-file references build only through the public, checking ``Reading``
-and ``ReadingSet`` constructors, the folding gradation arrow reads
-``PATTERNS`` through ``str.lower`` rather than through tables keyed on raw
-cells, and the always-copy pass calls its rule through the public
-``WriterZipper`` constructor and copies every cell.
+and ``ReadingSet`` constructors, and the always-copy pass calls its rule
+through the public ``WriterZipper`` constructor and copies every cell.
 """
 
 from __future__ import annotations
@@ -17,15 +15,9 @@ import re
 import unicodedata
 
 from comorph.cg import Reading, ReadingSet, ReadingsFormatError
-from comorph.gradation import PATTERNS, Grade, gradation_arrow
-from comorph.vowels import (
-    COPY_PLACEHOLDER,
-    HARMONY_PLACEHOLDERS,
-    VOWELS,
-    harmony_arrow,
-    possessive_arrow,
-)
-from comorph.writer import EMPTY_DELETIONS, WriterZipper
+from comorph.gradation import Grade, gradation_arrow
+from comorph.vowels import COPY_PLACEHOLDER, VOWELS, harmony_arrow, possessive_arrow
+from comorph.writer import WriterZipper
 from comorph.zipper import Zipper, from_sequence, to_sequence
 
 SENTINEL = "\0"
@@ -77,57 +69,6 @@ def sentinel_pipeline(word: str, grade: Grade) -> str:
             )
     stage3 = naive_extend_word(stage2, possessive_arrow) if stage2 else stage2
     return stage3
-
-
-PLACEHOLDERS = frozenset(HARMONY_PLACEHOLDERS) | {COPY_PLACEHOLDER}
-
-
-def _fold(c: str) -> str:
-    # A placeholder stays itself; every other cell reads as its lower case.
-    return c if c in PLACEHOLDERS else c.lower()
-
-
-def folding_gradation_arrow(grade: Grade):
-    """Gradation toward ``grade`` read from ``PATTERNS`` by folding each cell.
-
-    The first window in ``PATTERNS`` order wins. The rule leaves the first
-    cell alone and any cell outside the source focus letters and their upper
-    case (never a placeholder); it keeps a focus that opens an exact window
-    with its right neighbour, and grades a single consonant only between two
-    vowels. Deletion is reported as the focus position.
-    """
-    exact: dict = {}
-    single: dict = {}
-    for pat in PATTERNS:
-        (left, focus), target = pat.source_window(grade), pat.target_window(grade)[1]
-        if focus is None:
-            continue
-        if left is None:
-            single.setdefault(focus, target)
-        else:
-            exact.setdefault((left, focus), target)
-    letters = {focus for _, focus in exact} | set(single)
-    guard = (letters | {c.upper() for c in letters}) - PLACEHOLDERS
-
-    def arrow(z: Zipper):
-        cells, i = z.cells, z.index
-        c = cells[i]
-        if i == 0 or c not in guard:
-            return (EMPTY_DELETIONS, c)
-        f = _fold(c)
-        r = _fold(cells[i + 1]) if i + 1 < len(cells) else None
-        if (f, r) in exact:
-            return (EMPTY_DELETIONS, c)
-        l = _fold(cells[i - 1])
-        if (l, f) in exact:
-            out = exact[l, f]
-        elif f in single and l in VOWELS and r in VOWELS:
-            out = single[f]
-        else:
-            return (EMPTY_DELETIONS, c)
-        return (frozenset({i}), c) if out is None else (EMPTY_DELETIONS, out)
-
-    return arrow
 
 
 def always_copy_extend(f, wz: WriterZipper, support=None) -> WriterZipper:

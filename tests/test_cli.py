@@ -94,6 +94,17 @@ def test_pipeline_non_letter_fails(capsys):
     assert err == "error: character '1' at position 3 is not a letter\n"
 
 
+UPPER_K = "error: character 'K' at position 0 is upper-case and not a placeholder\n"
+
+
+def test_pipeline_upper_case_word_fails(capsys):
+    assert run(capsys, "pipeline", "KAAPPI", "--grade", "weak") == (1, "", UPPER_K)
+
+
+def test_generate_upper_case_lemma_fails(capsys):
+    assert run(capsys, "generate", "Kala", "--case", "inessive") == (1, "", UPPER_K)
+
+
 def test_generate(capsys):
     code, out, _ = run(capsys, "generate", "kaappi", "--case", "genitive")
     assert (code, out.strip()) == (0, "kaapin")

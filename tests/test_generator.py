@@ -136,6 +136,7 @@ def test_consonant_final_lemma_rejected():
 
 
 VOWEL_FINAL_ONLY = "only lemmas ending in a lowercase vowel are handled"
+UPPER_K = "character 'K' at position 0 is upper-case and not a placeholder"
 
 
 @pytest.mark.parametrize(
@@ -150,13 +151,14 @@ VOWEL_FINAL_ONLY = "only lemmas ending in a lowercase vowel are handled"
             "character '1' at position 5 is not a letter",
         ),
         ("kalan", UnsupportedStemError, f"unsupported stem 'kalan': {VOWEL_FINAL_ONLY}"),
-        ("KALA", UnsupportedStemError, f"unsupported stem 'KALA': {VOWEL_FINAL_ONLY}"),
-        ("KAAPPI", UnsupportedStemError, f"unsupported stem 'KAAPPI': {VOWEL_FINAL_ONLY}"),
+        ("KALA", ValueError, UPPER_K),
+        ("KAAPPI", ValueError, UPPER_K),
+        ("Kala", ValueError, UPPER_K),
     ],
 )
 @pytest.mark.parametrize("case", [NounCase.NOMINATIVE, NounCase.GENITIVE, NounCase.ILLATIVE])
 def test_bad_lemma_error_type_and_message(lemma, error, message, case):
-    """A non-letter outranks the stem error, wherever it sits, and its position is in NFC."""
+    """A contract error outranks the stem error, wherever it sits, and its position is in NFC."""
     for possessive_3 in (False, True):
         with pytest.raises(ValueError) as info:
             generate(lemma, case, possessive_3=possessive_3)

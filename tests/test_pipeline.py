@@ -25,7 +25,7 @@ from comorph.writer import (
     writer_extend,
 )
 from comorph.zipper import extract, from_sequence, to_sequence
-from conftest import CONTRACT_ALPHABET, writer_arrows, writer_zippers
+from conftest import CONTRACT_ALPHABET, FINNISH_LOWER, writer_arrows, writer_zippers
 from oracles import sentinel_pipeline
 
 GOLDEN = [
@@ -58,6 +58,7 @@ def test_pipeline_rejects_empty_word():
         ("talo ssA", "character ' ' at position 4 is not a letter"),
         ("-ssA", "character '-' at position 0 is not a letter"),
         ("kenkä\u0301", "character '\u0301' at position 5 is not a letter"),
+        ("k1Ka", "character '1' at position 1 is not a letter"),
     ],
 )
 def test_pipeline_rejects_a_non_letter_with_its_position(word, message):
@@ -181,8 +182,8 @@ contract_words = st.text(alphabet=CONTRACT_ALPHABET, min_size=1, max_size=16)
     ids=lambda v: v.value if isinstance(v, Grade) else str(v),
 )
 @given(word=contract_words)
-@example(word="aPaDanGa")  # upper-case consonants that grade between vowels
-@example(word="ka\u212a\u212aa")  # KELVIN SIGN lower-cases to k but is not in the support
+@example(word="tuVa")  # V, the upper case of the gradable v, is the copy placeholder
+@example(word="AkkA")  # harmony placeholders beside a geminate
 def test_stage_is_the_identity_outside_its_support(grade, stage, word):
     _, arrow, support = standard_pipeline(grade).stages[stage]
     for i, c in enumerate(word):
@@ -202,3 +203,57 @@ def _outcome(run, word, grade):
 @example("ptpttV", Grade.WEAK)  # a V error after a deletion
 def test_run_pipeline_matches_sentinel_oracle_on_contract_words(word, grade):
     assert _outcome(run_pipeline, word, grade) == _outcome(sentinel_pipeline, word, grade)
+
+
+@given(contract_words, st.sampled_from(Grade))
+@example("Auto", Grade.WEAK)  # a placeholder-initial word is a contract word
+@example("VA", Grade.WEAK)
+def test_run_pipeline_accepts_every_contract_word(word, grade):
+    """Only a V with no vowel, resolved or not, to its left is refused."""
+    first_v = word.find("V")
+    stranded = first_v >= 0 and not set(word[:first_v]) & set("aouäöyeiAOU")
+    try:
+        out = run_pipeline(word, grade)
+    except ValueError as exc:
+        assert stranded, word
+        assert str(exc) == f"copy placeholder V at position {first_v} has no vowel to its left"
+    else:
+        assert not stranded and out.islower(), (word, out)
+
+
+# Upper-case letters outside the contract; NFC turns U+212A KELVIN SIGN into K.
+UPPER_CASE = "".join(c for c in FINNISH_LOWER.upper() if c not in "AOUV") + "\u212a"
+UPPER_CASE_ERROR = "character {!r} at position {} is upper-case and not a placeholder"
+
+
+def first_upper_case(word: str) -> tuple[str, int]:
+    """The first upper-case letter of ``word`` in NFC that is no placeholder, and its position."""
+    word = unicodedata.normalize("NFC", word)
+    return next((c, i) for i, c in enumerate(word) if c.isupper() and c not in "AOUV")
+
+
+@given(
+    st.text(alphabet=CONTRACT_ALPHABET, max_size=8),
+    st.sampled_from(UPPER_CASE),
+    st.text(alphabet=CONTRACT_ALPHABET + UPPER_CASE, max_size=8),
+    st.sampled_from(Grade),
+    st.booleans(),
+)
+@example("", "\u212a", "aakka", Grade.WEAK, False)
+@example("pöy", "T", "Ä", Grade.WEAK, True)  # NFD splits Ä into the placeholder A and U+0308
+def test_an_upper_case_letter_is_rejected_at_its_position(head, upper, tail, grade, decompose):
+    word = head + upper + tail
+    if decompose:
+        word = unicodedata.normalize("NFD", word)
+    with pytest.raises(ValueError) as info:
+        run_pipeline(word, grade)
+    assert str(info.value) == UPPER_CASE_ERROR.format(*first_upper_case(word))
+
+
+@pytest.mark.parametrize(
+    "word,expected",
+    [("AV", "ää"), ("の", "の"), ("kの", "kの"), ("\u03d2", "\u03d2")],
+)
+def test_letters_without_a_lower_case_pass_the_contract(word, expected):
+    """Caseless letters, and U+03D2, an upper-case letter with no lower case, are no error."""
+    assert run_pipeline(word, Grade.WEAK) == expected
