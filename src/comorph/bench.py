@@ -5,9 +5,10 @@ Each row times calls the program makes: gradation (``weaken`` on the
 pipelines ``comorph grad`` and ``comorph harmony`` run, the full pipeline is
 ``run_pipeline``, a single CG rule is the pass ``run_cg`` runs for it, and
 full CG is ``run_cg`` on the demo sentence. Every input of a row is timed
-``iterations`` times, and the row reports the mean, population standard
-deviation and median of all those samples pooled; a few slow outliers (a
-collection, a preemption) do not move the median as they can move a mean.
+``iterations`` times, the rows taking turns an iteration at a time so that a
+drift in machine speed falls on all alike, and each row reports the mean,
+population standard deviation and median of its samples pooled; a few slow
+outliers (a collection, a preemption) do not move a median as they do a mean.
 ``comorph bench`` prints exactly the rows that acceptance criterion 9 reads,
 timed by the same code with the process's own CPU affinity. Timings are
 wall-clock and hardware specific, meant for relative comparison only.
@@ -16,7 +17,6 @@ wall-clock and hardware specific, meant for relative comparison only.
 import statistics
 import time
 from collections import namedtuple
-from collections.abc import Callable
 
 from .cg import ReadingSet, TagIndex, parse_readings, parse_rules, run_cg
 from .gradation import PATTERNS, Grade
@@ -50,14 +50,7 @@ def demo_rules():
 BenchRow = namedtuple("BenchRow", ("label", "mean_us", "std_us", "median_us"))
 
 
-def _row(label: str, ops: list[Callable[[], object]], iterations: int) -> BenchRow:
-    clock = time.perf_counter_ns
-    samples = []
-    for op in ops:
-        for _ in range(iterations):
-            t0 = clock()
-            op()
-            samples.append(clock() - t0)
+def _row(label: str, samples: list[int]) -> BenchRow:
     mean, std = statistics.fmean(samples), statistics.pstdev(samples)
     return BenchRow(label, mean / 1000.0, std / 1000.0, statistics.median(samples) / 1000.0)
 
@@ -82,9 +75,18 @@ def run_benchmarks(iterations: int = 10_000) -> list[BenchRow]:
             (lambda r=r: extend(zipped, r.arrow, r.reach(index, zipped.cells))) for r in rules
         ],
     }
-    rows = [_row(f"{name} (avg/{len(fs)})", fs, iterations) for name, fs in ops.items()]
-    full_cg = [lambda: run_cg(sentence, rules)]
-    return [*rows, _row(f"full CG ({len(rules)} rules)", full_cg, iterations)]
+    ops = {f"{name} (avg/{len(fs)})": fs for name, fs in ops.items()}
+    ops[f"full CG ({len(rules)} rules)"] = [lambda: run_cg(sentence, rules)]
+    clock = time.perf_counter_ns
+    pooled: dict[str, list[int]] = {label: [] for label in ops}
+    for _ in range(iterations):
+        for label, fs in ops.items():
+            samples = pooled[label]
+            for op in fs:
+                t0 = clock()
+                op()
+                samples.append(clock() - t0)
+    return [_row(label, samples) for label, samples in pooled.items()]
 
 
 def format_table(rows: list[BenchRow]) -> str:

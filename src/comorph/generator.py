@@ -66,13 +66,17 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     """Inflect ``lemma`` for ``case``, optionally adding the 3rd-person
     possessive ending.
 
-    Only stems ending in a lowercase vowel are supported; consonant-final stems
-    would need epenthetic material the rule set cannot insert. A lemma refused
-    here meets ``start`` first; the pipeline validates the rest, once.
+    A lemma is a surface word, so it holds no placeholder A/O/U/V, and ends in
+    a lowercase vowel: consonant-final stems would need epenthetic material the
+    rule set cannot insert. A lemma refused here meets ``start`` first; the
+    pipeline validates the rest, once.
     """
     lemma = unicodedata.normalize("NFC", lemma)
-    if not lemma or lemma[-1] not in VOWELS:
+    if not (lemma.isalpha() and lemma.islower() and lemma[-1] in VOWELS):
         start(lemma)
+        for i, c in enumerate(lemma):
+            if c in "AOUV":
+                raise ValueError(f"character {c!r} at position {i} of a lemma is a placeholder")
         raise UnsupportedStemError(
             f"unsupported stem {lemma!r}: only lemmas ending in a lowercase vowel are handled"
         )

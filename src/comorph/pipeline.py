@@ -1,18 +1,18 @@
 """Chaining local rules over one word with a single deletion sweep.
 
-The standard run is gradation, then harmony, then possessive copy.
-Gradation goes first because it may mark characters for deletion and the
-vowel rules must see the context those marks describe; the order is
-explicit here rather than baked into a merged automaton. Each stage is one
-pass calling its rule only on its support, the cells its table can change
-(the ``PATTERNS`` focus letters, ``A/O/U``, ``V``); deletions are applied
-exactly once, at the end.
+The standard run is gradation, then harmony, then possessive copy, an
+order explicit here rather than baked into a merged automaton. Each stage
+owns its support, the cells its table can change (the ``PATTERNS`` focus
+letters, ``A/O/U``, ``V``), and a run is one pass sending each cell to its
+owner: gradation rewrites only consonants, which the vowel rules never
+read, and the copy reads a placeholder through harmony. Deletions are
+applied exactly once, at the end.
 """
 
-from functools import cache
+from functools import cache, partial
 
 from .gradation import Grade, gradation_arrow, gradation_support
-from .record import Record
+from .record import Record, _set
 from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, harmony_arrow, possessive_arrow
 from .writer import (
     EMPTY_DELETIONS,
@@ -23,6 +23,7 @@ from .writer import (
     lift_pure,
     materialize,
     start,
+    table_extend,
     writer_extend,
 )
 
@@ -70,19 +71,41 @@ class TraceRow(Record):
         return f"{self.stage}\t{self.chars}\t{marks}"
 
 
-class Pipeline(Record):
-    """Named stages in order, one supported pass each; the only driver of word passes."""
+class _Pass(Record):
+    __slots__ = ("_pass",)  # the one pass ``run`` makes: a slot, not a field
+
+
+class Pipeline(_Pass):
+    """Named stages in order; the only driver of word passes.
+
+    ``run`` makes one pass, handing each cell to the stage whose support holds
+    it; ``trace`` makes one pass per stage. They agree when no stage writes
+    what a later one reads, as on the package's stages. The constructor checks
+    what supports show: disjoint, only placeholders (``A/O/U/V``) after the
+    first stage, and no ``None`` support beside another; else ``ValueError``.
+    """
 
     __slots__ = ("stages",)
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
         super().__init__(stages)
+        table: dict[str, WriterArrow] = {}
+        for k, (name, arrow, support) in enumerate(stages):
+            if support is None and len(stages) > 1:
+                raise ValueError(f"stage {name!r} of {len(stages)} has no support")
+            if k and not support.issubset("AOUV"):
+                raise ValueError(f"stage {name!r} follows the first but owns more than A/O/U/V")
+            if not table.keys().isdisjoint(support or ()):
+                first = next(n for n, _, s in stages if not s.isdisjoint(support))
+                raise ValueError(f"stages {first!r} and {name!r} own a cell in common")
+            table.update(dict.fromkeys(support or (), arrow))
+        one_pass = partial(table_extend, table)
+        if stages and stages[0][2] is None:  # one stage that owns every cell
+            one_pass = partial(writer_extend, stages[0][1])
+        _set(self, "_pass", one_pass)
 
     def run(self, word: str) -> str:
-        wz = start(word)
-        for _, arrow, support in self.stages:
-            wz = writer_extend(arrow, wz, support)
-        return materialize(wz)
+        return materialize(self._pass(start(word)))
 
     def trace(self, word: str) -> list[TraceRow]:
         """Per-stage snapshots: characters still at full length, plus the log."""

@@ -4,13 +4,13 @@ Finnish vowels split into back (a, o, u), front (ä, ö, y) and neutral
 (e, i). Suffix vowels written as the uppercase placeholders A, O, U agree
 in backness with the nearest non-neutral stem vowel; neutral vowels are
 transparent to the scan. The placeholder V copies the nearest preceding
-vowel outright; a V with no vowel to its left is an error. Underlying forms
-are lowercase except for the placeholders.
+vowel, or A/O/U as harmony resolves it; a V with neither to its left is an
+error. Underlying forms are lowercase except for the placeholders.
 """
 
 from enum import Enum
 
-from .zipper import Zipper
+from .zipper import Zipper, _at
 
 BACK_VOWELS = frozenset("aou")
 FRONT_VOWELS = frozenset("äöy")
@@ -61,7 +61,9 @@ def harmony_arrow(z: Zipper[str]) -> str:
 def possessive_arrow(z: Zipper[str]) -> str:
     """Resolve a focused V by copying the nearest preceding vowel.
 
-    Raises ``ValueError`` naming the position when no vowel precedes it.
+    An A/O/U met first reads as ``harmony_arrow`` resolves it there, so the
+    copy is the same before and after the harmony pass. Raises
+    ``ValueError`` naming the position when no vowel precedes it.
     """
     if z.focus != COPY_PLACEHOLDER:
         return z.focus
@@ -69,4 +71,6 @@ def possessive_arrow(z: Zipper[str]) -> str:
     for i in range(z.index - 1, -1, -1):
         if cells[i] in VOWELS:
             return cells[i]
+        if cells[i] in HARMONY_PLACEHOLDERS:
+            return harmony_arrow(_at(cells, i))
     raise ValueError(f"copy placeholder V at position {z.index} has no vowel to its left")

@@ -8,10 +8,10 @@ end. Indices refer to the original word and stay valid because no operation
 here ever changes the sequence length.
 
 The log is validated where it crosses the public boundary: when a caller
-builds a ``WriterZipper``, and when ``writer_extend`` merges what its rule
-emitted, once per pass; the views a pass hands to its rule share the checked
-log. A pass given its rule's support calls the rule only at the cells in it,
-and a pass that changes nothing returns the zipper it was given.
+builds a ``WriterZipper``, and when a pass merges what its rules emitted,
+once per pass; the views a pass hands to its rules share the checked log.
+A pass calls each rule only at the cells its table gives it, and a pass
+that changes nothing returns the zipper it was given.
 
 Words enter through ``start``, which normalizes them to NFC and checks the
 word contract. The word path normalizes in one other place: ``generate``
@@ -109,34 +109,38 @@ def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:
 # A deleting local rule: reads the focused context, returns the positions it
 # wants removed plus its output character.
 WriterArrow = Callable[[WriterZipper], tuple[DeletionSet, str]]
-# The cell values where a rule may differ from the identity; None for all.
+# The cell values outside which a rule returns (EMPTY_DELETIONS, focus); None for all.
 Support = frozenset[str] | None
 
 
 def writer_extend(f: WriterArrow, wz: WriterZipper, support: Support = None) -> WriterZipper:
-    """Run ``f`` at each cell in ``support`` (every cell by default), merging its deletions.
+    """``table_extend`` with ``f`` owning each cell in ``support`` (every cell by default)."""
+    return table_extend(dict.fromkeys(wz.cells if support is None else support, f), wz)
 
-    The incoming log is passed unchanged to ``f`` at each refocusing; the
-    new log is the old one unioned with everything ``f`` emitted, checked
+
+def table_extend(table: dict[str, WriterArrow], wz: WriterZipper) -> WriterZipper:
+    """Run at each cell the rule ``table`` gives for its value, merging the deletions.
+
+    The incoming log is passed unchanged to each rule at each refocusing; the
+    new log is the old one unioned with everything the rules emitted, checked
     once against the word's length. The outputs form a zipper of the same
     length and focus position, so deletions stay deferred.
 
-    A support is the set of cell values outside which ``f`` returns
-    ``(EMPTY_DELETIONS, focus)``. Cells outside it are copied without calling
-    ``f``, and a visited cell still sees the whole word. Cells are copied at
-    the first change; ``wz`` itself comes back when no visit changed or deleted.
+    Cells with no rule are copied without a call, and a visited cell still
+    sees the whole word as it came in. Cells are copied at the first change;
+    ``wz`` itself comes back when no visit changed or deleted.
     """
     log = wz.log
     cells = wz.cells
-    support = frozenset(cells) if support is None else support  # None: every cell
-    if support.isdisjoint(cells):
+    if table.keys().isdisjoint(cells):
         return wz
     merged = log
     out = cells
     new = _new
     for i, c in enumerate(cells):
-        if c not in support:
+        if c not in table:
             continue
+        f = table[c]
         # _view(log, cells, i), written out: this is the per-visit cost.
         view = new(WriterZipper)
         view.cells = cells

@@ -229,6 +229,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "copy-skips-harmony-placeholders",
+        "vowels.py",
+        "        if cells[i] in HARMONY_PLACEHOLDERS:\n"
+        "            return harmony_arrow(_at(cells, i))\n",
+        "",
+        ("tests/test_pipeline.py::test_one_pass_equals_the_staged_passes",),
+    ),
+    Mutant(
+        "pipeline-accepts-any-later-stage",
+        "pipeline.py",
+        '            if k and not support.issubset("AOUV"):\n',
+        "            if False:\n",
+        ("tests/test_pipeline.py::test_pipeline_refuses_stages_one_pass_cannot_run",),
+    ),
+    Mutant(
         "weaken-grades-toward-strong",
         "pipeline.py",
         "return gradation_pipeline(Grade.WEAK).run(word)",
@@ -326,8 +341,8 @@ MUTANTS = (
     Mutant(
         "bench-row-drops-the-first-input",
         "bench.py",
-        "    for op in ops:\n",
-        "    for op in ops[1:]:\n",
+        "            for op in fs:\n",
+        "            for op in fs[1:]:\n",
         BENCH_TESTS,
     ),
     Mutant(

@@ -2,11 +2,13 @@
 
 Nothing here may call the code path it is used to verify: refocusing is done
 by rebuilding from the flat sequence, deletion by filtering, the sentinel
-pipeline really does materialize between stages, the CG reference indexes
-a plain list and takes nothing from ``comorph.cg`` but its data, the
-readings-file references build only through the public, checking ``Reading``
-and ``ReadingSet`` constructors, and the always-copy pass calls its rule
-through the public ``WriterZipper`` constructor and copies every cell.
+pipeline really does materialize between stages, the staged run makes one
+always-copy pass per stage where ``Pipeline.run`` makes one in all, the CG
+reference indexes a plain list and takes nothing from ``comorph.cg`` but its
+data, the readings-file references build only through the public, checking
+``Reading`` and ``ReadingSet`` constructors, and the always-copy pass calls
+its rule through the public ``WriterZipper`` constructor and copies every
+cell.
 """
 
 from __future__ import annotations
@@ -85,6 +87,17 @@ def always_copy_extend(f, wz: WriterZipper, support=None) -> WriterZipper:
             deletions, cells[i] = f(WriterZipper(wz.log, from_sequence(wz.cells, i)))
             log |= deletions
     return WriterZipper(frozenset(log), from_sequence(cells, wz.index))
+
+
+def staged_run(stages, word: str) -> str:
+    """``word`` through ``stages`` one always-copy pass each, then the log filtered out.
+
+    ``word`` must already be NFC and in the word contract: nothing here checks it.
+    """
+    wz = WriterZipper(frozenset(), from_sequence(word, 0))
+    for _, arrow, support in stages:
+        wz = always_copy_extend(arrow, wz, support)
+    return filter_materialize("".join(wz.cells), wz.log)
 
 
 def passes(test, reading) -> bool:

@@ -16,7 +16,8 @@ from comorph.pipeline import (
 
 
 def test_each_row_reports_the_statistics_of_its_pooled_samples(monkeypatch):
-    """Every input of a row is timed ``iterations`` times, and the row pools the samples."""
+    """Every input of a row is timed ``iterations`` times, the rows taking turns an
+    iteration at a time, and each row pools its own samples."""
     ticks = []
 
     def clock() -> int:
@@ -31,15 +32,21 @@ def test_each_row_reports_the_statistics_of_its_pooled_samples(monkeypatch):
     monkeypatch.undo()
     assert len(ticks) % 2 == 0
     samples = [end - begin for begin, end in zip(ticks[::2], ticks[1::2])]
+    inputs = []
     for row in rows:
         found = re.search(r"\(avg/(\d+)\)", row.label)
-        count = (int(found.group(1)) if found else 1) * iterations
-        pooled, samples = samples[:count], samples[count:]
-        assert len(pooled) == count
-        assert row.mean_us == statistics.fmean(pooled) / 1000.0
-        assert row.std_us == statistics.pstdev(pooled) / 1000.0
-        assert row.median_us == statistics.median(pooled) / 1000.0
+        inputs.append(int(found.group(1)) if found else 1)
+    pooled = [[] for _ in rows]
+    for _ in range(iterations):
+        for mine, count in zip(pooled, inputs):
+            mine += samples[:count]
+            samples = samples[count:]
     assert samples == []
+    for row, mine, count in zip(rows, pooled, inputs):
+        assert len(mine) == count * iterations
+        assert row.mean_us == statistics.fmean(mine) / 1000.0
+        assert row.std_us == statistics.pstdev(mine) / 1000.0
+        assert row.median_us == statistics.median(mine) / 1000.0
 
 
 def test_component_rows_run_one_stage_pipelines(monkeypatch):

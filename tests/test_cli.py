@@ -105,6 +105,11 @@ def test_generate_upper_case_lemma_fails(capsys):
     assert run(capsys, "generate", "Kala", "--case", "inessive") == (1, "", UPPER_K)
 
 
+def test_generate_placeholder_in_lemma_fails(capsys):
+    message = "error: character 'A' at position 0 of a lemma is a placeholder\n"
+    assert run(capsys, "generate", "Auto", "--case", "inessive") == (1, "", message)
+
+
 def test_generate(capsys):
     code, out, _ = run(capsys, "generate", "kaappi", "--case", "genitive")
     assert (code, out.strip()) == (0, "kaapin")

@@ -4,6 +4,8 @@ import sys
 import unicodedata
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from comorph.generator import (
     CASE_TEMPLATES,
@@ -14,6 +16,7 @@ from comorph.generator import (
 )
 from comorph.gradation import Grade
 from comorph.pipeline import run_pipeline, standard_pipeline
+from conftest import FINNISH_LOWER
 
 
 def test_template_table_covers_all_cases():
@@ -154,6 +157,10 @@ UPPER_K = "character 'K' at position 0 is upper-case and not a placeholder"
         ("KALA", ValueError, UPPER_K),
         ("KAAPPI", ValueError, UPPER_K),
         ("Kala", ValueError, UPPER_K),
+        ("Auto", ValueError, "character 'A' at position 0 of a lemma is a placeholder"),
+        ("Otto", ValueError, "character 'O' at position 0 of a lemma is a placeholder"),
+        ("kalA", ValueError, "character 'A' at position 3 of a lemma is a placeholder"),
+        ("Kalle", ValueError, UPPER_K),
     ],
 )
 @pytest.mark.parametrize("case", [NounCase.NOMINATIVE, NounCase.GENITIVE, NounCase.ILLATIVE])
@@ -164,6 +171,24 @@ def test_bad_lemma_error_type_and_message(lemma, error, message, case):
             generate(lemma, case, possessive_3=possessive_3)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+@given(
+    st.text(alphabet=FINNISH_LOWER, max_size=6),
+    st.sampled_from("AOUV"),
+    st.text(alphabet=FINNISH_LOWER + "AOUV", max_size=6),
+    st.sampled_from(NounCase),
+    st.booleans(),
+)
+def test_a_lemma_holding_a_placeholder_is_refused_at_its_position(
+    head, placeholder, tail, case, possessive_3
+):
+    with pytest.raises(ValueError) as info:
+        generate(head + placeholder + tail, case, possessive_3)
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        f"character {placeholder!r} at position {len(head)} of a lemma is a placeholder"
+    )
 
 
 def test_decomposed_lemma_gives_the_composed_forms():

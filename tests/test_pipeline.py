@@ -12,6 +12,7 @@ from comorph.pipeline import (
     POSSESSIVE_STAGE,
     Pipeline,
     compose,
+    gradation_pipeline,
     gradation_stage,
     run_pipeline,
     standard_pipeline,
@@ -26,7 +27,7 @@ from comorph.writer import (
 )
 from comorph.zipper import extract, from_sequence, to_sequence
 from conftest import CONTRACT_ALPHABET, FINNISH_LOWER, writer_arrows, writer_zippers
-from oracles import sentinel_pipeline
+from oracles import sentinel_pipeline, staged_run
 
 GOLDEN = [
     ("kampAstAVn", "kammastaan"),
@@ -192,9 +193,9 @@ def test_stage_is_the_identity_outside_its_support(grade, stage, word):
             assert arrow(view) == (EMPTY_DELETIONS, c), (word, i)
 
 
-def _outcome(run, word, grade):
+def _outcome(run, *args):
     try:
-        return run(word, grade)
+        return run(*args)
     except ValueError as exc:
         return (type(exc), str(exc))
 
@@ -257,3 +258,64 @@ def test_an_upper_case_letter_is_rejected_at_its_position(head, upper, tail, gra
 def test_letters_without_a_lower_case_pass_the_contract(word, expected):
     """Caseless letters, and U+03D2, an upper-case letter with no lower case, are no error."""
     assert run_pipeline(word, Grade.WEAK) == expected
+
+
+ONE_PASS_PIPELINES = {
+    **{f"standard-{g.value}": standard_pipeline(g) for g in Grade},
+    **{f"gradation-{g.value}": gradation_pipeline(g) for g in Grade},
+    "harmony": Pipeline((HARMONY_STAGE,)),
+    "possessive": Pipeline((POSSESSIVE_STAGE,)),
+}
+
+
+@pytest.mark.parametrize("name", ONE_PASS_PIPELINES)
+@given(word=contract_words)
+@example(word="talossAVn")  # the copy reads the placeholder before the harmony pass
+@example(word="kampAstAVn")
+@example(word="ptpttV")  # a V error after a deletion
+@example(word="AV")
+def test_one_pass_equals_the_staged_passes(name, word):
+    """``run``'s one pass gives the word, or the error, of one pass per stage."""
+    pipeline = ONE_PASS_PIPELINES[name]
+    ran = _outcome(pipeline.run, word)
+    assert ran == _outcome(lambda w: pipeline.trace(w)[-1].chars, word)
+    assert ran == _outcome(staged_run, pipeline.stages, word)
+
+
+def test_the_copy_reads_a_placeholder_as_harmony_resolves_it():
+    possessive = Pipeline((POSSESSIVE_STAGE,))
+    assert possessive.run("talossAVn") == "talossAan"
+    assert possessive.run("kynässAVn") == "kynässAän"
+    assert possessive.run("AV") == "Aä"
+
+
+EVERY_CELL = ("every cell", HARMONY_STAGE[1], None)
+LATER_STAGE = "stage 'gradation' follows the first but owns more than A/O/U/V"
+
+
+@pytest.mark.parametrize(
+    "stages,message",
+    [
+        # Staged, kampa weakens to kamma and strengthens back; one pass gives kamma.
+        ((gradation_stage(Grade.WEAK), gradation_stage(Grade.STRONG)), LATER_STAGE),
+        # In one pass, gradation would read the A of kampA as no vowel.
+        ((HARMONY_STAGE, gradation_stage(Grade.WEAK)), LATER_STAGE),
+        (
+            (HARMONY_STAGE, ("copy", POSSESSIVE_STAGE[1], frozenset("AV"))),
+            "stages 'harmony' and 'copy' own a cell in common",
+        ),
+        ((EVERY_CELL, HARMONY_STAGE), "stage 'every cell' of 2 has no support"),
+        ((HARMONY_STAGE, EVERY_CELL), "stage 'every cell' of 2 has no support"),
+    ],
+    ids=["weak-then-strong", "harmony-then-gradation", "overlap", "none-first", "none-second"],
+)
+def test_pipeline_refuses_stages_one_pass_cannot_run(stages, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Pipeline(stages)
+
+
+def test_pipeline_accepts_the_vowel_stages_in_either_order():
+    for stages in ((HARMONY_STAGE, POSSESSIVE_STAGE), (POSSESSIVE_STAGE, HARMONY_STAGE)):
+        pipeline = Pipeline((gradation_stage(Grade.WEAK), *stages))
+        assert pipeline.run("kampAstAVn") == "kammastaan"
+        assert pipeline.trace("kampAstAVn")[-1].chars == "kammastaan"
