@@ -9,7 +9,7 @@ read, and the copy reads a placeholder through harmony. Deletions are
 applied exactly once, at the end.
 """
 
-from functools import cache, partial
+from functools import cache
 
 from .gradation import Grade, gradation_arrow, gradation_support
 from .record import Record, _set
@@ -17,7 +17,6 @@ from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, harmony_arrow, posse
 from .writer import (
     EMPTY_DELETIONS,
     DeletionSet,
-    Support,
     WriterArrow,
     WriterZipper,
     lift_pure,
@@ -45,8 +44,8 @@ def compose(f: WriterArrow, g: WriterArrow) -> WriterArrow:
     return composed
 
 
-# (stage name, arrow, support); names appear in trace output.
-Stage = tuple[str, WriterArrow, Support]
+# (stage name, arrow, support: the cells it may change); names appear in trace output.
+Stage = tuple[str, WriterArrow, frozenset[str]]
 
 HARMONY_STAGE = ("harmony", lift_pure(harmony_arrow), frozenset(HARMONY_PLACEHOLDERS))
 POSSESSIVE_STAGE = ("possessive", lift_pure(possessive_arrow), frozenset({COPY_PLACEHOLDER}))
@@ -71,18 +70,19 @@ class TraceRow(Record):
         return f"{self.stage}\t{self.chars}\t{marks}"
 
 
-class _Pass(Record):
-    __slots__ = ("_pass",)  # the one pass ``run`` makes: a slot, not a field
+class _Tables(Record):
+    __slots__ = ("_tables",)  # one table per stage prefix: a slot, not a field
 
 
-class Pipeline(_Pass):
+class Pipeline(_Tables):
     """Named stages in order; the only driver of word passes.
 
-    ``run`` makes one pass, handing each cell to the stage whose support holds
-    it; ``trace`` makes one pass per stage. They agree when no stage writes
-    what a later one reads, as on the package's stages. The constructor checks
-    what supports show: disjoint, only placeholders (``A/O/U/V``) after the
-    first stage, and no ``None`` support beside another; else ``ValueError``.
+    Built once: ``tables[k]`` sends each cell to the one of the first k stages
+    whose support holds it. ``run`` is one pass with the full table, and
+    ``trace`` row k the pass with ``tables[k]``. One pass equals the staged
+    passes when no stage writes what a later one reads, as on the package's
+    stages. The constructor checks what supports show: sets, disjoint, only
+    placeholders (``A/O/U/V``) after the first stage; else ``ValueError``.
     """
 
     __slots__ = ("stages",)
@@ -90,31 +90,30 @@ class Pipeline(_Pass):
     def __init__(self, stages: tuple[Stage, ...]) -> None:
         super().__init__(stages)
         table: dict[str, WriterArrow] = {}
+        tables = [table]
         for k, (name, arrow, support) in enumerate(stages):
-            if support is None and len(stages) > 1:
+            if support is None:
                 raise ValueError(f"stage {name!r} of {len(stages)} has no support")
             if k and not support.issubset("AOUV"):
                 raise ValueError(f"stage {name!r} follows the first but owns more than A/O/U/V")
-            if not table.keys().isdisjoint(support or ()):
+            if not table.keys().isdisjoint(support):
                 first = next(n for n, _, s in stages if not s.isdisjoint(support))
                 raise ValueError(f"stages {first!r} and {name!r} own a cell in common")
-            table.update(dict.fromkeys(support or (), arrow))
-        one_pass = partial(table_extend, table)
-        if stages and stages[0][2] is None:  # one stage that owns every cell
-            one_pass = partial(writer_extend, stages[0][1])
-        _set(self, "_pass", one_pass)
+            table = {**table, **dict.fromkeys(support, arrow)}
+            tables.append(table)
+        _set(self, "_tables", tuple(tables))
 
     def run(self, word: str) -> str:
-        return materialize(self._pass(start(word)))
+        return materialize(table_extend(self._tables[-1], start(word)))
 
     def trace(self, word: str) -> list[TraceRow]:
-        """Per-stage snapshots: characters still at full length, plus the log."""
+        """Row k: the first k stages' pass, characters still at full length, plus the log."""
         wz = start(word)
-        rows = [TraceRow(TRACE_INPUT, "".join(wz.cells), wz.log)]
-        for name, arrow, support in self.stages:
-            wz = writer_extend(arrow, wz, support)
-            rows.append(TraceRow(name, "".join(wz.cells), wz.log))
-        rows.append(TraceRow(TRACE_MATERIALIZE, materialize(wz), EMPTY_DELETIONS))
+        done = table_extend(self._tables[-1], wz)  # run's pass first: trace raises what run raises
+        passes = [table_extend(t, wz) for t in self._tables[:-1]] + [done]
+        names = [TRACE_INPUT, *[name for name, _, _ in self.stages]]
+        rows = [TraceRow(n, "".join(p.cells), p.log) for n, p in zip(names, passes)]
+        rows.append(TraceRow(TRACE_MATERIALIZE, materialize(done), EMPTY_DELETIONS))
         return rows
 
 

@@ -109,13 +109,11 @@ def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:
 # A deleting local rule: reads the focused context, returns the positions it
 # wants removed plus its output character.
 WriterArrow = Callable[[WriterZipper], tuple[DeletionSet, str]]
-# The cell values outside which a rule returns (EMPTY_DELETIONS, focus); None for all.
-Support = frozenset[str] | None
 
 
-def writer_extend(f: WriterArrow, wz: WriterZipper, support: Support = None) -> WriterZipper:
-    """``table_extend`` with ``f`` owning each cell in ``support`` (every cell by default)."""
-    return table_extend(dict.fromkeys(wz.cells if support is None else support, f), wz)
+def writer_extend(f: WriterArrow, wz: WriterZipper) -> WriterZipper:
+    """The coKleisli ``extend``: ``f`` at every cell; ``table_extend`` passes over a support."""
+    return table_extend(dict.fromkeys(wz.cells, f), wz)
 
 
 def table_extend(table: dict[str, WriterArrow], wz: WriterZipper) -> WriterZipper:

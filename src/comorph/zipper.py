@@ -5,7 +5,7 @@ Refocusing shares the cells, so moving the focus costs O(1) and ``extend``,
 which re-runs a context-reading local rule at every position to turn a
 windowed rule into a whole-sequence pass, costs one rule call per cell and
 nothing more (given the positions a rule can change, ``extend`` calls it only
-there; given a support, ``writer_extend`` calls it only at cells in it).
+there; ``table_extend`` calls each rule only at the cells its table gives it).
 Rules read their neighbours with ``peek``, or scan ``cells`` from
 ``index``. Nothing here mutates a zipper, and rules must not either.
 

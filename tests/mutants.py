@@ -244,6 +244,21 @@ MUTANTS = (
         ("tests/test_pipeline.py::test_pipeline_refuses_stages_one_pass_cannot_run",),
     ),
     Mutant(
+        "trace-passes-each-stage-over-the-previous-row",
+        "pipeline.py",
+        "        done = table_extend(self._tables[-1], wz)"
+        "  # run's pass first: trace raises what run raises\n"
+        "        passes = [table_extend(t, wz) for t in self._tables[:-1]] + [done]\n",
+        "        passes = [wz]\n"
+        "        for _, arrow, support in self.stages:\n"
+        "            passes.append(table_extend(dict.fromkeys(support, arrow), passes[-1]))\n"
+        "        done = passes[-1]\n",
+        (
+            "tests/test_pipeline.py::test_trace_ends_in_the_word_run_gives",
+            "tests/test_pipeline.py::test_trace_ends_in_what_run_gives_for_every_accepted_stage_list",
+        ),
+    ),
+    Mutant(
         "weaken-grades-toward-strong",
         "pipeline.py",
         "return gradation_pipeline(Grade.WEAK).run(word)",

@@ -3,7 +3,7 @@ from __future__ import annotations
 import unicodedata
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from comorph.gradation import PATTERNS, Grade, gradation_arrow
@@ -141,7 +141,7 @@ def test_intermediate_stages_never_change_length():
 
 
 def test_trace_rows_render_tab_separated():
-    pipeline = Pipeline((("gradation", gradation_arrow(Grade.WEAK), None),))
+    pipeline = Pipeline((gradation_stage(Grade.WEAK),))
     rows = pipeline.trace("kaappi")
     assert [r.render() for r in rows] == [
         "input\tkaappi\t",
@@ -306,8 +306,12 @@ LATER_STAGE = "stage 'gradation' follows the first but owns more than A/O/U/V"
         ),
         ((EVERY_CELL, HARMONY_STAGE), "stage 'every cell' of 2 has no support"),
         ((HARMONY_STAGE, EVERY_CELL), "stage 'every cell' of 2 has no support"),
+        ((EVERY_CELL,), "stage 'every cell' of 1 has no support"),
     ],
-    ids=["weak-then-strong", "harmony-then-gradation", "overlap", "none-first", "none-second"],
+    ids=[
+        "weak-then-strong", "harmony-then-gradation", "overlap", "none-first", "none-second",
+        "none-alone",
+    ],
 )
 def test_pipeline_refuses_stages_one_pass_cannot_run(stages, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -319,3 +323,49 @@ def test_pipeline_accepts_the_vowel_stages_in_either_order():
         pipeline = Pipeline((gradation_stage(Grade.WEAK), *stages))
         assert pipeline.run("kampAstAVn") == "kammastaan"
         assert pipeline.trace("kampAstAVn")[-1].chars == "kammastaan"
+
+
+# A first stage that writes a vowel harmony reads: one pass and the staged
+# passes differ, and ``trace`` must show the one pass that ``run`` makes.
+E_TO_A = ("e-to-a", lift_pure(lambda z: "a" if z.focus == "e" else z.focus), frozenset("e"))
+
+
+@pytest.mark.parametrize(
+    "stages,word,expected",
+    [
+        ((E_TO_A, HARMONY_STAGE), "kessA", "kassä"),
+        ((E_TO_A, HARMONY_STAGE), "kessAVn", "kassäVn"),
+        ((E_TO_A, HARMONY_STAGE, POSSESSIVE_STAGE), "kessA", "kassä"),
+        ((E_TO_A, HARMONY_STAGE, POSSESSIVE_STAGE), "kessAVn", "kassään"),
+    ],
+    ids=["harmony-kessA", "harmony-kessAVn", "possessive-kessA", "possessive-kessAVn"],
+)
+def test_trace_ends_in_the_word_run_gives(stages, word, expected):
+    pipeline = Pipeline(stages)
+    assert pipeline.run(word) == expected
+    assert pipeline.trace(word)[-1].chars == expected
+
+
+def test_trace_row_k_is_the_pass_of_the_first_k_stages():
+    rows = Pipeline((E_TO_A, HARMONY_STAGE, POSSESSIVE_STAGE)).trace("kessAVn")
+    assert [r.render() for r in rows] == [
+        "input\tkessAVn\t",
+        "e-to-a\tkassAVn\t",
+        "harmony\tkassäVn\t",
+        "possessive\tkassään\t",
+        "materialize\tkassään\t",
+    ]
+
+
+STAGE_CHOICES = (*[gradation_stage(g) for g in Grade], HARMONY_STAGE, POSSESSIVE_STAGE, E_TO_A)
+
+
+@given(word=contract_words, stages=st.lists(st.sampled_from(STAGE_CHOICES), max_size=4))
+@example(word="kessA", stages=[E_TO_A, HARMONY_STAGE])
+@example(word="kessAVn", stages=[E_TO_A, HARMONY_STAGE, POSSESSIVE_STAGE])
+def test_trace_ends_in_what_run_gives_for_every_accepted_stage_list(word, stages):
+    try:
+        pipeline = Pipeline(tuple(stages))
+    except ValueError:
+        assume(False)
+    assert _outcome(pipeline.run, word) == _outcome(lambda w: pipeline.trace(w)[-1].chars, word)
