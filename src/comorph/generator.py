@@ -69,10 +69,10 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     A lemma is a surface word, so it holds no placeholder A/O/U/V, and ends in
     a lowercase vowel: consonant-final stems would need epenthetic material the
     rule set cannot insert. A lemma refused here meets ``start`` first; the
-    pipeline validates the rest, once.
+    pipeline's ``start`` finds any other bad cell, which lies in the lemma.
     """
     lemma = unicodedata.normalize("NFC", lemma)
-    if not (lemma.isalpha() and lemma.islower() and lemma[-1] in VOWELS):
+    if not (lemma.islower() and lemma[-1] in VOWELS):
         start(lemma)
         for i, c in enumerate(lemma):
             if c in "AOUV":
@@ -80,5 +80,8 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
         raise UnsupportedStemError(
             f"unsupported stem {lemma!r}: only lemmas ending in a lowercase vowel are handled"
         )
-    row = CASE_TEMPLATES[case]
+    row = CASE_TEMPLATES.get(case)
+    if row is None:
+        start(lemma)  # a bad lemma is reported before a bad case
+        raise TypeError(f"case must be a NounCase, not {case!r}")
     return row.pipeline.run(lemma + (row.poss3 if possessive_3 else row.suffix))

@@ -6,9 +6,9 @@ outrank clusters, clusters outrank single consonants, and a suppression
 check keeps a character that opens a higher-priority window from being
 rewritten by a lower-priority rule (the first p of "kaappi" must not fall
 to the single-p rule). Each grade has one rule, ``gradation_arrow(grade)``,
-built from ``PATTERNS`` and guarded by ``gradation_support(grade)``: a cell
-outside the support is never rewritten. Deletions are reported as positions
-to drop, never applied in place.
+built from ``PATTERNS``, whose windows focus only on ``gradation_support(grade)``:
+a cell outside the support is never rewritten. Deletions are reported as
+positions to drop, never applied in place.
 """
 
 from enum import Enum
@@ -44,6 +44,8 @@ class GradationPattern(Record):
 
     def source_window(self, grade: Grade) -> Window:
         """The side matched against when transforming toward ``grade``."""
+        if not isinstance(grade, Grade):
+            raise TypeError(f"grade must be a Grade, not {grade!r}")
         return self.strong if grade is Grade.WEAK else self.weak
 
     def target_window(self, grade: Grade) -> Window:
@@ -73,8 +75,7 @@ PATTERNS: tuple[GradationPattern, ...] = (
 
 @cache
 def gradation_support(grade: Grade) -> frozenset[str]:
-    """The cells gradation toward ``grade`` may change, and its arrow's guard:
-    the source windows' focus letters."""
+    """The cells gradation toward ``grade`` may change: the source windows' focus letters."""
     return frozenset(pat.source_window(grade)[1] for pat in PATTERNS) - {None}
 
 
@@ -82,15 +83,15 @@ def gradation_support(grade: Grade) -> frozenset[str]:
 def gradation_arrow(grade: Grade) -> WriterArrow:
     """Gradation toward ``grade`` as one deleting local rule, built once per grade.
 
-    Built from ``PATTERNS`` in priority order, the first window wins. An
-    exact window (geminate or cluster) maps (left, focus) to its target; a
-    window with a wildcard left is a single consonant and maps the focus
-    alone. The arrow is the identity outside ``gradation_support(grade)``
-    and at the first cell. A focus that opens an exact window with its right
-    neighbour is kept, and a single consonant changes only between two
-    vowels; without the right vowel, suffix onsets such as the k of -ksi
-    would alternate after every vowel-final stem. A deleted focus is logged
-    at its position.
+    Built from ``PATTERNS`` in priority order, the first window wins. An exact
+    window (geminate or cluster) maps (left, focus) to its target; a window with
+    a wildcard left is a single consonant and maps the focus alone. No window
+    focuses outside ``gradation_support(grade)``, so the arrow is the identity
+    there, and at the first cell. A focus that opens an exact window with its
+    right neighbour is kept, and a single consonant changes only between two
+    vowels; without the right vowel, suffix onsets such as the k of -ksi would
+    alternate after every vowel-final stem. A deleted focus is logged at its
+    position.
     """
     exact: dict[tuple[str, str], str | None] = {}
     single: dict[str, str | None] = {}
@@ -102,12 +103,11 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
             single.setdefault(focus, target)
         else:
             exact.setdefault((left, focus), target)
-    support = gradation_support(grade)
 
     def arrow(z: Zipper[str]) -> tuple[DeletionSet, str]:
         cells, i = z.cells, z.index
         c = cells[i]
-        if c not in support or i == 0:
+        if i == 0:
             return (EMPTY_DELETIONS, c)
         r = cells[i + 1] if i + 1 < len(cells) else None
         if (c, r) in exact:

@@ -367,6 +367,8 @@ def exception_section() -> list[str]:
         ("Reading", lambda: Reading("koira", "noun", "sg")),
         ("ReadingSet", lambda: ReadingSet("koira", "ab")),
         ("ReadingSet", lambda: ReadingSet("koira", [("koira", "noun", frozenset())])),
+        ("run_pipeline", lambda: run_pipeline("kukka", "weak")),
+        ("generate", lambda: generate("kala", "genitive")),
     ]
     lines = []
     for name, call in calls:

@@ -266,6 +266,20 @@ MUTANTS = (
         ("tests/test_gradation.py",),
     ),
     Mutant(
+        "gradation-reads-any-grade-as-strong",
+        "gradation.py",
+        "        if not isinstance(grade, Grade):\n",
+        "        if False:\n",
+        ("tests/test_pipeline.py::test_a_grade_that_is_not_a_grade_is_refused",),
+    ),
+    Mutant(
+        "generate-checks-the-case-before-the-lemma",
+        "generator.py",
+        "        start(lemma)  # a bad lemma is reported before a bad case\n",
+        "",
+        ("tests/test_generator.py::test_bad_lemma_error_type_and_message",),
+    ),
+    Mutant(
         "generate-skips-start-on-its-error-path",
         "generator.py",
         "        start(lemma)\n",

@@ -163,14 +163,26 @@ UPPER_K = "character 'K' at position 0 is upper-case and not a placeholder"
         ("Kalle", ValueError, UPPER_K),
     ],
 )
-@pytest.mark.parametrize("case", [NounCase.NOMINATIVE, NounCase.GENITIVE, NounCase.ILLATIVE])
+@pytest.mark.parametrize(
+    "case", [NounCase.NOMINATIVE, NounCase.GENITIVE, NounCase.ILLATIVE, "genitive"]
+)
 def test_bad_lemma_error_type_and_message(lemma, error, message, case):
-    """A contract error outranks the stem error, wherever it sits, and its position is in NFC."""
+    """A contract error outranks the stem error, wherever it sits, and its position is in NFC.
+
+    A lemma error also outranks a case that is not a ``NounCase``.
+    """
     for possessive_3 in (False, True):
         with pytest.raises(ValueError) as info:
             generate(lemma, case, possessive_3=possessive_3)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", ["genitive", None, 1])
+def test_a_case_that_is_not_a_noun_case_is_refused(case):
+    with pytest.raises(TypeError) as info:
+        generate("kala", case)
+    assert str(info.value) == f"case must be a NounCase, not {case!r}"
 
 
 @given(

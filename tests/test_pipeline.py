@@ -185,12 +185,27 @@ contract_words = st.text(alphabet=CONTRACT_ALPHABET, min_size=1, max_size=16)
 @given(word=contract_words)
 @example(word="tuVa")  # V, the upper case of the gradable v, is the copy placeholder
 @example(word="AkkA")  # harmony placeholders beside a geminate
+@example(word="kampa")  # m, n and r open an exact window with their right neighbour
+@example(word="kenkä")
+@example(word="parta")
 def test_stage_is_the_identity_outside_its_support(grade, stage, word):
     _, arrow, support = standard_pipeline(grade).stages[stage]
     for i, c in enumerate(word):
         if c not in support:
             view = WriterZipper(EMPTY_DELETIONS, from_sequence(word, i))
             assert arrow(view) == (EMPTY_DELETIONS, c), (word, i)
+
+
+@pytest.mark.parametrize("grade", ["weak", None])
+@pytest.mark.parametrize(
+    "build",
+    [lambda g: run_pipeline("kukka", g), standard_pipeline, gradation_pipeline, gradation_stage],
+    ids=["run_pipeline", "standard_pipeline", "gradation_pipeline", "gradation_stage"],
+)
+def test_a_grade_that_is_not_a_grade_is_refused(build, grade):
+    with pytest.raises(TypeError) as info:
+        build(grade)
+    assert str(info.value) == f"grade must be a Grade, not {grade!r}"
 
 
 def _outcome(run, *args):
