@@ -22,7 +22,7 @@ _EXPORTS = {
     "gradation": "Grade GradationPattern PATTERNS",
     "pipeline": "Pipeline compose run_pipeline standard_pipeline strengthen weaken",
     "record": "",
-    "vowels": "HarmonyClass detect_harmony",
+    "vowels": "",
     "writer": "DeletionSet WriterZipper lift_pure materialize writer_extend",
     "zipper": "Zipper extend extract from_sequence to_sequence",
 }

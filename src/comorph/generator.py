@@ -14,7 +14,7 @@ from enum import Enum
 from .gradation import Grade
 from .pipeline import Pipeline, standard_pipeline
 from .record import Record
-from .vowels import VOWELS
+from .vowels import PLACEHOLDERS, VOWELS
 from .writer import start
 
 
@@ -75,13 +75,13 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     if not (lemma.islower() and lemma[-1] in VOWELS):
         start(lemma)
         for i, c in enumerate(lemma):
-            if c in "AOUV":
+            if c in PLACEHOLDERS:
                 raise ValueError(f"character {c!r} at position {i} of a lemma is a placeholder")
         raise UnsupportedStemError(
             f"unsupported stem {lemma!r}: only lemmas ending in a lowercase vowel are handled"
         )
-    row = CASE_TEMPLATES.get(case)
-    if row is None:
+    if not isinstance(case, NounCase):
         start(lemma)  # a bad lemma is reported before a bad case
         raise TypeError(f"case must be a NounCase, not {case!r}")
+    row = CASE_TEMPLATES[case]
     return row.pipeline.run(lemma + (row.poss3 if possessive_3 else row.suffix))

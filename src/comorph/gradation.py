@@ -12,7 +12,7 @@ positions to drop, never applied in place.
 """
 
 from enum import Enum
-from functools import cache
+from functools import cache, wraps
 
 from .record import Record
 from .vowels import VOWELS
@@ -73,13 +73,19 @@ PATTERNS: tuple[GradationPattern, ...] = (
 )
 
 
-@cache
+def _per_grade(build):
+    """``cache`` by ``Grade``; any other value, perhaps unhashable, runs uncached to its check."""
+    built = cache(build)
+    return wraps(build)(lambda grade: (built if isinstance(grade, Grade) else build)(grade))
+
+
+@_per_grade
 def gradation_support(grade: Grade) -> frozenset[str]:
     """The cells gradation toward ``grade`` may change: the source windows' focus letters."""
     return frozenset(pat.source_window(grade)[1] for pat in PATTERNS) - {None}
 
 
-@cache
+@_per_grade
 def gradation_arrow(grade: Grade) -> WriterArrow:
     """Gradation toward ``grade`` as one deleting local rule, built once per grade.
 

@@ -5,15 +5,14 @@ order explicit here rather than baked into a merged automaton. Each stage
 owns its support, the cells its table can change (the ``PATTERNS`` focus
 letters, ``A/O/U``, ``V``), and a run is one pass sending each cell to its
 owner: gradation rewrites only consonants, which the vowel rules never
-read, and the copy reads a placeholder through harmony. Deletions are
-applied exactly once, at the end.
+read, and the copy reads a placeholder as harmony resolves it; a later stage
+owns only ``PLACEHOLDERS``. Deletions are applied exactly once, at the end.
 """
 
-from functools import cache
-
-from .gradation import Grade, gradation_arrow, gradation_support
+from .gradation import Grade, _per_grade, gradation_arrow, gradation_support
 from .record import Record, _set
-from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, harmony_arrow, possessive_arrow
+from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, PLACEHOLDERS
+from .vowels import harmony_arrow, possessive_arrow
 from .writer import (
     EMPTY_DELETIONS,
     DeletionSet,
@@ -94,7 +93,7 @@ class Pipeline(_Tables):
         for k, (name, arrow, support) in enumerate(stages):
             if support is None:
                 raise ValueError(f"stage {name!r} of {len(stages)} has no support")
-            if k and not support.issubset("AOUV"):
+            if k and not support.issubset(PLACEHOLDERS):
                 raise ValueError(f"stage {name!r} follows the first but owns more than A/O/U/V")
             if not table.keys().isdisjoint(support):
                 first = next(n for n, _, s in stages if not s.isdisjoint(support))
@@ -117,7 +116,7 @@ class Pipeline(_Tables):
         return rows
 
 
-@cache
+@_per_grade
 def standard_pipeline(grade: Grade) -> Pipeline:
     """Gradation toward ``grade``, then harmony, then possessive copy.
 
@@ -131,7 +130,7 @@ def run_pipeline(word: str, grade: Grade) -> str:
     return standard_pipeline(grade).run(word)
 
 
-@cache
+@_per_grade
 def gradation_pipeline(grade: Grade) -> Pipeline:
     """Gradation toward ``grade`` alone, the run of ``comorph grad``; built once per grade."""
     return Pipeline((gradation_stage(grade),))

@@ -1,27 +1,19 @@
 """Vowel harmony and possessive vowel copy.
 
-Finnish vowels split into back (a, o, u), front (ä, ö, y) and neutral
-(e, i). Suffix vowels written as the uppercase placeholders A, O, U agree
-in backness with the nearest non-neutral stem vowel; neutral vowels are
-transparent to the scan. The placeholder V copies the nearest preceding
+Finnish vowels split into back (a, o, u), front (ä, ö, y) and neutral (e, i).
+A suffix placeholder A, O or U takes from its ``HARMONY_PLACEHOLDERS`` pair the
+back letter after the nearest a/o/u to its left, the front letter after ä/ö/y
+or when neither comes first. The placeholder V copies the nearest preceding
 vowel, or A/O/U as harmony resolves it; a V with neither to its left is an
-error. Underlying forms are lowercase except for the placeholders.
+error. Words are lowercase but for ``PLACEHOLDERS``, the one spelling of A/O/U/V.
 """
 
-from enum import Enum
-
-from .zipper import Zipper, _at
+from .zipper import Zipper
 
 BACK_VOWELS = frozenset("aou")
 FRONT_VOWELS = frozenset("äöy")
 NEUTRAL_VOWELS = frozenset("ei")
 VOWELS = BACK_VOWELS | FRONT_VOWELS | NEUTRAL_VOWELS
-
-
-class HarmonyClass(Enum):
-    BACK = "back"
-    FRONT = "front"
-
 
 # Placeholder letter -> (back realization, front realization).
 HARMONY_PLACEHOLDERS = {
@@ -31,31 +23,25 @@ HARMONY_PLACEHOLDERS = {
 }
 
 COPY_PLACEHOLDER = "V"
-_BACK, _FRONT = HarmonyClass.BACK, HarmonyClass.FRONT  # read once: a member lookup is slow
+PLACEHOLDERS = frozenset(HARMONY_PLACEHOLDERS) | {COPY_PLACEHOLDER}
 
 
-def detect_harmony(z: Zipper[str]) -> HarmonyClass:
-    """Scan the left context, nearest first, for a non-neutral vowel.
-
-    Neutral vowels, consonants and unresolved placeholders are skipped.
-    Words with no non-neutral vowel to the left take front harmony.
-    """
-    cells = z.cells
-    for i in range(z.index - 1, -1, -1):
-        c = cells[i]
+def _harmonize(cells: tuple[str, ...], i: int) -> str:
+    # The A/O/U at ``i`` read from its pair: back after the nearest a/o/u to its
+    # left, front after ä/ö/y or when neither comes first.
+    back, front = HARMONY_PLACEHOLDERS[cells[i]]
+    for j in range(i - 1, -1, -1):
+        c = cells[j]
         if c in BACK_VOWELS:
-            return _BACK
+            return back
         if c in FRONT_VOWELS:
-            return _FRONT
-    return _FRONT
+            return front
+    return front
 
 
 def harmony_arrow(z: Zipper[str]) -> str:
     """Resolve a focused A/O/U placeholder; leave everything else alone."""
-    pair = HARMONY_PLACEHOLDERS.get(z.focus)
-    if pair is None:
-        return z.focus
-    return pair[0] if detect_harmony(z) is _BACK else pair[1]
+    return _harmonize(z.cells, z.index) if z.focus in HARMONY_PLACEHOLDERS else z.focus
 
 
 def possessive_arrow(z: Zipper[str]) -> str:
@@ -72,5 +58,5 @@ def possessive_arrow(z: Zipper[str]) -> str:
         if cells[i] in VOWELS:
             return cells[i]
         if cells[i] in HARMONY_PLACEHOLDERS:
-            return harmony_arrow(_at(cells, i))
+            return _harmonize(cells, i)
     raise ValueError(f"copy placeholder V at position {z.index} has no vowel to its left")

@@ -22,6 +22,7 @@ normalizes its lemma to NFC to read the lemma's last letter, before
 import unicodedata
 from collections.abc import Callable
 
+from .vowels import PLACEHOLDERS
 from .zipper import Zipper, _at
 
 DeletionSet = frozenset[int]
@@ -91,7 +92,7 @@ def _check_word(word: str) -> None:
     for i, c in enumerate(word):
         if not c.isalpha():
             raise ValueError(f"character {c!r} at position {i} is not a letter")
-        if c != c.lower() and c not in "AOUV":
+        if c != c.lower() and c not in PLACEHOLDERS:
             raise ValueError(f"character {c!r} at position {i} is upper-case and not a placeholder")
 
 

@@ -221,7 +221,7 @@ MUTANTS = (
     Mutant(
         "start-accepts-upper-case-letters",
         "writer.py",
-        '        if c != c.lower() and c not in "AOUV":\n',
+        "        if c != c.lower() and c not in PLACEHOLDERS:\n",
         "        if False:\n",
         (
             "tests/test_pipeline.py::test_an_upper_case_letter_is_rejected_at_its_position",
@@ -232,14 +232,14 @@ MUTANTS = (
         "copy-skips-harmony-placeholders",
         "vowels.py",
         "        if cells[i] in HARMONY_PLACEHOLDERS:\n"
-        "            return harmony_arrow(_at(cells, i))\n",
+        "            return _harmonize(cells, i)\n",
         "",
         ("tests/test_pipeline.py::test_one_pass_equals_the_staged_passes",),
     ),
     Mutant(
         "pipeline-accepts-any-later-stage",
         "pipeline.py",
-        '            if k and not support.issubset("AOUV"):\n',
+        "            if k and not support.issubset(PLACEHOLDERS):\n",
         "            if False:\n",
         ("tests/test_pipeline.py::test_pipeline_refuses_stages_one_pass_cannot_run",),
     ),

@@ -8,7 +8,8 @@ reference indexes a plain list and takes nothing from ``comorph.cg`` but its
 data, the readings-file references build only through the public, checking
 ``Reading`` and ``ReadingSet`` constructors, and the always-copy pass calls
 its rule through the public ``WriterZipper`` constructor and copies every
-cell.
+cell, and the vowel reference is written from the grammar with its own
+letters, taking nothing from ``comorph.vowels``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,34 @@ def sentinel_pipeline(word: str, grade: Grade) -> str:
             )
     stage3 = naive_extend_word(stage2, possessive_arrow) if stage2 else stage2
     return stage3
+
+
+def grammar_vowels(word: str) -> str:
+    """Vowel harmony, then the copy vowel, as a Finnish grammar states them.
+
+    Each A/O/U takes the backness of the nearest back (a, o, u) or front
+    (ä, ö, y) vowel to its left, front when there is none; e and i are
+    neutral. Then each V copies the nearest vowel to its left, or raises
+    ValueError naming its position when there is none. Each reads only what
+    lies to its left, so one pass from the left does both.
+    """
+    umlaut = {"a": "ä", "o": "ö", "u": "y"}
+    back = False  # whether the nearest back or front vowel so far is a back one
+    last = None  # the nearest vowel so far
+    out = []
+    for i, c in enumerate(word):
+        if c in "AOU":
+            c = c.lower() if back else umlaut[c.lower()]
+        elif c in "aouäöy":
+            back = c in "aou"
+        elif c == "V":
+            if last is None:
+                raise ValueError(f"copy placeholder V at position {i} has no vowel to its left")
+            c = last
+        if c in "aeiouyäö":
+            last = c
+        out.append(c)
+    return "".join(out)
 
 
 def always_copy_extend(f, wz: WriterZipper, support=None) -> WriterZipper:

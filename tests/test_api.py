@@ -11,7 +11,6 @@ PUBLIC_API = [
     "DeletionSet",
     "Grade",
     "GradationPattern",
-    "HarmonyClass",
     "NounCase",
     "PATTERNS",
     "Pipeline",
@@ -25,7 +24,6 @@ PUBLIC_API = [
     "WriterZipper",
     "Zipper",
     "compose",
-    "detect_harmony",
     "extend",
     "extract",
     "from_sequence",

@@ -178,7 +178,7 @@ def test_bad_lemma_error_type_and_message(lemma, error, message, case):
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize("case", ["genitive", None, 1])
+@pytest.mark.parametrize("case", ["genitive", None, 1, []])
 def test_a_case_that_is_not_a_noun_case_is_refused(case):
     with pytest.raises(TypeError) as info:
         generate("kala", case)

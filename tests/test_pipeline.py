@@ -196,7 +196,7 @@ def test_stage_is_the_identity_outside_its_support(grade, stage, word):
             assert arrow(view) == (EMPTY_DELETIONS, c), (word, i)
 
 
-@pytest.mark.parametrize("grade", ["weak", None])
+@pytest.mark.parametrize("grade", ["weak", None, []])
 @pytest.mark.parametrize(
     "build",
     [lambda g: run_pipeline("kukka", g), standard_pipeline, gradation_pipeline, gradation_stage],
