@@ -9,9 +9,9 @@ full CG is ``run_cg`` on the demo sentence. Every input of a row is timed
 drift in machine speed falls on all alike, and each row reports the mean,
 population standard deviation and median of its samples pooled; a few slow
 outliers (a collection, a preemption) do not move a median as they do a mean.
-``comorph bench`` prints exactly the rows that acceptance criterion 9 reads,
-timed by the same code with the process's own CPU affinity. Timings are
-wall-clock and hardware specific, meant for relative comparison only.
+``comorph bench`` prints all six rows, the four criterion 9 reads and the two
+CG rows, timed by the same code with the process's own CPU affinity. Timings
+are wall-clock and hardware specific, meant for relative comparison only.
 """
 
 import statistics

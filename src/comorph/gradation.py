@@ -5,10 +5,11 @@ read-only left neighbour, position 1 the character that changes. Geminates
 outrank clusters, clusters outrank single consonants, and a suppression
 check keeps a character that opens a higher-priority window from being
 rewritten by a lower-priority rule (the first p of "kaappi" must not fall
-to the single-p rule). Each grade has one rule, ``gradation_arrow(grade)``,
-built from ``PATTERNS``, whose windows focus only on ``gradation_support(grade)``:
-a cell outside the support is never rewritten. Deletions are reported as
-positions to drop, never applied in place.
+to the single-p rule). Each grade has one stage, ``gradation_stage(grade)``,
+built in one walk over ``PATTERNS``: its rule and its support, the letters
+the rule's windows focus on, so a cell outside the support is never
+rewritten. Deletions are reported as positions to drop, never applied in
+place.
 """
 
 from enum import Enum
@@ -42,22 +43,13 @@ class GradationPattern(Record):
     ) -> None:
         super().__init__(kotus_index, strong, weak, kind, example)
 
-    def source_window(self, grade: Grade) -> Window:
-        """The side matched against when transforming toward ``grade``."""
-        if not isinstance(grade, Grade):
-            raise TypeError(f"grade must be a Grade, not {grade!r}")
-        return self.strong if grade is Grade.WEAK else self.weak
-
-    def target_window(self, grade: Grade) -> Window:
-        return self.weak if grade is Grade.WEAK else self.strong
-
 
 QUANTITATIVE = "quantitative"
 QUAL_SINGLE = "qualitative-single"
 QUAL_CLUSTER = "qualitative-cluster"
 
 # Listed in priority order: geminates, then clusters, then single consonants.
-# The order is the priority; ``gradation_arrow`` keeps the first window that matches.
+# The order is the priority; ``gradation_stage`` keeps the first window that matches.
 PATTERNS: tuple[GradationPattern, ...] = (
     GradationPattern(1, ("p", "p"), ("p", None), QUANTITATIVE, ("kaappi", "kaapi")),
     GradationPattern(2, ("t", "t"), ("t", None), QUANTITATIVE, ("matto", "mato")),
@@ -80,29 +72,26 @@ def _per_grade(build):
 
 
 @_per_grade
-def gradation_support(grade: Grade) -> frozenset[str]:
-    """The cells gradation toward ``grade`` may change: the source windows' focus letters."""
-    return frozenset(pat.source_window(grade)[1] for pat in PATTERNS) - {None}
+def gradation_stage(grade: Grade) -> tuple[str, WriterArrow, frozenset[str]]:
+    """Gradation toward ``grade`` as a stage (name, one deleting local rule, support).
 
-
-@_per_grade
-def gradation_arrow(grade: Grade) -> WriterArrow:
-    """Gradation toward ``grade`` as one deleting local rule, built once per grade.
-
-    Built from ``PATTERNS`` in priority order, the first window wins. An exact
-    window (geminate or cluster) maps (left, focus) to its target; a window with
-    a wildcard left is a single consonant and maps the focus alone. No window
-    focuses outside ``gradation_support(grade)``, so the arrow is the identity
-    there, and at the first cell. A focus that opens an exact window with its
-    right neighbour is kept, and a single consonant changes only between two
-    vowels; without the right vowel, suffix onsets such as the k of -ksi would
-    alternate after every vowel-final stem. A deleted focus is logged at its
-    position.
+    Built once per grade, and the only code that reads ``PATTERNS`` for a rule.
+    Rows go in priority order, the first window wins. An exact window (geminate
+    or cluster) maps (left, focus) to its target; a window with a wildcard left
+    is a single consonant and maps the focus alone. The support is the letters
+    those windows focus on, so the arrow is the identity outside it, and at the
+    first cell. A focus that opens an exact window with its right neighbour is
+    kept, and a single consonant changes only between two vowels; without the
+    right vowel, suffix onsets such as the k of -ksi would alternate after every
+    vowel-final stem. A deleted focus is logged at its position.
     """
+    if not isinstance(grade, Grade):
+        raise TypeError(f"grade must be a Grade, not {grade!r}")
     exact: dict[tuple[str, str], str | None] = {}
     single: dict[str, str | None] = {}
+    weak = grade is Grade.WEAK
     for pat in PATTERNS:
-        (left, focus), target = pat.source_window(grade), pat.target_window(grade)[1]
+        (left, focus), (_, target) = (pat.strong, pat.weak) if weak else (pat.weak, pat.strong)
         if focus is None:
             continue  # a deleted segment has no source side to match
         if left is None:
@@ -129,4 +118,9 @@ def gradation_arrow(grade: Grade) -> WriterArrow:
             return (frozenset((i,)), c)
         return (EMPTY_DELETIONS, out)
 
-    return arrow
+    return ("gradation", arrow, frozenset(single) | {focus for _, focus in exact})
+
+
+def gradation_arrow(grade: Grade) -> WriterArrow:
+    """The rule of ``gradation_stage(grade)``: gradation toward ``grade``."""
+    return gradation_stage(grade)[1]

@@ -9,7 +9,7 @@ read, and the copy reads a placeholder as harmony resolves it; a later stage
 owns only ``PLACEHOLDERS``. Deletions are applied exactly once, at the end.
 """
 
-from .gradation import Grade, _per_grade, gradation_arrow, gradation_support
+from .gradation import Grade, _per_grade, gradation_stage
 from .record import Record, _set
 from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, PLACEHOLDERS
 from .vowels import harmony_arrow, possessive_arrow
@@ -48,10 +48,6 @@ Stage = tuple[str, WriterArrow, frozenset[str]]
 
 HARMONY_STAGE = ("harmony", lift_pure(harmony_arrow), frozenset(HARMONY_PLACEHOLDERS))
 POSSESSIVE_STAGE = ("possessive", lift_pure(possessive_arrow), frozenset({COPY_PLACEHOLDER}))
-
-
-def gradation_stage(grade: Grade) -> Stage:
-    return ("gradation", gradation_arrow(grade), gradation_support(grade))
 
 
 TRACE_INPUT = "input"

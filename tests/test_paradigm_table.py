@@ -2,7 +2,9 @@
 
 The table is ``finnish_paradigms.tsv``: one cell a line, each holding the
 Finnish form. A cell with a gap mark is a known gap of the generator; it
-records today's output and is not checked.
+records today's output and is not checked against ``generate``. The grammar
+reference ``oracles.grammar_paradigm`` is checked on the cells whose only
+gap is gradation's (``item 3``) as well as on the unmarked ones.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from comorph.generator import NounCase, generate
+from oracles import grammar_paradigm
 
 TABLE = Path(__file__).with_name("finnish_paradigms.tsv")
 GAPS = {
@@ -61,3 +64,13 @@ def test_generate_gives_the_finnish_form_of_every_unmarked_cell(lemma):
         if (out := generate(lemma, case, poss3)) != form
     ]
     assert not wrong, wrong
+
+
+def test_the_grammar_reference_gives_the_finnish_form_of_every_unmarked_or_item_3_cell():
+    cells = [cell for cell in CELLS if cell[4][:1] in ((), ("item 3",))]
+    wrong = [
+        f"{lemma} {case.value} poss3={poss3}: {out!r}, Finnish {form!r}"
+        for lemma, case, poss3, form, _ in cells
+        if (out := grammar_paradigm(lemma, case.value, poss3)) != form
+    ]
+    assert cells and not wrong, wrong

@@ -199,8 +199,16 @@ def test_stage_is_the_identity_outside_its_support(grade, stage, word):
 @pytest.mark.parametrize("grade", ["weak", None, []])
 @pytest.mark.parametrize(
     "build",
-    [lambda g: run_pipeline("kukka", g), standard_pipeline, gradation_pipeline, gradation_stage],
-    ids=["run_pipeline", "standard_pipeline", "gradation_pipeline", "gradation_stage"],
+    [
+        lambda g: run_pipeline("kukka", g),
+        standard_pipeline,
+        gradation_pipeline,
+        gradation_stage,
+        gradation_arrow,
+    ],
+    ids=[
+        "run_pipeline", "standard_pipeline", "gradation_pipeline", "gradation_stage", "gradation_arrow"
+    ],
 )
 def test_a_grade_that_is_not_a_grade_is_refused(build, grade):
     with pytest.raises(TypeError) as info:

@@ -122,7 +122,13 @@ def test_extend_returns_its_input_when_no_cell_changes(z, f):
     assert extend(z, extract) is z
 
 
-@pytest.mark.parametrize("positions", [[-1], [0, 3], [3]])
+@pytest.mark.parametrize("positions", [[-1], [0, 3], [3], [0, -2, 2]])
 def test_extend_rejects_positions_outside_the_sequence(positions):
     with pytest.raises(ValueError, match="out of range for length 3"):
         extend(from_sequence("abc", 0), extract, positions)
+
+
+def test_extend_takes_positions_in_any_order():
+    z = from_sequence("abcd", 0)
+    f = lambda v: v.peek(1) or "$"
+    assert extend(z, f, [2, 0]) == extend(z, f, [0, 2]) == from_sequence("bbdd", 0)
