@@ -1,17 +1,18 @@
 """Per-rule latency microbenchmarks.
 
 Each row times calls the program makes: gradation (``weaken`` on the
-``PATTERNS`` examples), harmony and possessive copy are the one-stage
-pipelines ``comorph grad`` and ``comorph harmony`` run, the full pipeline is
-``run_pipeline``, a single CG rule is the pass ``run_cg`` runs for it, and
-full CG is ``run_cg`` on the demo sentence. Every input of a row is timed
-``iterations`` times, the rows taking turns an iteration at a time so that a
-drift in machine speed falls on all alike, and each row reports the mean,
-population standard deviation and median of its samples pooled; a few slow
-outliers (a collection, a preemption) do not move a median as they do a mean.
-``comorph bench`` prints all six rows, the four criterion 9 reads and the two
-CG rows, timed by the same code with the process's own CPU affinity. Timings
-are wall-clock and hardware specific, meant for relative comparison only.
+``PATTERNS`` examples) and the vowel stage on harmony words and on copy words
+are the one-stage pipelines ``comorph grad`` and ``comorph harmony`` run, the
+full pipeline is ``run_pipeline``, a single CG rule is the pass ``run_cg``
+runs for it, and full CG is ``run_cg`` on the demo sentence. Every input of a
+row is timed ``iterations`` times, the rows taking turns an iteration at a
+time so that a drift in machine speed falls on all alike, and each row reports
+the mean, population standard deviation and median of its samples pooled; a
+few slow outliers (a collection, a preemption) do not move a median as they do
+a mean. ``comorph bench`` prints all six rows, the four criterion 9 reads and
+the two CG rows, timed by the same code with the process's own CPU affinity.
+Timings are wall-clock and hardware specific, meant for relative comparison
+only.
 """
 
 import statistics
@@ -20,8 +21,8 @@ from collections import namedtuple
 
 from .cg import ReadingSet, TagIndex, parse_readings, parse_rules, run_cg
 from .gradation import PATTERNS, Grade
-from .pipeline import HARMONY_STAGE, POSSESSIVE_STAGE, Pipeline, run_pipeline, weaken
-from .zipper import extend, from_sequence
+from .pipeline import VOWEL_STAGE, Pipeline, run_pipeline, weaken
+from .zipper import _extend, from_sequence
 
 HARMONY_WORDS = ("talossA", "kynässA", "pöydässA", "tiessA")
 POSSESSIVE_WORDS = ("kammastaVn", "kengästäVn", "taloVn")
@@ -59,7 +60,7 @@ def run_benchmarks(iterations: int = 10_000) -> list[BenchRow]:
     """Time every component with ``iterations`` iterations of each input."""
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    harmony, possessive = Pipeline((HARMONY_STAGE,)), Pipeline((POSSESSIVE_STAGE,))
+    vowels = Pipeline((VOWEL_STAGE,))
     sentence = demo_sentence()
     rules = demo_rules()
     zipped = from_sequence(tuple(sentence), 0)
@@ -68,11 +69,11 @@ def run_benchmarks(iterations: int = 10_000) -> list[BenchRow]:
     index = TagIndex(zipped.cells)
     ops = {
         "gradation": [(lambda w=strong: weaken(w)) for strong, _ in (p.example for p in PATTERNS)],
-        "harmony": [(lambda w=w: harmony.run(w)) for w in HARMONY_WORDS],
-        "possessive": [(lambda w=w: possessive.run(w)) for w in POSSESSIVE_WORDS],
+        "harmony": [(lambda w=w: vowels.run(w)) for w in HARMONY_WORDS],
+        "possessive": [(lambda w=w: vowels.run(w)) for w in POSSESSIVE_WORDS],
         "full pipeline": [(lambda w=w: run_pipeline(w, Grade.WEAK)) for w in PIPELINE_WORDS],
         "single CG rule": [
-            (lambda r=r: extend(zipped, r.arrow, r.reach(index, zipped.cells))) for r in rules
+            (lambda r=r: _extend(zipped, r.arrow, r.reach(index, zipped.cells))) for r in rules
         ],
     }
     ops = {f"{name} (avg/{len(fs)})": fs for name, fs in ops.items()}

@@ -44,7 +44,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .record import Record
-from .zipper import Zipper, extend, from_sequence, to_sequence
+from .zipper import Zipper, _extend, from_sequence, to_sequence
 
 
 class RuleSyntaxError(ValueError):
@@ -184,7 +184,7 @@ class _Planned(Record):
 class CgRule(_Planned):
     """A rule as data.
 
-    ``run_cg`` runs it as ``extend(z, rule.arrow, rule.reach(index, z.cells))``,
+    ``run_cg`` runs it as ``_extend(z, rule.arrow, rule.reach(index, z.cells))``,
     with ``index = TagIndex(z.cells)`` built once per sentence. Building a rule
     also computes its plan, ``(select, field, slot, value, condition)``, with
     ``condition`` None or ``(offset, field, get, value, negated)``.
@@ -328,7 +328,7 @@ def run_cg(
         if not positions:
             continue
         before = z.cells
-        z = extend(z, rule.arrow, positions)
+        z = _extend(z, rule.arrow, positions)  # reach's positions are in range
         if on_fire is not None and z.cells is not before:
             # Only reached tokens can change, and an unchanged one is the very
             # object it was before the pass.

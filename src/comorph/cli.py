@@ -5,7 +5,7 @@ import sys
 
 from .gradation import PATTERNS, Grade
 from .generator import NounCase, generate
-from .pipeline import HARMONY_STAGE, Pipeline, gradation_pipeline, run_pipeline
+from .pipeline import VOWEL_STAGE, Pipeline, gradation_pipeline, run_pipeline
 
 
 def _cmd_grad(args: argparse.Namespace) -> int:
@@ -19,7 +19,7 @@ def _cmd_grad(args: argparse.Namespace) -> int:
 
 
 def _cmd_harmony(args: argparse.Namespace) -> int:
-    print(Pipeline((HARMONY_STAGE,)).run(args.word))
+    print(Pipeline((VOWEL_STAGE,)).run(args.word))
     return 0
 
 
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="print the stage trace")
     p.set_defaults(func=_cmd_grad)
 
-    p = sub.add_parser("harmony", help="resolve A/O/U placeholders in one word")
+    p = sub.add_parser("harmony", help="resolve A/O/U/V placeholders in one word")
     p.add_argument("word")
     p.set_defaults(func=_cmd_harmony)
 

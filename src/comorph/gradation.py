@@ -17,7 +17,7 @@ from functools import cache, wraps
 
 from .record import Record
 from .vowels import VOWELS
-from .writer import EMPTY_DELETIONS, DeletionSet, WriterArrow
+from .writer import EMPTY_DELETIONS, DeletionSet, Stage, WriterArrow
 from .zipper import Zipper
 
 Window = tuple[str | None, str | None]  # (left neighbour, focus)
@@ -72,18 +72,19 @@ def _per_grade(build):
 
 
 @_per_grade
-def gradation_stage(grade: Grade) -> tuple[str, WriterArrow, frozenset[str]]:
-    """Gradation toward ``grade`` as a stage (name, one deleting local rule, support).
+def gradation_stage(grade: Grade) -> Stage:
+    """Gradation toward ``grade`` as a ``Stage``: one deleting local rule and its letters.
 
     Built once per grade, and the only code that reads ``PATTERNS`` for a rule.
     Rows go in priority order, the first window wins. An exact window (geminate
     or cluster) maps (left, focus) to its target; a window with a wildcard left
     is a single consonant and maps the focus alone. The support is the letters
-    those windows focus on, so the arrow is the identity outside it, and at the
+    those windows focus on: the arrow is the identity outside it, and at the
     first cell. A focus that opens an exact window with its right neighbour is
-    kept, and a single consonant changes only between two vowels; without the
-    right vowel, suffix onsets such as the k of -ksi would alternate after every
-    vowel-final stem. A deleted focus is logged at its position.
+    kept, and a single consonant changes only between two vowels, or suffix
+    onsets such as the k of -ksi would alternate after every vowel-final stem. A
+    deleted focus is logged at its position. The rule reads the support, the
+    exact windows' letters and ``VOWELS``, and writes the targets.
     """
     if not isinstance(grade, Grade):
         raise TypeError(f"grade must be a Grade, not {grade!r}")
@@ -118,7 +119,9 @@ def gradation_stage(grade: Grade) -> tuple[str, WriterArrow, frozenset[str]]:
             return (frozenset((i,)), c)
         return (EMPTY_DELETIONS, out)
 
-    return ("gradation", arrow, frozenset(single) | {focus for _, focus in exact})
+    support = frozenset(single) | {focus for _, focus in exact}
+    writes = frozenset({*exact.values(), *single.values()} - {None})
+    return ("gradation", arrow, support, support.union(VOWELS, *exact), writes)
 
 
 def gradation_arrow(grade: Grade) -> WriterArrow:

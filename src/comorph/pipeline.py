@@ -1,21 +1,18 @@
 """Chaining local rules over one word with a single deletion sweep.
 
-The standard run is gradation, then harmony, then possessive copy, an
-order explicit here rather than baked into a merged automaton. Each stage
-owns its support, the cells its table can change (the ``PATTERNS`` focus
-letters, ``A/O/U``, ``V``), and a run is one pass sending each cell to its
-owner: gradation rewrites only consonants, which the vowel rules never
-read, and the copy reads a placeholder as harmony resolves it; a later stage
-owns only ``PLACEHOLDERS``. Deletions are applied exactly once, at the end.
+The standard run is gradation, then the vowel rule, in an explicit order: the
+vowel rule writes vowels, which gradation reads. A run is one pass that sends
+each cell to the stage whose support holds it, and deletions are applied
+exactly once, at the end.
 """
 
 from .gradation import Grade, _per_grade, gradation_stage
 from .record import Record, _set
-from .vowels import COPY_PLACEHOLDER, HARMONY_PLACEHOLDERS, PLACEHOLDERS
-from .vowels import harmony_arrow, possessive_arrow
+from .vowels import PLACEHOLDERS, VOWELS, vowel_arrow
 from .writer import (
     EMPTY_DELETIONS,
     DeletionSet,
+    Stage,
     WriterArrow,
     WriterZipper,
     lift_pure,
@@ -43,15 +40,7 @@ def compose(f: WriterArrow, g: WriterArrow) -> WriterArrow:
     return composed
 
 
-# (stage name, arrow, support: the cells it may change); names appear in trace output.
-Stage = tuple[str, WriterArrow, frozenset[str]]
-
-HARMONY_STAGE = ("harmony", lift_pure(harmony_arrow), frozenset(HARMONY_PLACEHOLDERS))
-POSSESSIVE_STAGE = ("possessive", lift_pure(possessive_arrow), frozenset({COPY_PLACEHOLDER}))
-
-
-TRACE_INPUT = "input"
-TRACE_MATERIALIZE = "materialize"
+VOWEL_STAGE = ("vowels", lift_pure(vowel_arrow), PLACEHOLDERS, VOWELS | PLACEHOLDERS, VOWELS)
 
 
 class TraceRow(Record):
@@ -73,11 +62,12 @@ class Pipeline(_Tables):
     """Named stages in order; the only driver of word passes.
 
     Built once: ``tables[k]`` sends each cell to the one of the first k stages
-    whose support holds it. ``run`` is one pass with the full table, and
-    ``trace`` row k the pass with ``tables[k]``. One pass equals the staged
-    passes when no stage writes what a later one reads, as on the package's
-    stages. The constructor checks what supports show: sets, disjoint, only
-    placeholders (``A/O/U/V``) after the first stage; else ``ValueError``.
+    whose support holds it. ``run`` is one pass with the full table, ``trace``
+    row k the pass with ``tables[k]``. That pass equals the staged passes when
+    no stage reads a letter an earlier one owns or writes, so the constructor
+    takes stages only if every earlier one's ``support | writes`` misses every
+    later one's ``reads | support`` (a rule reads the cells it owns); else, or
+    for a ``None`` support, ``ValueError``.
     """
 
     __slots__ = ("stages",)
@@ -86,14 +76,13 @@ class Pipeline(_Tables):
         super().__init__(stages)
         table: dict[str, WriterArrow] = {}
         tables = [table]
-        for k, (name, arrow, support) in enumerate(stages):
+        for k, (name, arrow, support, reads, writes) in enumerate(stages):
             if support is None:
                 raise ValueError(f"stage {name!r} of {len(stages)} has no support")
-            if k and not support.issubset(PLACEHOLDERS):
-                raise ValueError(f"stage {name!r} follows the first but owns more than A/O/U/V")
-            if not table.keys().isdisjoint(support):
-                first = next(n for n, _, s in stages if not s.isdisjoint(support))
-                raise ValueError(f"stages {first!r} and {name!r} own a cell in common")
+            reads |= support  # a rule reads the cells it owns
+            first = next((n for n, _, s, _, w in stages[:k] if not reads.isdisjoint(s | w)), None)
+            if first is not None:
+                raise ValueError(f"stage {name!r} reads what {first!r} before it owns or writes")
             table = {**table, **dict.fromkeys(support, arrow)}
             tables.append(table)
         _set(self, "_tables", tuple(tables))
@@ -106,23 +95,19 @@ class Pipeline(_Tables):
         wz = start(word)
         done = table_extend(self._tables[-1], wz)  # run's pass first: trace raises what run raises
         passes = [table_extend(t, wz) for t in self._tables[:-1]] + [done]
-        names = [TRACE_INPUT, *[name for name, _, _ in self.stages]]
+        names = ["input", *[stage[0] for stage in self.stages]]
         rows = [TraceRow(n, "".join(p.cells), p.log) for n, p in zip(names, passes)]
-        rows.append(TraceRow(TRACE_MATERIALIZE, materialize(done), EMPTY_DELETIONS))
-        return rows
+        return [*rows, TraceRow("materialize", materialize(done), EMPTY_DELETIONS)]
 
 
 @_per_grade
 def standard_pipeline(grade: Grade) -> Pipeline:
-    """Gradation toward ``grade``, then harmony, then possessive copy.
-
-    Built once per grade and shared; a pipeline is immutable.
-    """
-    return Pipeline((gradation_stage(grade), HARMONY_STAGE, POSSESSIVE_STAGE))
+    """Gradation toward ``grade``, then the vowel rule; built once per grade and shared."""
+    return Pipeline((gradation_stage(grade), VOWEL_STAGE))
 
 
 def run_pipeline(word: str, grade: Grade) -> str:
-    """Surface form of ``word`` after the standard three stages."""
+    """Surface form of ``word`` after the standard stages."""
     return standard_pipeline(grade).run(word)
 
 

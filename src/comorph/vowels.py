@@ -1,4 +1,4 @@
-"""Vowel harmony and possessive vowel copy.
+"""Vowel harmony and possessive vowel copy, one rule: ``vowel_arrow``.
 
 Finnish vowels split into back (a, o, u), front (ä, ö, y) and neutral (e, i).
 A suffix placeholder A, O or U takes from its ``HARMONY_PLACEHOLDERS`` pair the
@@ -27,8 +27,7 @@ PLACEHOLDERS = frozenset(HARMONY_PLACEHOLDERS) | {COPY_PLACEHOLDER}
 
 
 def _harmonize(cells: tuple[str, ...], i: int) -> str:
-    # The A/O/U at ``i`` read from its pair: back after the nearest a/o/u to its
-    # left, front after ä/ö/y or when neither comes first.
+    # The A/O/U at ``i`` read from its pair, as the module states.
     back, front = HARMONY_PLACEHOLDERS[cells[i]]
     for j in range(i - 1, -1, -1):
         c = cells[j]
@@ -39,24 +38,26 @@ def _harmonize(cells: tuple[str, ...], i: int) -> str:
     return front
 
 
+def vowel_arrow(z: Zipper[str]) -> str:
+    """Resolve a focused A/O/U/V as the module states; leave everything else alone."""
+    cells, i, c = z.cells, z.index, z.focus
+    if c in HARMONY_PLACEHOLDERS:
+        return _harmonize(cells, i)
+    if c != COPY_PLACEHOLDER:
+        return c
+    for j in range(i - 1, -1, -1):
+        if cells[j] in VOWELS:
+            return cells[j]
+        if cells[j] in HARMONY_PLACEHOLDERS:
+            return _harmonize(cells, j)
+    raise ValueError(f"copy placeholder V at position {i} has no vowel to its left")
+
+
 def harmony_arrow(z: Zipper[str]) -> str:
     """Resolve a focused A/O/U placeholder; leave everything else alone."""
     return _harmonize(z.cells, z.index) if z.focus in HARMONY_PLACEHOLDERS else z.focus
 
 
 def possessive_arrow(z: Zipper[str]) -> str:
-    """Resolve a focused V by copying the nearest preceding vowel.
-
-    An A/O/U met first reads as ``harmony_arrow`` resolves it there, so the
-    copy is the same before and after the harmony pass. Raises
-    ``ValueError`` naming the position when no vowel precedes it.
-    """
-    if z.focus != COPY_PLACEHOLDER:
-        return z.focus
-    cells = z.cells
-    for i in range(z.index - 1, -1, -1):
-        if cells[i] in VOWELS:
-            return cells[i]
-        if cells[i] in HARMONY_PLACEHOLDERS:
-            return _harmonize(cells, i)
-    raise ValueError(f"copy placeholder V at position {z.index} has no vowel to its left")
+    """Resolve a focused V as ``vowel_arrow`` does; leave everything else alone."""
+    return vowel_arrow(z) if z.focus == COPY_PLACEHOLDER else z.focus

@@ -110,6 +110,9 @@ def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:
 # wants removed plus its output character.
 WriterArrow = Callable[[WriterZipper], tuple[DeletionSet, str]]
 
+# A pipeline stage: (name, arrow, letters it may change, letters it reads, letters it writes).
+Stage = tuple[str, WriterArrow, frozenset[str], frozenset[str], frozenset[str]]
+
 
 def writer_extend(f: WriterArrow, wz: WriterZipper) -> WriterZipper:
     """The coKleisli ``extend``: ``f`` at every cell; ``table_extend`` passes over a support."""

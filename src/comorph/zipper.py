@@ -118,6 +118,12 @@ def extend(
         raise ValueError(
             f"positions {min(positions)}..{max(positions)} out of range for length {len(cells)}"
         )
+    return _extend(z, f, positions)
+
+
+def _extend(z: Zipper[A], f: Callable[[Zipper[A]], B], positions: Sequence[int]) -> Zipper[B]:
+    # extend's pass, for positions the caller knows are in range.
+    cells = z.cells
     out = None
     for i in positions:
         # _at(cells, i), written out: this is the per-visit cost.

@@ -231,32 +231,36 @@ MUTANTS = (
     Mutant(
         "copy-skips-harmony-placeholders",
         "vowels.py",
-        "        if cells[i] in HARMONY_PLACEHOLDERS:\n"
-        "            return _harmonize(cells, i)\n",
+        "        if cells[j] in HARMONY_PLACEHOLDERS:\n"
+        "            return _harmonize(cells, j)\n",
         "",
-        ("tests/test_pipeline.py::test_one_pass_equals_the_staged_passes",),
+        ("tests/test_vowels.py::test_vowel_stages_match_the_grammar",),
     ),
+    # The one stage-order condition: with the reads check gone the constructor
+    # accepts any later stage, and one pass and the staged passes part.
     Mutant(
         "pipeline-accepts-any-later-stage",
         "pipeline.py",
-        "            if k and not support.issubset(PLACEHOLDERS):\n",
+        "            if first is not None:\n",
         "            if False:\n",
+        (
+            "tests/test_pipeline.py::"
+            "test_trace_ends_in_what_run_gives_for_every_accepted_stage_list",
+        ),
+    ),
+    Mutant(
+        "gradation-reads-no-vowel",
+        "gradation.py",
+        "support.union(VOWELS, *exact)",
+        "support.union(*exact)",
         ("tests/test_pipeline.py::test_pipeline_refuses_stages_one_pass_cannot_run",),
     ),
     Mutant(
-        "trace-passes-each-stage-over-the-previous-row",
+        "trace-shows-the-full-pass-on-every-row",
         "pipeline.py",
-        "        done = table_extend(self._tables[-1], wz)"
-        "  # run's pass first: trace raises what run raises\n"
         "        passes = [table_extend(t, wz) for t in self._tables[:-1]] + [done]\n",
-        "        passes = [wz]\n"
-        "        for _, arrow, support in self.stages:\n"
-        "            passes.append(table_extend(dict.fromkeys(support, arrow), passes[-1]))\n"
-        "        done = passes[-1]\n",
-        (
-            "tests/test_pipeline.py::test_trace_ends_in_the_word_run_gives",
-            "tests/test_pipeline.py::test_trace_ends_in_what_run_gives_for_every_accepted_stage_list",
-        ),
+        "        passes = [done] * len(self._tables)\n",
+        ("tests/test_pipeline.py::test_trace_row_k_is_the_pass_of_the_first_k_stages",),
     ),
     Mutant(
         "weaken-grades-toward-strong",
@@ -395,18 +399,19 @@ MUTANTS = (
         "statistics.fmean(samples)",
         BENCH_TESTS,
     ),
+    # The harmony row runs what the possessive row runs: the stage on copy words.
     Mutant(
         "bench-harmony-row-runs-the-possessive-stage",
         "bench.py",
-        "Pipeline((HARMONY_STAGE,))",
-        "Pipeline((POSSESSIVE_STAGE,))",
+        "vowels.run(w)) for w in HARMONY_WORDS]",
+        "vowels.run(w)) for w in POSSESSIVE_WORDS]",
         BENCH_TESTS,
     ),
     Mutant(
         "bench-possessive-row-runs-the-full-pipeline",
         "bench.py",
-        "possessive.run(w)",
-        "run_pipeline(w, Grade.WEAK)",
+        '"possessive": [(lambda w=w: vowels.run(w))',
+        '"possessive": [(lambda w=w: run_pipeline(w, Grade.WEAK))',
         BENCH_TESTS,
     ),
 )

@@ -169,7 +169,7 @@ def staged_run(stages, word: str) -> str:
     ``word`` must already be NFC and in the word contract: nothing here checks it.
     """
     wz = WriterZipper(frozenset(), from_sequence(word, 0))
-    for _, arrow, support in stages:
+    for _, arrow, support, _, _ in stages:
         wz = always_copy_extend(arrow, wz, support)
     return filter_materialize("".join(wz.cells), wz.log)
 

@@ -6,13 +6,7 @@ import time
 
 from comorph import bench
 from comorph.gradation import PATTERNS, Grade
-from comorph.pipeline import (
-    HARMONY_STAGE,
-    POSSESSIVE_STAGE,
-    Pipeline,
-    gradation_pipeline,
-    standard_pipeline,
-)
+from comorph.pipeline import VOWEL_STAGE, Pipeline, gradation_pipeline, standard_pipeline
 
 
 def test_each_row_reports_the_statistics_of_its_pooled_samples(monkeypatch):
@@ -50,7 +44,8 @@ def test_each_row_reports_the_statistics_of_its_pooled_samples(monkeypatch):
 
 
 def test_component_rows_run_one_stage_pipelines(monkeypatch):
-    """Gradation, harmony and possessive each time a one-stage pipeline; then the full one."""
+    """Gradation, then the vowel stage on harmony words and on copy words, each time a
+    one-stage pipeline; then the full one."""
     calls = []
     run = Pipeline.run
 
@@ -62,7 +57,7 @@ def test_component_rows_run_one_stage_pipelines(monkeypatch):
     bench.run_benchmarks(iterations=1)
     assert calls == [
         *((gradation_pipeline(Grade.WEAK).stages, w) for w, _ in (p.example for p in PATTERNS)),
-        *(((HARMONY_STAGE,), w) for w in bench.HARMONY_WORDS),
-        *(((POSSESSIVE_STAGE,), w) for w in bench.POSSESSIVE_WORDS),
+        *(((VOWEL_STAGE,), w) for w in bench.HARMONY_WORDS),
+        *(((VOWEL_STAGE,), w) for w in bench.POSSESSIVE_WORDS),
         *((standard_pipeline(Grade.WEAK).stages, w) for w in bench.PIPELINE_WORDS),
     ]

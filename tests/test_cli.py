@@ -72,6 +72,15 @@ def test_harmony_normalizes_decomposed_input(capsys):
     assert (code, out.strip()) == (0, "kynässä")
 
 
+def test_harmony_resolves_the_copy_placeholder(capsys):
+    assert run(capsys, "harmony", "talossAVn") == (0, "talossaan\n", "")
+
+
+def test_harmony_refuses_a_copy_placeholder_with_no_vowel_to_its_left(capsys):
+    message = "error: copy placeholder V at position 1 has no vowel to its left\n"
+    assert run(capsys, "harmony", "gV") == (1, "", message)
+
+
 def test_pipeline(capsys):
     code, out, _ = run(capsys, "pipeline", "--grade", "weak", "kampAstAVn")
     assert (code, out.strip()) == (0, "kammastaan")

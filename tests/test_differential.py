@@ -8,9 +8,9 @@ import sys
 # sha256 of the scale-1 transcript at each seed, computed on CPython 3.11;
 # 3.10, 3.12 and 3.13 give the same.
 PINS = {
-    0: "2505c2dc0334e0148a59d1f578df3a4f98d6b1509e86162920b059106df57d77",
-    1: "a2a42d48383ce5cd266dc082ab7644ce1a1f2f7572d1aa3693a52b4954bd6f0b",
-    3: "04fd697107d29c683adfd80435856995c59e4d70d8c5165c5fb10c0ada8df078",
+    0: "9ecf78c65bdfbfdd303d330717b7072e15f1aea804d275bb8a99f956fc153789",
+    1: "6ecdeb43016fe3c3907a593a53e2c030a1ba720a07e3201543cca81b8c060758",
+    3: "c8e4c2836897c094757d77715bf0608602b879fddaab9a888091c7670cf274ff",
 }
 HARNESS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "differential.py")
 SECTIONS = [

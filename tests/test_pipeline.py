@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from comorph.gradation import PATTERNS, Grade, gradation_arrow
 from comorph.pipeline import (
-    HARMONY_STAGE,
-    POSSESSIVE_STAGE,
+    VOWEL_STAGE,
     Pipeline,
     compose,
     gradation_pipeline,
@@ -17,12 +16,14 @@ from comorph.pipeline import (
     run_pipeline,
     standard_pipeline,
 )
-from comorph.vowels import harmony_arrow
+from comorph.vowels import VOWELS, harmony_arrow, possessive_arrow
 from comorph.writer import (
     EMPTY_DELETIONS,
     WriterZipper,
     lift_pure,
     materialize,
+    start,
+    table_extend,
     writer_extend,
 )
 from comorph.zipper import extract, from_sequence, to_sequence
@@ -111,10 +112,10 @@ def test_sequential_stages_equal_composed_arrow(word, _):
     stages = standard_pipeline(Grade.WEAK).stages
     start = WriterZipper(frozenset(), from_sequence(word, 0))
     sequential = start
-    for _, arrow, _ in stages:
+    for _, arrow, *_ in stages:
         sequential = writer_extend(arrow, sequential)
     merged = stages[0][1]
-    for _, arrow, _ in stages[1:]:
+    for _, arrow, *_ in stages[1:]:
         merged = compose(merged, arrow)
     assert writer_extend(merged, start) == sequential
     assert materialize(writer_extend(merged, start)) == run_pipeline(word, Grade.WEAK)
@@ -155,7 +156,7 @@ def test_starting_focus_does_not_matter(focus):
     word = "kampAstAVn"
     start = WriterZipper(frozenset(), from_sequence(word, min(focus, len(word) - 1)))
     wz = start
-    for _, arrow, _ in standard_pipeline(Grade.WEAK).stages:
+    for _, arrow, *_ in standard_pipeline(Grade.WEAK).stages:
         wz = writer_extend(arrow, wz)
     assert materialize(wz) == "kammastaan"
 
@@ -167,14 +168,35 @@ def test_writer_extract_reads_stage_focus():
     assert extract(writer_extend(gradation_arrow(Grade.WEAK), start)) == "v"
 
 
+# Grade -> gradation's (support, reads, writes): the window letters, the vowels and the targets.
+GRADATION_LETTERS = {
+    Grade.WEAK: ("ptk", "ptkmlnraouäöyei", "mlnrgvd"),
+    Grade.STRONG: ("mlnrgvd", "mlnrgvdaouäöyei", "ptk"),
+}
+
+
 @pytest.mark.parametrize("grade", Grade)
 def test_standard_stages_carry_their_supports(grade):
     stages = standard_pipeline(grade).stages
-    assert stages == (gradation_stage(grade), HARMONY_STAGE, POSSESSIVE_STAGE)
-    assert [support for _, _, support in stages[1:]] == [frozenset("AOU"), frozenset("V")]
+    assert stages == (gradation_stage(grade), VOWEL_STAGE)
+    assert stages[0][2:] == tuple(map(frozenset, GRADATION_LETTERS[grade]))
+    vowels = ("AOUV", "aouäöyeiAOUV", "aouäöyei")
+    assert VOWEL_STAGE[2:] == tuple(map(frozenset, vowels))
 
 
 contract_words = st.text(alphabet=CONTRACT_ALPHABET, min_size=1, max_size=16)
+
+# A first stage that writes a vowel the vowel stage reads: a list that runs it
+# before the vowel stage is refused, for one pass would read the e it rewrites.
+E_TO_A = (
+    "e-to-a",
+    lift_pure(lambda z: "a" if z.focus == "e" else z.focus),
+    frozenset("e"),
+    frozenset("e"),
+    frozenset("a"),
+)
+WEAK, STRONG = gradation_stage(Grade.WEAK), gradation_stage(Grade.STRONG)
+STAGE_CHOICES = (WEAK, STRONG, VOWEL_STAGE, E_TO_A)
 
 
 @pytest.mark.parametrize(
@@ -189,7 +211,8 @@ contract_words = st.text(alphabet=CONTRACT_ALPHABET, min_size=1, max_size=16)
 @example(word="kenkä")
 @example(word="parta")
 def test_stage_is_the_identity_outside_its_support(grade, stage, word):
-    _, arrow, support = standard_pipeline(grade).stages[stage]
+    """The standard stages, then ``E_TO_A``: each stage the stage-list property draws."""
+    _, arrow, support, _, _ = (*standard_pipeline(grade).stages, E_TO_A)[stage]
     for i, c in enumerate(word):
         if c not in support:
             view = WriterZipper(EMPTY_DELETIONS, from_sequence(word, i))
@@ -221,6 +244,22 @@ def _outcome(run, *args):
         return run(*args)
     except ValueError as exc:
         return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("stage", range(4), ids=["weak", "strong", "vowels", "e-to-a"])
+@given(word=contract_words)
+@example(word="kampa")  # the vowels around a single consonant are read
+@example(word="kAV")
+def test_a_stage_reads_and_writes_only_the_letters_it_states(stage, word):
+    """At a cell of its support a rule gives the same with every letter it does not
+    read turned into h, which no stage reads, and writes only its writes."""
+    _, arrow, support, reads, writes = STAGE_CHOICES[stage]
+    blind = "".join(c if c in reads else "h" for c in word)
+    for i, c in enumerate(word):
+        if c in support:
+            out = _outcome(arrow, WriterZipper(EMPTY_DELETIONS, from_sequence(word, i)))
+            assert out == _outcome(arrow, WriterZipper(EMPTY_DELETIONS, from_sequence(blind, i)))
+            assert out[0] is ValueError or out[1] in writes | {c}, (word, i, out)
 
 
 @given(contract_words, st.sampled_from(Grade))
@@ -286,14 +325,13 @@ def test_letters_without_a_lower_case_pass_the_contract(word, expected):
 ONE_PASS_PIPELINES = {
     **{f"standard-{g.value}": standard_pipeline(g) for g in Grade},
     **{f"gradation-{g.value}": gradation_pipeline(g) for g in Grade},
-    "harmony": Pipeline((HARMONY_STAGE,)),
-    "possessive": Pipeline((POSSESSIVE_STAGE,)),
+    "harmony": Pipeline((VOWEL_STAGE,)),  # what ``comorph harmony`` runs
 }
 
 
 @pytest.mark.parametrize("name", ONE_PASS_PIPELINES)
 @given(word=contract_words)
-@example(word="talossAVn")  # the copy reads the placeholder before the harmony pass
+@example(word="talossAVn")  # the copy reads a placeholder as harmony resolves it
 @example(word="kampAstAVn")
 @example(word="ptpttV")  # a V error after a deletion
 @example(word="AV")
@@ -306,34 +344,42 @@ def test_one_pass_equals_the_staged_passes(name, word):
 
 
 def test_the_copy_reads_a_placeholder_as_harmony_resolves_it():
-    possessive = Pipeline((POSSESSIVE_STAGE,))
-    assert possessive.run("talossAVn") == "talossAan"
-    assert possessive.run("kynässAVn") == "kynässAän"
-    assert possessive.run("AV") == "Aä"
+    def copy(word):
+        return materialize(writer_extend(lift_pure(possessive_arrow), start(word)))
+
+    assert copy("talossAVn") == "talossAan"
+    assert copy("kynässAVn") == "kynässAän"
+    assert copy("AV") == "Aä"
 
 
-EVERY_CELL = ("every cell", HARMONY_STAGE[1], None)
-LATER_STAGE = "stage 'gradation' follows the first but owns more than A/O/U/V"
+EVERY_CELL = ("every cell", VOWEL_STAGE[1], None, frozenset(), frozenset())
+COPY = ("copy", VOWEL_STAGE[1], frozenset("V"), frozenset("aouäöyeiV"), frozenset("aouäöyei"))
+# A stage that states no reads still reads the cells it owns.
+BLIND_COPY = ("blind copy", VOWEL_STAGE[1], frozenset("V"), frozenset(), frozenset())
+READS = "stage {!r} reads what {!r} before it owns or writes"
 
 
 @pytest.mark.parametrize(
     "stages,message",
     [
         # Staged, kampa weakens to kamma and strengthens back; one pass gives kamma.
-        ((gradation_stage(Grade.WEAK), gradation_stage(Grade.STRONG)), LATER_STAGE),
+        ((WEAK, STRONG), READS.format("gradation", "gradation")),
+        ((STRONG, WEAK), READS.format("gradation", "gradation")),
         # In one pass, gradation would read the A of kampA as no vowel.
-        ((HARMONY_STAGE, gradation_stage(Grade.WEAK)), LATER_STAGE),
-        (
-            (HARMONY_STAGE, ("copy", POSSESSIVE_STAGE[1], frozenset("AV"))),
-            "stages 'harmony' and 'copy' own a cell in common",
-        ),
-        ((EVERY_CELL, HARMONY_STAGE), "stage 'every cell' of 2 has no support"),
-        ((HARMONY_STAGE, EVERY_CELL), "stage 'every cell' of 2 has no support"),
+        ((VOWEL_STAGE, WEAK), READS.format("gradation", "vowels")),
+        ((VOWEL_STAGE, STRONG), READS.format("gradation", "vowels")),
+        ((VOWEL_STAGE, COPY), READS.format("copy", "vowels")),
+        ((VOWEL_STAGE, BLIND_COPY), READS.format("blind copy", "vowels")),
+        ((E_TO_A, VOWEL_STAGE), READS.format("vowels", "e-to-a")),
+        ((WEAK, VOWEL_STAGE, E_TO_A), READS.format("e-to-a", "vowels")),
+        ((EVERY_CELL, VOWEL_STAGE), "stage 'every cell' of 2 has no support"),
+        ((VOWEL_STAGE, EVERY_CELL), "stage 'every cell' of 2 has no support"),
         ((EVERY_CELL,), "stage 'every cell' of 1 has no support"),
     ],
     ids=[
-        "weak-then-strong", "harmony-then-gradation", "overlap", "none-first", "none-second",
-        "none-alone",
+        "weak-then-strong", "strong-then-weak", "vowels-then-gradation",
+        "vowels-then-strong-gradation", "overlap", "overlap-without-reads",
+        "e-to-a-then-vowels", "vowels-then-e-to-a", "none-first", "none-second", "none-alone",
     ],
 )
 def test_pipeline_refuses_stages_one_pass_cannot_run(stages, message):
@@ -341,27 +387,43 @@ def test_pipeline_refuses_stages_one_pass_cannot_run(stages, message):
         Pipeline(stages)
 
 
-def test_pipeline_accepts_the_vowel_stages_in_either_order():
-    for stages in ((HARMONY_STAGE, POSSESSIVE_STAGE), (POSSESSIVE_STAGE, HARMONY_STAGE)):
-        pipeline = Pipeline((gradation_stage(Grade.WEAK), *stages))
-        assert pipeline.run("kampAstAVn") == "kammastaan"
-        assert pipeline.trace("kampAstAVn")[-1].chars == "kammastaan"
+@pytest.mark.parametrize(
+    "word,staged,one_pass",
+    [
+        ("kessA", "kassa", "kassä"),
+        ("kessAVn", "kassaan", "kassään"),
+        ("tepAVn", "tapaan", "tapään"),
+    ],
+    ids=["kessA", "kessAVn", "tepAVn"],
+)
+def test_e_to_a_before_the_vowel_stage_is_refused_where_one_pass_differs(word, staged, one_pass):
+    """Staged, the vowel stage reads the a that e-to-a writes; one pass reads the e."""
+    assert staged_run((E_TO_A, VOWEL_STAGE), word) == staged
+    table = {"e": E_TO_A[1], **dict.fromkeys(VOWEL_STAGE[2], VOWEL_STAGE[1])}
+    assert materialize(table_extend(table, start(word))) == one_pass
+    with pytest.raises(ValueError, match=f"^{READS.format('vowels', 'e-to-a')}$"):
+        Pipeline((E_TO_A, VOWEL_STAGE))
 
 
-# A first stage that writes a vowel harmony reads: one pass and the staged
-# passes differ, and ``trace`` must show the one pass that ``run`` makes.
-E_TO_A = ("e-to-a", lift_pure(lambda z: "a" if z.focus == "e" else z.focus), frozenset("e"))
+# The harmony rule alone, as a stage: it resolves A/O/U and leaves V standing.
+HARMONY_ONLY = ("harmony", lift_pure(harmony_arrow), frozenset("AOU"), VOWELS, VOWELS)
 
 
 @pytest.mark.parametrize(
     "stages,word,expected",
     [
-        ((E_TO_A, HARMONY_STAGE), "kessA", "kassä"),
-        ((E_TO_A, HARMONY_STAGE), "kessAVn", "kassäVn"),
-        ((E_TO_A, HARMONY_STAGE, POSSESSIVE_STAGE), "kessA", "kassä"),
-        ((E_TO_A, HARMONY_STAGE, POSSESSIVE_STAGE), "kessAVn", "kassään"),
+        ((WEAK, HARMONY_ONLY), "kessA", "kessä"),
+        ((WEAK, HARMONY_ONLY), "kessAVn", "kessäVn"),
+        ((WEAK, VOWEL_STAGE), "kessA", "kessä"),
+        ((WEAK, VOWEL_STAGE), "kessAVn", "kessään"),
+        ((WEAK, VOWEL_STAGE), "kampAstAVn", "kammastaan"),
+        ((STRONG, VOWEL_STAGE), "kammAstAVn", "kampastaan"),
+        ((WEAK, E_TO_A), "tepe", "tava"),
     ],
-    ids=["harmony-kessA", "harmony-kessAVn", "possessive-kessA", "possessive-kessAVn"],
+    ids=[
+        "harmony-kessA", "harmony-kessAVn", "possessive-kessA", "possessive-kessAVn",
+        "weak-then-vowels", "strong-then-vowels", "weak-then-e-to-a",
+    ],
 )
 def test_trace_ends_in_the_word_run_gives(stages, word, expected):
     pipeline = Pipeline(stages)
@@ -370,25 +432,26 @@ def test_trace_ends_in_the_word_run_gives(stages, word, expected):
 
 
 def test_trace_row_k_is_the_pass_of_the_first_k_stages():
-    rows = Pipeline((E_TO_A, HARMONY_STAGE, POSSESSIVE_STAGE)).trace("kessAVn")
+    rows = Pipeline((WEAK, VOWEL_STAGE)).trace("kukkAstAVn")
     assert [r.render() for r in rows] == [
-        "input\tkessAVn\t",
-        "e-to-a\tkassAVn\t",
-        "harmony\tkassäVn\t",
-        "possessive\tkassään\t",
-        "materialize\tkassään\t",
+        "input\tkukkAstAVn\t",
+        "gradation\tkukkAstAVn\t3",
+        "vowels\tkukkastaan\t3",
+        "materialize\tkukastaan\t",
     ]
 
 
-STAGE_CHOICES = (*[gradation_stage(g) for g in Grade], HARMONY_STAGE, POSSESSIVE_STAGE, E_TO_A)
-
-
 @given(word=contract_words, stages=st.lists(st.sampled_from(STAGE_CHOICES), max_size=4))
-@example(word="kessA", stages=[E_TO_A, HARMONY_STAGE])
-@example(word="kessAVn", stages=[E_TO_A, HARMONY_STAGE, POSSESSIVE_STAGE])
+# Were these accepted, one pass would give kassä, kassään and kamma.
+@example(word="kessA", stages=[E_TO_A, VOWEL_STAGE])
+@example(word="kessAVn", stages=[E_TO_A, VOWEL_STAGE])
+@example(word="kampa", stages=[WEAK, STRONG])
 def test_trace_ends_in_what_run_gives_for_every_accepted_stage_list(word, stages):
+    """Every list the constructor takes runs as its staged passes; its trace ends there too."""
     try:
         pipeline = Pipeline(tuple(stages))
     except ValueError:
         assume(False)
-    assert _outcome(pipeline.run, word) == _outcome(lambda w: pipeline.trace(w)[-1].chars, word)
+    ran = _outcome(pipeline.run, word)
+    assert ran == _outcome(staged_run, pipeline.stages, word)
+    assert ran == _outcome(lambda w: pipeline.trace(w)[-1].chars, word)

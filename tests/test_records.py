@@ -27,7 +27,7 @@ from comorph import (
 )
 from comorph.bench import BenchRow
 from comorph.laws import SuiteReport
-from comorph.pipeline import HARMONY_STAGE, TraceRow
+from comorph.pipeline import VOWEL_STAGE, TraceRow
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 NOUN = ReadingTest("pos", "noun")
@@ -59,7 +59,7 @@ RECORDS = [
     (
         CaseTemplate,
         ("ssA", "ssAVn", Pipeline(())),
-        ("ssA", "ssAVn", Pipeline((HARMONY_STAGE,))),
+        ("ssA", "ssAVn", Pipeline((VOWEL_STAGE,))),
         "CaseTemplate(suffix='ssA', poss3='ssAVn', pipeline=Pipeline(stages=()))",
     ),
     (
@@ -68,7 +68,7 @@ RECORDS = [
         ("gradation", "kaapi", frozenset()),
         "TraceRow(stage='gradation', chars='kaapi', deletions=frozenset({3}))",
     ),
-    (Pipeline, ((),), ((HARMONY_STAGE,),), "Pipeline(stages=())"),
+    (Pipeline, ((),), ((VOWEL_STAGE,),), "Pipeline(stages=())"),
 ]
 
 

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from comorph.pipeline import HARMONY_STAGE, POSSESSIVE_STAGE, Pipeline
-from comorph.vowels import HARMONY_PLACEHOLDERS, VOWELS, harmony_arrow, possessive_arrow
+from comorph.pipeline import VOWEL_STAGE, Pipeline
+from comorph.vowels import (
+    HARMONY_PLACEHOLDERS,
+    VOWELS,
+    harmony_arrow,
+    possessive_arrow,
+    vowel_arrow,
+)
 from comorph.writer import WriterZipper, lift_pure
 from comorph.zipper import extend, from_sequence, to_sequence
 from conftest import CONTRACT_ALPHABET
@@ -102,13 +108,13 @@ def test_harmony_does_not_touch_copy_placeholder():
 @given(st.text(alphabet="aehiklmnoprstuvyäöAOUV", min_size=1, max_size=14))
 def test_lifted_vowel_arrows_never_delete(word):
     wz = WriterZipper(frozenset(), from_sequence(word, 0))
-    for arrow in (harmony_arrow, possessive_arrow):
+    for arrow in (harmony_arrow, possessive_arrow, vowel_arrow):
         lifted = lift_pure(arrow)
         items = to_sequence(wz.zipper)
         for i in range(len(items)):
             refocused = WriterZipper(frozenset(), from_sequence(items, i))
             unresolvable = (
-                arrow is possessive_arrow
+                arrow is not harmony_arrow
                 and items[i] == "V"
                 and not VOWELS.union(HARMONY_PLACEHOLDERS).intersection(items[:i])
             )
@@ -134,5 +140,5 @@ def _vowel_outcome(run, word):
 @example("kAlOVUV")  # an unresolved placeholder is skipped by the harmony scan
 @example("tsVa")  # no vowel to the left of the V
 def test_vowel_stages_match_the_grammar(word):
-    vowel_stages = Pipeline((HARMONY_STAGE, POSSESSIVE_STAGE))
-    assert _vowel_outcome(vowel_stages.run, word) == _vowel_outcome(grammar_vowels, word)
+    vowels = Pipeline((VOWEL_STAGE,))
+    assert _vowel_outcome(vowels.run, word) == _vowel_outcome(grammar_vowels, word)
