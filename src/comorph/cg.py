@@ -138,10 +138,18 @@ class ReadingTest(Record):
         super().__init__(field, value)
 
 
+def _typed(*fields: tuple[str, object, type]) -> None:
+    # A rule field of another type would run as some other rule, or fail mid-run.
+    for name, value, kind in fields:
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} must be {kind.__name__}, not {value!r}")
+
+
 class Condition(Record):
     __slots__ = ("offset", "test", "negated")  # offset: relative token position; 0 is the focus
 
     def __init__(self, offset: int, test: ReadingTest, negated: bool = False) -> None:
+        _typed(("offset", offset, int), ("test", test, ReadingTest), ("negated", negated, bool))
         super().__init__(offset, test, negated)
 
 
@@ -195,9 +203,11 @@ class CgRule(_Planned):
     def __init__(
         self, action: RuleAction, target: ReadingTest, condition: Condition | None = None
     ) -> None:
+        _typed(("action", action, RuleAction), ("target", target, ReadingTest))
         super().__init__(action, target, condition)
         c = condition
         if c is not None:
+            _typed(("condition", c, Condition))
             c = (c.offset, c.test.field, _GET[c.test.field], c.test.value, c.negated)
         select, field = action is RuleAction.SELECT, target.field
         object.__setattr__(self, "_plan", (select, field, _SLOT[field], target.value, c))
@@ -293,11 +303,12 @@ def apply_rule(z: Zipper[ReadingSet], rule: CgRule) -> ReadingSet:
     result, so a negated condition holds at the boundary too.
     """
     select, _, slot, value, condition = rule._plan
-    focus = z.focus
+    cells, i = z.cells, z.index
+    focus = cells[i]
     if condition is not None:
         offset, _, get, tag, negated = condition
-        i, cells = z.index + offset, z.cells
-        if (0 <= i < len(cells) and tag in map(get, cells[i].readings)) == negated:
+        j = i + offset
+        if (0 <= j < len(cells) and tag in map(get, cells[j].readings)) == negated:
             return focus
     readings = focus.readings
     keep = []

@@ -67,7 +67,7 @@ class Pipeline(_Tables):
     no stage reads a letter an earlier one owns or writes, so the constructor
     takes stages only if every earlier one's ``support | writes`` misses every
     later one's ``reads | support`` (a rule reads the cells it owns); else, or
-    for a ``None`` support, ``ValueError``.
+    for a ``None`` support, ``ValueError``; for a stage of another shape, ``TypeError``.
     """
 
     __slots__ = ("stages",)
@@ -76,7 +76,11 @@ class Pipeline(_Tables):
         super().__init__(stages)
         table: dict[str, WriterArrow] = {}
         tables = [table]
-        for k, (name, arrow, support, reads, writes) in enumerate(stages):
+        for k, stage in enumerate(stages):
+            if not (isinstance(stage, tuple) and len(stage) == 5):
+                shape = "(name, arrow, support, reads, writes)"
+                raise TypeError(f"stage {k} of {len(stages)} is not a {shape} tuple: {stage!r}")
+            name, arrow, support, reads, writes = stage
             if support is None:
                 raise ValueError(f"stage {name!r} of {len(stages)} has no support")
             reads |= support  # a rule reads the cells it owns

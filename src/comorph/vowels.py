@@ -40,7 +40,8 @@ def _harmonize(cells: tuple[str, ...], i: int) -> str:
 
 def vowel_arrow(z: Zipper[str]) -> str:
     """Resolve a focused A/O/U/V as the module states; leave everything else alone."""
-    cells, i, c = z.cells, z.index, z.focus
+    cells, i = z.cells, z.index
+    c = cells[i]
     if c in HARMONY_PLACEHOLDERS:
         return _harmonize(cells, i)
     if c != COPY_PLACEHOLDER:
@@ -55,9 +56,10 @@ def vowel_arrow(z: Zipper[str]) -> str:
 
 def harmony_arrow(z: Zipper[str]) -> str:
     """Resolve a focused A/O/U placeholder; leave everything else alone."""
-    return _harmonize(z.cells, z.index) if z.focus in HARMONY_PLACEHOLDERS else z.focus
+    cells, i = z.cells, z.index
+    return _harmonize(cells, i) if cells[i] in HARMONY_PLACEHOLDERS else cells[i]
 
 
 def possessive_arrow(z: Zipper[str]) -> str:
     """Resolve a focused V as ``vowel_arrow`` does; leave everything else alone."""
-    return vowel_arrow(z) if z.focus == COPY_PLACEHOLDER else z.focus
+    return vowel_arrow(z) if z.cells[z.index] == COPY_PLACEHOLDER else z.cells[z.index]

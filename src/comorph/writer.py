@@ -23,7 +23,7 @@ import unicodedata
 from collections.abc import Callable
 
 from .vowels import PLACEHOLDERS
-from .zipper import Zipper, _at
+from .zipper import Zipper, _at, _new
 
 DeletionSet = frozenset[int]
 
@@ -55,7 +55,6 @@ class WriterZipper(Zipper[str]):
         _check(log, len(zipper.cells))
         self.cells = zipper.cells
         self.index = zipper.index
-        self.focus = zipper.focus
         self.log = log
 
     @property
@@ -67,9 +66,6 @@ class WriterZipper(Zipper[str]):
 
     def __repr__(self) -> str:
         return f"WriterZipper(log={self.log!r}, zipper={self.zipper!r})"
-
-
-_new = object.__new__
 
 
 def start(word: str) -> WriterZipper:
@@ -101,7 +97,6 @@ def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:
     wz = _new(WriterZipper)
     wz.cells = cells
     wz.index = index
-    wz.focus = cells[index]
     wz.log = log
     return wz
 
@@ -144,7 +139,6 @@ def table_extend(table: dict[str, WriterArrow], wz: WriterZipper) -> WriterZippe
         view = new(WriterZipper)
         view.cells = cells
         view.index = i
-        view.focus = c
         view.log = log
         deletions, ch = f(view)
         if deletions:

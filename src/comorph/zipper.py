@@ -1,13 +1,13 @@
 """Focused non-empty sequences.
 
-A zipper is a cursor: a tuple of cells plus the index of the focused one.
-Refocusing shares the cells, so moving the focus costs O(1) and ``extend``,
-which re-runs a context-reading local rule at every position to turn a
-windowed rule into a whole-sequence pass, costs one rule call per cell and
-nothing more (given the positions a rule can change, ``extend`` calls it only
-there; ``table_extend`` calls each rule only at the cells its table gives it).
-Rules read their neighbours with ``peek``, or scan ``cells`` from
-``index``. Nothing here mutates a zipper, and rules must not either.
+A zipper is a cursor and nothing more: a tuple of cells plus the index of the
+focused one, so the focus is ``cells[index]``. Refocusing shares the cells,
+so moving the focus costs O(1), and ``extend``, which re-runs a
+context-reading local rule at every position to turn a windowed rule into a
+whole-sequence pass, costs one rule call per cell and nothing more
+(``table_extend`` calls each rule only at the cells its table gives it). Rules
+read their neighbours with ``peek``, or scan ``cells`` from ``index``. Nothing
+here mutates a zipper, and rules must not either.
 
 Input is checked where it enters: ``from_sequence`` rejects an empty
 sequence or an out-of-range focus, and the refocused views inside a pass
@@ -27,15 +27,18 @@ class Zipper(Generic[A]):
     """Non-empty sequence with a distinguished focus.
 
     ``from_sequence(cells, index)`` builds one; ``cells`` holds the whole
-    sequence, ``index`` the focus position within it and ``focus`` the cell
-    there.
+    sequence and ``index`` the focus position within it.
     """
 
-    __slots__ = ("cells", "index", "focus")
+    __slots__ = ("cells", "index")
 
     cells: tuple[A, ...]
     index: int
-    focus: A
+
+    @property
+    def focus(self) -> A:
+        """The focused cell, ``cells[index]``."""
+        return self.cells[self.index]
 
     def peek(self, offset: int) -> A | None:
         """The cell ``offset`` steps from the focus, or None past either end."""
@@ -68,7 +71,6 @@ def _at(cells: tuple[A, ...], index: int) -> Zipper[A]:
     z = _new(Zipper)
     z.cells = cells
     z.index = index
-    z.focus = cells[index]
     return z
 
 
@@ -88,7 +90,7 @@ def from_sequence(items: Sequence[A], focus_index: int) -> Zipper[A]:
 
 def extract(z: Zipper[A]) -> A:
     """Read the focused element."""
-    return z.focus
+    return z.cells[z.index]
 
 
 def to_sequence(z: Zipper[A]) -> tuple[A, ...]:
@@ -96,33 +98,19 @@ def to_sequence(z: Zipper[A]) -> tuple[A, ...]:
     return z.cells
 
 
-def extend(
-    z: Zipper[A],
-    f: Callable[[Zipper[A]], B],
-    positions: Sequence[int] | None = None,
-) -> Zipper[B]:
-    """Apply ``f`` at every position of ``z``, or only at ``positions``.
+def extend(z: Zipper[A], f: Callable[[Zipper[A]], B]) -> Zipper[B]:
+    """Apply ``f`` at every position of ``z``: the coKleisli ``extend``.
 
     Each call sees the whole sequence refocused at that position; the result
-    keeps the original length and focus position. ``f`` must be pure.
-
-    ``positions`` are indices, in any order, outside which ``f`` returns the
-    focus unchanged, such as ``[i for i, c in enumerate(z.cells) if support(c)]``.
-    Other cells are copied without calling ``f``. Either way ``z`` itself
-    comes back when no call returned a new value.
+    keeps the original length and focus position. ``f`` must be pure. ``z``
+    itself comes back when no call returned a new value.
     """
-    cells = z.cells
-    if positions is None:
-        positions = range(len(cells))
-    elif positions and not 0 <= min(positions) <= max(positions) < len(cells):
-        raise ValueError(
-            f"positions {min(positions)}..{max(positions)} out of range for length {len(cells)}"
-        )
-    return _extend(z, f, positions)
+    return _extend(z, f, range(len(z.cells)))
 
 
 def _extend(z: Zipper[A], f: Callable[[Zipper[A]], B], positions: Sequence[int]) -> Zipper[B]:
-    # extend's pass, for positions the caller knows are in range.
+    # extend's pass over only ``positions``, which the caller keeps in range and
+    # outside which ``f`` returns the focus unchanged; other cells are copied.
     cells = z.cells
     out = None
     for i in positions:
@@ -130,9 +118,8 @@ def _extend(z: Zipper[A], f: Callable[[Zipper[A]], B], positions: Sequence[int])
         view = _new(Zipper)
         view.cells = cells
         view.index = i
-        view.focus = c = cells[i]
         b = f(view)
-        if b is not c:
+        if b is not cells[i]:
             if out is None:
                 out = list(cells)
             out[i] = b

@@ -44,8 +44,8 @@ MUTANTS = (
     Mutant(
         "apply-rule-compares-not-equal-to-negated",
         "cg.py",
-        "cells[i].readings)) == negated:",
-        "cells[i].readings)) != negated:",
+        "cells[j].readings)) == negated:",
+        "cells[j].readings)) != negated:",
         CG_TESTS,
     ),
     Mutant("parser-keeps-the-blank-feature", "cg.py", "features -= _BLANK", "pass", CG_TESTS),
@@ -190,6 +190,13 @@ MUTANTS = (
         "            if False:\n",
         CG_TESTS,
     ),
+    Mutant(
+        "cg-rule-accepts-any-action",
+        "cg.py",
+        '_typed(("action", action, RuleAction), ("target", target, ReadingTest))',
+        '_typed(("target", target, ReadingTest))',
+        ("tests/test_cg.py::test_a_rule_field_of_the_wrong_type_is_refused",),
+    ),
     # The word path.
     Mutant(
         "writer-extend-returns-its-input-when-no-cell-changed",
@@ -247,6 +254,13 @@ MUTANTS = (
             "tests/test_pipeline.py::"
             "test_trace_ends_in_what_run_gives_for_every_accepted_stage_list",
         ),
+    ),
+    Mutant(
+        "pipeline-skips-the-stage-shape-check",
+        "pipeline.py",
+        "            if not (isinstance(stage, tuple) and len(stage) == 5):\n",
+        "            if False:\n",
+        ("tests/test_pipeline.py::test_a_stage_of_the_wrong_shape_is_a_type_error",),
     ),
     Mutant(
         "gradation-reads-no-vowel",

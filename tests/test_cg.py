@@ -32,7 +32,7 @@ from comorph.cg import (
     parse_rules,
     run_cg,
 )
-from comorph.zipper import extend, from_sequence, to_sequence
+from comorph.zipper import _extend, extend, from_sequence, to_sequence
 from oracles import cg_reference, format_sentences_reference, parse_readings_reference, passes
 
 
@@ -118,6 +118,29 @@ def test_parse_unknown_predicate_reports_line():
 def test_parse_malformed_condition_rejected():
     with pytest.raises(RuleSyntaxError):
         parse_rules("SELECT POS=num IF (+1)")
+
+
+VERB = ReadingTest("pos", "verb")
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        # Accepted, it ran as REMOVE: on tuuli noun;verb it kept noun.
+        (lambda: CgRule("SELECT", VERB), "action must be RuleAction, not 'SELECT'"),
+        (lambda: CgRule(RuleAction.SELECT, "POS=verb"), "target must be ReadingTest, not 'POS=verb'"),
+        (lambda: CgRule(RuleAction.SELECT, VERB, VERB), f"condition must be Condition, not {VERB!r}"),
+        # Accepted, the condition was ignored: the rule acted at every token.
+        (lambda: Condition(-1, VERB, "NOT"), "negated must be bool, not 'NOT'"),
+        # Accepted, it failed only in apply_rule, adding the index to the offset.
+        (lambda: Condition("1", VERB), "offset must be int, not '1'"),
+        (lambda: Condition(1, "POS=verb"), "test must be ReadingTest, not 'POS=verb'"),
+    ],
+    ids=["action", "target", "condition", "negated", "offset", "test"],
+)
+def test_a_rule_field_of_the_wrong_type_is_refused(build, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_iter_readings_yields_a_sentence_before_a_later_malformed_line():
@@ -619,7 +642,7 @@ def test_run_cg_matches_list_indexing_oracle(sentence, drawn):
 def test_supported_pass_equals_full_apply_rule_pass(sentence, drawn, data):
     [rule] = parse_rules(drawn[0])
     z = from_sequence(tuple(sentence), data.draw(st.integers(0, len(sentence) - 1)))
-    passed = extend(z, rule.arrow, rule.reach(TagIndex(z.cells), z.cells))
+    passed = _extend(z, rule.arrow, rule.reach(TagIndex(z.cells), z.cells))  # run_cg's pass
     assert passed == extend(z, lambda w: apply_rule(w, rule))
     assert list(to_sequence(passed)) == cg_reference(sentence, [rule])
 

@@ -387,6 +387,25 @@ def test_pipeline_refuses_stages_one_pass_cannot_run(stages, message):
         Pipeline(stages)
 
 
+SHAPE = "(name, arrow, support, reads, writes)"
+
+
+@pytest.mark.parametrize(
+    "stages,message",
+    [
+        ("abc", f"stage 0 of 3 is not a {SHAPE} tuple: 'a'"),
+        ((("x", None, frozenset("e")),), f"stage 0 of 1 is not a {SHAPE} tuple: ('x', None, "),
+        # As a list, the stage would leave the pipeline record unhashable.
+        ((WEAK, list(VOWEL_STAGE)), f"stage 1 of 2 is not a {SHAPE} tuple: ['vowels', "),
+    ],
+    ids=["a-string", "three-fields", "a-list"],
+)
+def test_a_stage_of_the_wrong_shape_is_a_type_error(stages, message):
+    with pytest.raises(TypeError) as info:
+        Pipeline(stages)
+    assert str(info.value).startswith(message)
+
+
 @pytest.mark.parametrize(
     "word,staged,one_pass",
     [
@@ -450,7 +469,9 @@ def test_trace_ends_in_what_run_gives_for_every_accepted_stage_list(word, stages
     """Every list the constructor takes runs as its staged passes; its trace ends there too."""
     try:
         pipeline = Pipeline(tuple(stages))
-    except ValueError:
+    except ValueError as exc:
+        if "reads what" not in str(exc):
+            raise  # only the order refusal discards a list
         assume(False)
     ran = _outcome(pipeline.run, word)
     assert ran == _outcome(staged_run, pipeline.stages, word)

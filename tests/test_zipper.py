@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comorph.zipper import extend, extract, from_sequence, to_sequence
+from comorph.writer import WriterZipper
+from comorph.zipper import Zipper, _extend, extend, extract, from_sequence, to_sequence
 from conftest import LAW_ALPHABET, char_functions, zippers
 from oracles import refocus_enumerate
 
@@ -109,26 +112,34 @@ def test_extend_agrees_with_refocusing_oracle(z, f):
 
 @given(zippers(), char_functions, st.frozensets(st.sampled_from(LAW_ALPHABET)))
 def test_supported_extend_equals_full_extend(z, f, support):
-    # A rule that is the identity outside its support.
+    # A rule that is the identity outside its support, passed only there.
     g = lambda w: f(w) if w.focus in support else w.focus
     positions = [i for i, c in enumerate(z.cells) if c in support]
-    assert extend(z, g, positions) == extend(z, g)
+    assert _extend(z, g, positions) == extend(z, g)
 
 
 @given(zippers(), char_functions)
 def test_extend_returns_its_input_when_no_cell_changes(z, f):
-    assert extend(z, f, []) is z
-    assert extend(z, extract, range(len(z.cells))) is z
+    assert _extend(z, f, []) is z
+    assert _extend(z, extract, range(len(z.cells))) is z
     assert extend(z, extract) is z
 
 
-@pytest.mark.parametrize("positions", [[-1], [0, 3], [3], [0, -2, 2]])
-def test_extend_rejects_positions_outside_the_sequence(positions):
-    with pytest.raises(ValueError, match="out of range for length 3"):
-        extend(from_sequence("abc", 0), extract, positions)
+def test_extend_is_the_whole_pass_and_takes_no_positions():
+    assert list(inspect.signature(extend).parameters) == ["z", "f"]
+    with pytest.raises(TypeError):
+        extend(from_sequence("abc", 0), extract, [0])
 
 
-def test_extend_takes_positions_in_any_order():
-    z = from_sequence("abcd", 0)
-    f = lambda v: v.peek(1) or "$"
-    assert extend(z, f, [2, 0]) == extend(z, f, [0, 2]) == from_sequence("bbdd", 0)
+@pytest.mark.parametrize("log", [None, frozenset(), frozenset({1, 4})])
+def test_a_zipper_is_its_cells_and_index_and_its_focus_is_derived(log):
+    assert Zipper.__slots__ == ("cells", "index")
+    assert WriterZipper.__slots__ == ("log",)
+    for i in range(len("kaappi")):
+        z = from_sequence("kaappi", i)
+        if log is not None:
+            z = WriterZipper(log, z)
+        assert not hasattr(z, "__dict__")
+        assert z.focus == extract(z) == z.cells[z.index] == "kaappi"[i]
+        with pytest.raises(AttributeError):
+            z.focus = "x"
