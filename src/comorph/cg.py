@@ -43,8 +43,8 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
-from .record import Record
-from .zipper import Zipper, _extend, from_sequence, to_sequence
+from .record import Record, _set
+from .zipper import Zipper, _at, _extend, to_sequence
 
 
 class RuleSyntaxError(ValueError):
@@ -127,22 +127,25 @@ class RuleAction(Enum):
     REMOVE = "REMOVE"
 
 
+def _typed(*fields: tuple[str, object, type]) -> None:
+    # A field of another type, a bool offset too, would run as another rule or fail mid-run.
+    for name, value, kind in fields:
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+            raise TypeError(f"{name} must be {kind.__name__}, not {value!r}")
+
+
 class ReadingTest(Record):
-    """Passes a reading whose ``field`` (``pos`` or ``baseform``) equals ``value``."""
+    """Passes a reading whose ``field`` (pos or baseform) equals ``value``, a non-empty str."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field: str, value: str) -> None:
         if field not in ("pos", "baseform"):
             raise ValueError(f"a test reads pos or baseform, not {field!r}")
+        _typed(("value", value, str))
+        if not value:
+            raise ValueError(f"a {field} test needs a non-empty value")
         super().__init__(field, value)
-
-
-def _typed(*fields: tuple[str, object, type]) -> None:
-    # A rule field of another type would run as some other rule, or fail mid-run.
-    for name, value, kind in fields:
-        if not isinstance(value, kind):
-            raise TypeError(f"{name} must be {kind.__name__}, not {value!r}")
 
 
 class Condition(Record):
@@ -185,11 +188,7 @@ class TagIndex(dict):
         return values, split
 
 
-class _Planned(Record):
-    __slots__ = ("_plan",)  # what a rule derives from its fields; not a field itself
-
-
-class CgRule(_Planned):
+class CgRule(Record):
     """A rule as data.
 
     ``run_cg`` runs it as ``_extend(z, rule.arrow, rule.reach(index, z.cells))``,
@@ -198,7 +197,7 @@ class CgRule(_Planned):
     ``condition`` None or ``(offset, field, get, value, negated)``.
     """
 
-    __slots__ = ("action", "target", "condition")
+    __slots__ = ("action", "target", "condition", "_plan")  # _plan: derived, not a field
 
     def __init__(
         self, action: RuleAction, target: ReadingTest, condition: Condition | None = None
@@ -210,7 +209,7 @@ class CgRule(_Planned):
             _typed(("condition", c, Condition))
             c = (c.offset, c.test.field, _GET[c.test.field], c.test.value, c.negated)
         select, field = action is RuleAction.SELECT, target.field
-        object.__setattr__(self, "_plan", (select, field, _SLOT[field], target.value, c))
+        _set(self, "_plan", (select, field, _SLOT[field], target.value, c))
 
     def arrow(self, z: Zipper[ReadingSet]) -> ReadingSet:
         return apply_rule(z, self)
@@ -330,10 +329,10 @@ def run_cg(
     on_fire: FireCallback | None = None,
 ) -> Sentence:
     """Run every rule in order, one pass per rule over the tokens it can change."""
-    if not sentence:
+    cells = tuple(sentence)
+    if not cells:
         raise ValueError("cannot disambiguate an empty sentence")
-    z = from_sequence(tuple(sentence), 0)
-    index = TagIndex(z.cells)
+    z, index = _at(cells, 0), TagIndex(cells)
     for number, rule in enumerate(rules, start=1):
         positions = rule.reach(index, z.cells)
         if not positions:

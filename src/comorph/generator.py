@@ -8,7 +8,6 @@ but one row lookup followed by that pipeline, so corrections to the
 paradigm never touch rule code.
 """
 
-import unicodedata
 from enum import Enum
 
 from .gradation import Grade
@@ -63,25 +62,26 @@ class UnsupportedStemError(ValueError):
 
 
 def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
-    """Inflect ``lemma`` for ``case``, optionally adding the 3rd-person
-    possessive ending.
+    """Inflect ``lemma`` for ``case``, with the 3rd-person possessive ending if ``possessive_3``.
 
     A lemma is a surface word, so it holds no placeholder A/O/U/V, and ends in
     a lowercase vowel: consonant-final stems would need epenthetic material the
-    rule set cannot insert. A lemma refused here meets ``start`` first; the
-    pipeline's ``start`` finds any other bad cell, which lies in the lemma.
+    rule set cannot insert. The raw lemma is tested as it comes: a str that passes
+    keeps its last letter and case under NFC, and no ending composes with it, so the
+    pipeline's ``start`` is the one NFC. Other input meets ``start`` first, then the
+    placeholder, stem and case checks, and goes on in NFC if it passes them.
     """
-    lemma = unicodedata.normalize("NFC", lemma)
-    if not (lemma.islower() and lemma[-1] in VOWELS):
-        start(lemma)
+    raw = isinstance(lemma, str) and lemma.islower() and lemma[-1] in VOWELS
+    if not (raw and isinstance(case, NounCase)):
+        lemma = "".join(start(lemma).cells)
         for i, c in enumerate(lemma):
             if c in PLACEHOLDERS:
                 raise ValueError(f"character {c!r} at position {i} of a lemma is a placeholder")
-        raise UnsupportedStemError(
-            f"unsupported stem {lemma!r}: only lemmas ending in a lowercase vowel are handled"
-        )
-    if not isinstance(case, NounCase):
-        start(lemma)  # a bad lemma is reported before a bad case
-        raise TypeError(f"case must be a NounCase, not {case!r}")
+        if not (lemma.islower() and lemma[-1] in VOWELS):
+            raise UnsupportedStemError(
+                f"unsupported stem {lemma!r}: only lemmas ending in a lowercase vowel are handled"
+            )
+        if not isinstance(case, NounCase):
+            raise TypeError(f"case must be a NounCase, not {case!r}")
     row = CASE_TEMPLATES[case]
     return row.pipeline.run(lemma + (row.poss3 if possessive_3 else row.suffix))

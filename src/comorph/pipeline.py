@@ -54,11 +54,7 @@ class TraceRow(Record):
         return f"{self.stage}\t{self.chars}\t{marks}"
 
 
-class _Tables(Record):
-    __slots__ = ("_tables",)  # one table per stage prefix: a slot, not a field
-
-
-class Pipeline(_Tables):
+class Pipeline(Record):
     """Named stages in order; the only driver of word passes.
 
     Built once: ``tables[k]`` sends each cell to the one of the first k stages
@@ -70,7 +66,7 @@ class Pipeline(_Tables):
     for a ``None`` support, ``ValueError``; for a stage of another shape, ``TypeError``.
     """
 
-    __slots__ = ("stages",)
+    __slots__ = ("stages", "_tables")  # _tables: one table per stage prefix, not a field
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
         super().__init__(stages)

@@ -4,18 +4,22 @@ _set = object.__setattr__
 
 
 class Record:
-    """Fields are the ``__slots__``, in order; a subclass's ``__init__`` names, defaults
-    and checks them, then passes them here. Equal to a record of its own class with equal
-    fields, hashed and pickled as the tuple of its fields, shown as ``Name(field=value, ...)``."""
+    """Fields are the public ``__slots__``, in order, kept as ``_fields``; a subclass's
+    ``__init__`` names, defaults and checks them, passes them here and may ``_set`` a private
+    slot. Equal to a record of its own class with equal fields, hashed and pickled as the tuple
+    of its fields, shown as ``Name(field=value, ...)``."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple([name for name in cls.__slots__ if not name.startswith("_")])
+
     def __init__(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
+        for name, value in zip(self._fields, values, strict=True):
             _set(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -26,7 +30,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:

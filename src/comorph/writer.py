@@ -14,9 +14,7 @@ A pass calls each rule only at the cells its table gives it, and a pass
 that changes nothing returns the zipper it was given.
 
 Words enter through ``start``, which normalizes them to NFC and checks the
-word contract. The word path normalizes in one other place: ``generate``
-normalizes its lemma to NFC to read the lemma's last letter, before
-``start`` sees the whole underlying form.
+word contract; it is the word path's only NFC.
 """
 
 import unicodedata

@@ -197,6 +197,13 @@ MUTANTS = (
         '_typed(("target", target, ReadingTest))',
         ("tests/test_cg.py::test_a_rule_field_of_the_wrong_type_is_refused",),
     ),
+    Mutant(
+        "condition-accepts-a-bool-offset",
+        "cg.py",
+        " or (isinstance(value, bool) and kind is int):",
+        ":",
+        ("tests/test_cg.py::test_a_rule_field_of_the_wrong_type_is_refused",),
+    ),
     # The word path.
     Mutant(
         "writer-extend-returns-its-input-when-no-cell-changed",
@@ -290,17 +297,20 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_pipeline.py::test_a_grade_that_is_not_a_grade_is_refused",),
     ),
+    # The one refusal route of generate: start on the lemma, then the lemma checks, then the case.
     Mutant(
         "generate-checks-the-case-before-the-lemma",
         "generator.py",
-        "        start(lemma)  # a bad lemma is reported before a bad case\n",
-        "",
+        '        lemma = "".join(start(lemma).cells)\n',
+        "        if not isinstance(case, NounCase):\n"
+        '            raise TypeError(f"case must be a NounCase, not {case!r}")\n'
+        '        lemma = "".join(start(lemma).cells)\n',
         ("tests/test_generator.py::test_bad_lemma_error_type_and_message",),
     ),
     Mutant(
         "generate-skips-start-on-its-error-path",
         "generator.py",
-        "        start(lemma)\n",
+        '        lemma = "".join(start(lemma).cells)\n',
         "",
         ("tests/test_generator.py",),
     ),

@@ -135,12 +135,25 @@ VERB = ReadingTest("pos", "verb")
         # Accepted, it failed only in apply_rule, adding the index to the offset.
         (lambda: Condition("1", VERB), "offset must be int, not '1'"),
         (lambda: Condition(1, "POS=verb"), "test must be ReadingTest, not 'POS=verb'"),
+        # Accepted, a bool is an int: Condition(True, ...) ran as offset +1.
+        (lambda: Condition(True, VERB), "offset must be int, not True"),
+        (lambda: Condition(False, VERB, True), "offset must be int, not False"),
+        # Accepted, no reading's value could equal it: the rule never fired.
+        (lambda: ReadingTest("pos", 3), "value must be str, not 3"),
+        (lambda: ReadingTest("baseform", None), "value must be str, not None"),
     ],
-    ids=["action", "target", "condition", "negated", "offset", "test"],
+    ids=["action", "target", "condition", "negated", "offset", "test", "offset-true",
+         "offset-false", "value-int", "value-none"],
 )
 def test_a_rule_field_of_the_wrong_type_is_refused(build, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("field", ["pos", "baseform"])
+def test_an_empty_test_value_is_refused_as_parse_rules_refuses_it(field):
+    with pytest.raises(ValueError, match=f"^a {field} test needs a non-empty value$"):
+        ReadingTest(field, "")
 
 
 def test_iter_readings_yields_a_sentence_before_a_later_malformed_line():
@@ -486,8 +499,10 @@ def test_empty_rule_list_is_identity():
 
 
 def test_empty_sentence_rejected():
-    with pytest.raises(ValueError):
-        run_cg([], [])
+    # One message whatever the sentence is given as; an iterator is not tested for truth.
+    for sentence in ([], (), iter(())):
+        with pytest.raises(ValueError, match="^cannot disambiguate an empty sentence$"):
+            run_cg(sentence, parse_rules("SELECT POS=noun"))
 
 
 def test_on_fire_reports_changes():
@@ -675,7 +690,7 @@ def test_support_holds_where_the_target_splits_the_readings(sentence, drawn, ear
 def test_rules_pickle_as_their_three_fields(drawn):
     [rule] = parse_rules(drawn[0])
     assert pickle.loads(pickle.dumps(rule)) == rule
-    assert rule.__slots__ == ("action", "target", "condition")
+    assert rule._fields == ("action", "target", "condition")
 
 
 def apply_rule_passes(sentence, rules):

@@ -228,3 +228,40 @@ def test_generate_validates_the_word_once():
     finally:
         sys.setprofile(None)
     assert starts == ["kukkanVn", "kalan"]
+
+
+def test_a_generated_word_is_normalized_once(monkeypatch):
+    """The pipeline's ``start`` is the word path's only NFC: ``generate`` tests the raw lemma."""
+    normalize, calls = unicodedata.normalize, []
+
+    def counting(form, text):
+        calls.append((form, text))
+        return normalize(form, text)
+
+    monkeypatch.setattr(unicodedata, "normalize", counting)
+    assert generate("kenkä", NounCase.INESSIVE, True) == "kengässään"
+    assert calls == [("NFC", "kenkässAVn")]
+
+
+def _outcome(lemma, case, possessive_3):
+    try:
+        return generate(lemma, case, possessive_3)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.text(alphabet=FINNISH_LOWER + "\u0308" + "1K" + "AOUV", max_size=8),
+    st.sampled_from([*NounCase, "genitive", None]),
+    st.booleans(),
+)
+def test_a_decomposed_lemma_generates_what_the_lemma_does(lemma, case, possessive_3):
+    """As a word, or as the same error type and message, whichever check refuses it."""
+    nfd = unicodedata.normalize("NFD", lemma)
+    assert _outcome(nfd, case, possessive_3) == _outcome(lemma, case, possessive_3)
+
+
+@pytest.mark.parametrize("lemma", [None, b"kala", 1])
+def test_a_lemma_that_is_not_a_str_is_a_type_error(lemma):
+    with pytest.raises(TypeError, match="must be str"):
+        generate(lemma, NounCase.GENITIVE)

@@ -75,23 +75,23 @@ RECORDS = [
 @pytest.mark.parametrize("cls, fields, other, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_a_record_is_its_fields(cls, fields, other, text):
     record = cls(*fields)
-    assert tuple(getattr(record, name) for name in cls.__slots__) == fields
+    assert tuple(getattr(record, name) for name in cls._fields) == fields
     assert record == cls(*fields) and hash(record) == hash(cls(*fields))
     assert record != cls(*other)
     # A record is not a tuple: it equals no tuple, not even that of its fields.
     assert record != fields and not isinstance(record, tuple)
     assert hash(record) == hash(fields)
     assert repr(record) == text
-    assert cls(**dict(zip(cls.__slots__, fields))) == record
+    assert cls(**dict(zip(cls._fields, fields))) == record
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is cls and copy == record
     assert not hasattr(record, "__dict__")
-    for name in cls.__slots__:
+    for name in cls._fields:
         with pytest.raises(AttributeError, match=f"cannot assign to or delete field '{name}'"):
             setattr(record, name, None)
         with pytest.raises(AttributeError, match=f"cannot assign to or delete field '{name}'"):
             delattr(record, name)
-    assert tuple(getattr(record, name) for name in cls.__slots__) == fields
+    assert tuple(getattr(record, name) for name in cls._fields) == fields
 
 
 def test_records_keep_their_defaults_and_checks():
