@@ -8,8 +8,8 @@ rewritten by a lower-priority rule (the first p of "kaappi" must not fall
 to the single-p rule). Each grade has one stage, ``gradation_stage(grade)``,
 built in one walk over ``PATTERNS``: its rule and its support, the letters
 the rule's windows focus on, so a cell outside the support is never
-rewritten. Deletions are reported as positions to drop, never applied in
-place.
+rewritten. The rule is a word rule, ``rule(cells, i)``; deletions are
+reported as positions to drop, never applied in place.
 """
 
 from enum import Enum
@@ -18,7 +18,6 @@ from functools import cache, wraps
 from .record import Record
 from .vowels import VOWELS
 from .writer import EMPTY_DELETIONS, DeletionSet, Stage, WriterArrow
-from .zipper import Zipper
 
 Window = tuple[str | None, str | None]  # (left neighbour, focus)
 
@@ -73,13 +72,13 @@ def _per_grade(build):
 
 @_per_grade
 def gradation_stage(grade: Grade) -> Stage:
-    """Gradation toward ``grade`` as a ``Stage``: one deleting local rule and its letters.
+    """Gradation toward ``grade`` as a ``Stage``: one deleting word rule and its letters.
 
     Built once per grade, and the only code that reads ``PATTERNS`` for a rule.
     Rows go in priority order, the first window wins. An exact window (geminate
     or cluster) maps (left, focus) to its target; a window with a wildcard left
     is a single consonant and maps the focus alone. The support is the letters
-    those windows focus on: the arrow is the identity outside it, and at the
+    those windows focus on: the rule is the identity outside it, and at the
     first cell. A focus that opens an exact window with its right neighbour is
     kept, and a single consonant changes only between two vowels, or suffix
     onsets such as the k of -ksi would alternate after every vowel-final stem. A
@@ -100,8 +99,7 @@ def gradation_stage(grade: Grade) -> Stage:
         else:
             exact.setdefault((left, focus), target)
 
-    def arrow(z: Zipper[str]) -> tuple[DeletionSet, str]:
-        cells, i = z.cells, z.index
+    def rule(cells: tuple[str, ...], i: int) -> tuple[DeletionSet, str]:
         c = cells[i]
         if i == 0:
             return (EMPTY_DELETIONS, c)
@@ -121,9 +119,9 @@ def gradation_stage(grade: Grade) -> Stage:
 
     support = frozenset(single) | {focus for _, focus in exact}
     writes = frozenset({*exact.values(), *single.values()} - {None})
-    return ("gradation", arrow, support, support.union(VOWELS, *exact), writes)
+    return ("gradation", rule, support, support.union(VOWELS, *exact), writes)
 
 
 def gradation_arrow(grade: Grade) -> WriterArrow:
-    """The rule of ``gradation_stage(grade)``: gradation toward ``grade``."""
+    """The word rule of ``gradation_stage(grade)``: gradation toward ``grade``."""
     return gradation_stage(grade)[1]

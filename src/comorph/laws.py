@@ -2,7 +2,7 @@
 
 ``SUITES`` lists every suite: the deletion-set monoid laws, the three
 context-pass laws on plain zippers, the identity laws and log behaviour of
-the deleting variant, the equivalence of stage-by-stage passes with one pass
+the deleting variant over word rules ``f(cells, i)``, the equivalence of stage-by-stage passes with one pass
 of the chained rule, and of a ``table_extend`` pass over a rule's support
 with the full pass. Suite k of ``SUITES`` runs on seed + k. Cases sweep
 lengths 1 to 20, every focus position represented; failures shrink greedily.
@@ -48,16 +48,15 @@ def char_arrow(salt: int) -> Callable[[Zipper[str]], str]:
 
 
 def deleting_arrow(salt: int) -> WriterArrow:
-    """Like char_arrow, but sometimes asks to delete its position instead."""
-    base = char_arrow(salt)
+    """A word rule like char_arrow, but sometimes asks to delete its position instead."""
+    base = lift_pure(char_arrow(salt))
 
-    def f(wz: WriterZipper) -> tuple[frozenset[int], str]:
-        left = wz.peek(-1) or "^"
-        after = len(wz.cells) - wz.index - 1
-        h = (salt * 69_069) ^ (ord(left) * 29) ^ (ord(wz.focus) * 7) ^ after
+    def f(cells: tuple[str, ...], i: int) -> tuple[frozenset[int], str]:
+        left = cells[i - 1] if i else "^"
+        h = (salt * 69_069) ^ (ord(left) * 29) ^ (ord(cells[i]) * 7) ^ (len(cells) - i - 1)
         if h % 4 == 0:
-            return (frozenset((wz.index,)), wz.focus)
-        return (frozenset(), base(wz))
+            return (frozenset((i,)), cells[i])
+        return base(cells, i)
 
     return f
 
@@ -110,13 +109,13 @@ def _holds_writer_l1(case: Case) -> bool:
 def _holds_writer_l2(case: Case) -> bool:
     wz = _writer(case)
     f = deleting_arrow(case[2])
-    return extract(writer_extend(f, wz)) == f(wz)[1]
+    return extract(writer_extend(f, wz)) == f(wz.cells, wz.index)[1]
 
 
 def _collected(f: WriterArrow, wz: WriterZipper) -> frozenset[int]:
     out: set[int] = set()
     for i in range(len(wz.cells)):
-        out |= f(WriterZipper(wz.log, from_sequence(wz.cells, i)))[0]
+        out |= f(wz.cells, i)[0]
     return frozenset(out)
 
 
@@ -136,8 +135,8 @@ def _holds_support_equivalence(case: Case) -> bool:
     support = frozenset(c for k, c in enumerate(ALPHABET) if case[3] >> k & 1)
     base = deleting_arrow(case[2])
 
-    def f(v: WriterZipper) -> tuple[frozenset[int], str]:
-        return base(v) if v.focus in support else (EMPTY_DELETIONS, v.focus)
+    def f(cells: tuple[str, ...], i: int) -> tuple[frozenset[int], str]:
+        return base(cells, i) if cells[i] in support else (EMPTY_DELETIONS, cells[i])
 
     return table_extend(dict.fromkeys(support, f), wz) == writer_extend(f, wz)
 

@@ -1,46 +1,39 @@
-"""Chaining local rules over one word with a single deletion sweep.
+"""Chaining word rules over one word with a single deletion sweep.
 
 The standard run is gradation, then the vowel rule, in an explicit order: the
 vowel rule writes vowels, which gradation reads. A run is one pass that sends
 each cell to the stage whose support holds it, and deletions are applied
-exactly once, at the end.
+exactly once, at the end. A stage's rule is a word rule, ``rule(cells, i)``.
 """
 
 from .gradation import Grade, _per_grade, gradation_stage
 from .record import Record, _set
-from .vowels import PLACEHOLDERS, VOWELS, vowel_arrow
+from .vowels import PLACEHOLDERS, VOWELS, vowel_rule
 from .writer import (
-    EMPTY_DELETIONS,
-    DeletionSet,
-    Stage,
-    WriterArrow,
-    WriterZipper,
-    lift_pure,
-    materialize,
-    start,
-    table_extend,
-    writer_extend,
+    EMPTY_DELETIONS, DeletionSet, Stage, WriterArrow, WriterZipper, _filter, _pass, materialize,
+    start, table_extend, writer_extend,
 )
+from .zipper import from_sequence
 
 
 def compose(f: WriterArrow, g: WriterArrow) -> WriterArrow:
-    """Chain two deleting rules into one.
+    """Chain two word rules into one.
 
-    Runs ``f`` over the whole word, then reads ``g`` at the focus of the
-    result. The composite's deletion component carries everything
-    accumulated so far; set union being idempotent, re-merging it later is
+    Runs ``f`` over the whole word, then reads ``g`` at the same position of
+    the result. The composite's deletion component carries everything ``f``'s
+    pass emitted; set union being idempotent, re-merging it later is
     harmless, and chaining stays associative.
     """
 
-    def composed(wz: WriterZipper) -> tuple[DeletionSet, str]:
-        stepped = writer_extend(f, wz)
-        deletions, ch = g(stepped)
+    def composed(cells: tuple[str, ...], i: int) -> tuple[DeletionSet, str]:
+        stepped = writer_extend(f, WriterZipper(EMPTY_DELETIONS, from_sequence(cells, i)))
+        deletions, ch = g(stepped.cells, i)
         return (stepped.log | deletions, ch)
 
     return composed
 
 
-VOWEL_STAGE = ("vowels", lift_pure(vowel_arrow), PLACEHOLDERS, VOWELS | PLACEHOLDERS, VOWELS)
+VOWEL_STAGE = ("vowels", vowel_rule, PLACEHOLDERS, VOWELS | PLACEHOLDERS, VOWELS)
 
 
 class TraceRow(Record):
@@ -58,12 +51,13 @@ class Pipeline(Record):
     """Named stages in order; the only driver of word passes.
 
     Built once: ``tables[k]`` sends each cell to the one of the first k stages
-    whose support holds it. ``run`` is one pass with the full table, ``trace``
-    row k the pass with ``tables[k]``. That pass equals the staged passes when
+    whose support holds it. ``run`` is ``start``, one pass with the full table
+    and one filter of its log, ``trace`` row k the pass with ``tables[k]``. That pass equals the staged passes when
     no stage reads a letter an earlier one owns or writes, so the constructor
     takes stages only if every earlier one's ``support | writes`` misses every
     later one's ``reads | support`` (a rule reads the cells it owns); else, or
-    for a ``None`` support, ``ValueError``; for a stage of another shape, ``TypeError``.
+    for a ``None`` support, ``ValueError``; for a stage of another shape, or a
+    support, reads or writes that is not a set or frozenset, ``TypeError``.
     """
 
     __slots__ = ("stages", "_tables")  # _tables: one table per stage prefix, not a field
@@ -76,19 +70,23 @@ class Pipeline(Record):
             if not (isinstance(stage, tuple) and len(stage) == 5):
                 shape = "(name, arrow, support, reads, writes)"
                 raise TypeError(f"stage {k} of {len(stages)} is not a {shape} tuple: {stage!r}")
-            name, arrow, support, reads, writes = stage
+            name, rule, support, reads, writes = stage
             if support is None:
                 raise ValueError(f"stage {name!r} of {len(stages)} has no support")
-            reads |= support  # a rule reads the cells it owns
+            for field, letters in (("support", support), ("reads", reads), ("writes", writes)):
+                if not isinstance(letters, (set, frozenset)):
+                    raise TypeError(f"stage {name!r} {field} is not a set or frozenset: {letters!r}")
+            reads = reads | support  # a rule reads the cells it owns; the caller's set is kept
             first = next((n for n, _, s, _, w in stages[:k] if not reads.isdisjoint(s | w)), None)
             if first is not None:
                 raise ValueError(f"stage {name!r} reads what {first!r} before it owns or writes")
-            table = {**table, **dict.fromkeys(support, arrow)}
+            table = {**table, **dict.fromkeys(support, rule)}
             tables.append(table)
         _set(self, "_tables", tuple(tables))
 
     def run(self, word: str) -> str:
-        return materialize(table_extend(self._tables[-1], start(word)))
+        wz = start(word)
+        return _filter(*_pass(self._tables[-1], wz.cells, wz.log))
 
     def trace(self, word: str) -> list[TraceRow]:
         """Row k: the first k stages' pass, characters still at full length, plus the log."""

@@ -7,20 +7,19 @@ the pass runs, and ``materialize`` strips all logged positions once at the
 end. Indices refer to the original word and stay valid because no operation
 here ever changes the sequence length.
 
-The log is validated where it crosses the public boundary: when a caller
-builds a ``WriterZipper``, and when a pass merges what its rules emitted,
-once per pass; the views a pass hands to its rules share the checked log.
-A pass calls each rule only at the cells its table gives it, and a pass
-that changes nothing returns the zipper it was given.
+A word rule reads the word and a position: ``rule(cells, i)`` gives the
+deletions and the output character for cell ``i``; ``lift_pure`` is the one
+adapter from a zipper rule. A pass calls each rule only at the cells its table
+gives it, on the pass's input cells, and builds nothing per visit. The log is
+validated when a caller builds a ``WriterZipper`` and once per pass.
 
 Words enter through ``start``, which normalizes them to NFC and checks the
 word contract; it is the word path's only NFC.
 """
 
 import unicodedata
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
-from .vowels import PLACEHOLDERS
 from .zipper import Zipper, _at, _new
 
 DeletionSet = frozenset[int]
@@ -39,7 +38,7 @@ def _check(log: DeletionSet, n: int) -> None:
 class WriterZipper(Zipper[str]):
     """A character zipper that also carries the deletions accumulated so far.
 
-    Being a zipper itself, it can be handed to a pure rule or to ``extract``
+    Being a zipper itself, it can be handed to a zipper rule or to ``extract``
     as it is; the ``zipper`` property gives the same cursor without the log.
     Building one freezes the log and checks that each position is in the word.
     """
@@ -81,6 +80,7 @@ def start(word: str) -> WriterZipper:
 
 def _check_word(word: str) -> None:
     # One cell at a time; a word whose letters are all caseless passes.
+    from .vowels import PLACEHOLDERS  # here, for comorph.vowels builds its rule on this module
     if not word:
         raise ValueError("cannot process an empty word")
     for i, c in enumerate(word):
@@ -99,11 +99,11 @@ def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:
     return wz
 
 
-# A deleting local rule: reads the focused context, returns the positions it
+# A word rule: reads the word's cells at a position, returns the positions it
 # wants removed plus its output character.
-WriterArrow = Callable[[WriterZipper], tuple[DeletionSet, str]]
+WriterArrow = Callable[[tuple[str, ...], int], tuple[DeletionSet, str]]
 
-# A pipeline stage: (name, arrow, letters it may change, letters it reads, letters it writes).
+# A pipeline stage: (name, rule, letters it may change, letters it reads, letters it writes).
 Stage = tuple[str, WriterArrow, frozenset[str], frozenset[str], frozenset[str]]
 
 
@@ -115,61 +115,56 @@ def writer_extend(f: WriterArrow, wz: WriterZipper) -> WriterZipper:
 def table_extend(table: dict[str, WriterArrow], wz: WriterZipper) -> WriterZipper:
     """Run at each cell the rule ``table`` gives for its value, merging the deletions.
 
-    The incoming log is passed unchanged to each rule at each refocusing; the
-    new log is the old one unioned with everything the rules emitted, checked
-    once against the word's length. The outputs form a zipper of the same
-    length and focus position, so deletions stay deferred.
-
-    Cells with no rule are copied without a call, and a visited cell still
-    sees the whole word as it came in. Cells are copied at the first change;
-    ``wz`` itself comes back when no cell has a rule or no visit changed or deleted.
+    The new log is the old one unioned with everything the rules emitted,
+    checked once against the word's length. The outputs form a zipper of the
+    same length and focus position, so deletions stay deferred. ``wz`` itself
+    comes back when no cell has a rule or no visit changed or deleted.
     """
-    log = wz.log
-    cells = wz.cells
+    log, out = _pass(table, wz.cells, wz.log)
+    if log is wz.log and out is wz.cells:
+        return wz
+    return _view(log, tuple(out), wz.index)
+
+
+def _pass(table: dict[str, WriterArrow], cells: tuple[str, ...], log: DeletionSet) -> tuple:
+    # The one pass loop: ``table[c](cells, i)`` on the input ``cells`` at each cell with a
+    # rule. Gives the merged log, checked once, and the cells, copied at the first change.
     merged = log
     out = cells
-    new = _new
     for i, c in enumerate(cells):
-        if c not in table:
-            continue
-        f = table[c]
-        # _view(log, cells, i), written out: this is the per-visit cost.
-        view = new(WriterZipper)
-        view.cells = cells
-        view.index = i
-        view.log = log
-        deletions, ch = f(view)
-        if deletions:
-            merged = merged | deletions
-        if ch != c:
-            if out is cells:
-                out = list(cells)
-            out[i] = ch
+        if c in table:
+            deletions, ch = table[c](cells, i)
+            if deletions:
+                merged = merged | deletions
+            if ch != c:
+                if out is cells:
+                    out = list(cells)
+                out[i] = ch
     if merged is not log:
         _check(merged, len(cells))
-    elif out is cells:
-        return wz
-    return _view(merged, tuple(out), wz.index)
+    return merged, out
 
 
 def materialize(wz: WriterZipper) -> str:
-    """Apply every logged deletion, keeping survivor order.
+    """Apply every logged deletion, keeping survivor order, through the one deletion filter."""
+    return _filter(wz.log, wz.cells)
 
-    This is the only place deletions take effect. Log validity is enforced
-    when the log crosses the public boundary, so the filter below cannot
-    drop a position that does not exist.
-    """
-    log = wz.log
-    cells = wz.cells
+
+def _filter(log: DeletionSet, cells: Sequence[str]) -> str:
+    # The one deletion filter, the only place deletions take effect: ``cells``
+    # joined without the positions in ``log``, which was checked against them.
     if not log:
         return "".join(cells)
     return "".join([c for i, c in enumerate(cells) if i not in log])
 
 
 def lift_pure(f: Callable[[Zipper[str]], str]) -> WriterArrow:
-    """Wrap a non-deleting rule so it can run in a deleting pass."""
+    """The one adapter: at ``(cells, i)``, ``f`` on the zipper there, deleting nothing."""
 
-    def arrow(wz: WriterZipper) -> tuple[DeletionSet, str]:
-        return (EMPTY_DELETIONS, f(wz))
+    def rule(cells: tuple[str, ...], i: int) -> tuple[DeletionSet, str]:
+        z = _new(Zipper)  # _at(cells, i), written out: this is the per-visit cost
+        z.cells = cells
+        z.index = i
+        return (EMPTY_DELETIONS, f(z))
 
-    return arrow
+    return rule

@@ -4,16 +4,15 @@ A zipper is a cursor and nothing more: a tuple of cells plus the index of the
 focused one, so the focus is ``cells[index]``. Refocusing shares the cells,
 so moving the focus costs O(1), and ``extend``, which re-runs a
 context-reading local rule at every position to turn a windowed rule into a
-whole-sequence pass, costs one rule call per cell and nothing more
-(``table_extend`` calls each rule only at the cells its table gives it). Rules
-read their neighbours with ``peek``, or scan ``cells`` from ``index``. Nothing
-here mutates a zipper, and rules must not either.
+whole-sequence pass, costs one rule call per cell. Rules read their
+neighbours with ``peek``, or scan ``cells`` from ``index``. Nothing here
+mutates a zipper, and rules must not either. The word passes of
+``comorph.writer`` build no zipper per cell: their rules read ``(cells, i)``,
+the same cursor unpacked, and ``lift_pure`` adapts a zipper rule to them.
 
 Input is checked where it enters: ``from_sequence`` rejects an empty
 sequence or an out-of-range focus, and the refocused views inside a pass
-check nothing. The deletion log that ``comorph.writer`` layers on top is
-likewise validated once, when a ``WriterZipper`` is built or a pass merges
-what its rule emitted, never per position.
+check nothing.
 """
 
 from collections.abc import Callable, Sequence

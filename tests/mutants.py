@@ -208,15 +208,19 @@ MUTANTS = (
     Mutant(
         "writer-extend-returns-its-input-when-no-cell-changed",
         "writer.py",
-        "    if merged is not log:\n"
-        "        _check(merged, len(cells))\n"
-        "    elif out is cells:\n"
-        "        return wz\n",
-        "    if out is cells:\n"
-        "        return wz\n"
-        "    if merged is not log:\n"
-        "        _check(merged, len(cells))\n",
-        ("tests/test_acceptance.py::test_criterion_1_gradation_table_fidelity",),
+        "    if log is wz.log and out is wz.cells:\n",
+        "    if out is wz.cells:\n",
+        ("tests/test_writer.py::test_weak_gradation_defers_deletion",),
+    ),
+    Mutant(
+        "pass-hands-rules-its-output",
+        "writer.py",
+        "            deletions, ch = table[c](cells, i)\n",
+        "            deletions, ch = table[c](out, i)\n",
+        (
+            "tests/test_pipeline.py::"
+            "test_a_pass_hands_each_rule_its_input_cells_at_support_cells_in_order",
+        ),
     ),
     Mutant(
         "writer-zipper-keeps-the-log-unfrozen",
@@ -245,8 +249,9 @@ MUTANTS = (
     Mutant(
         "copy-skips-harmony-placeholders",
         "vowels.py",
-        "        if cells[j] in HARMONY_PLACEHOLDERS:\n"
-        "            return _harmonize(cells, j)\n",
+        "            if c in HARMONY_PLACEHOLDERS:\n"
+        "                c = _harmonize(cells, j)\n"
+        "                break\n",
         "",
         ("tests/test_vowels.py::test_vowel_stages_match_the_grammar",),
     ),

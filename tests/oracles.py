@@ -7,8 +7,8 @@ always-copy pass per stage where ``Pipeline.run`` makes one in all, the CG
 reference indexes a plain list and takes nothing from ``comorph.cg`` but its
 data, the readings-file references build only through the public, checking
 ``Reading`` and ``ReadingSet`` constructors, and the always-copy pass calls
-its rule through the public ``WriterZipper`` constructor and copies every
-cell, and the vowel and paradigm references are written from the grammar
+its word rule at every cell of its support on the cells it was given and
+copies every cell, and the vowel and paradigm references are written from the grammar
 with their own letters and tables, taking nothing from ``comorph.gradation``,
 ``comorph.vowels`` or ``comorph.generator``.
 """
@@ -46,7 +46,7 @@ def _sentinel_marks(word: str, grade: Grade) -> str:
     arrow = gradation_arrow(grade)
 
     def local(w: Zipper) -> str:
-        deletions, out = arrow(w)
+        deletions, out = arrow(w.cells, w.index)
         return SENTINEL if deletions else out
 
     return naive_extend_word(word, local)
@@ -150,15 +150,15 @@ def grammar_paradigm(lemma: str, case: str, poss3: bool) -> str:
 def always_copy_extend(f, wz: WriterZipper, support=None) -> WriterZipper:
     """``writer_extend`` without its shortcuts.
 
-    Calls ``f`` on a freshly built zipper at every cell whose value is in
-    ``support`` (every cell when it is None), copies every cell into a new
+    Calls the word rule ``f`` on the input cells at every cell whose value is
+    in ``support`` (every cell when it is None), copies every cell into a new
     list and unions every emitted deletion into the log.
     """
     cells = list(wz.cells)
     log = set(wz.log)
     for i, c in enumerate(wz.cells):
         if support is None or c in support:
-            deletions, cells[i] = f(WriterZipper(wz.log, from_sequence(wz.cells, i)))
+            deletions, cells[i] = f(wz.cells, i)
             log |= deletions
     return WriterZipper(frozenset(log), from_sequence(cells, wz.index))
 

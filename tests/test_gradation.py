@@ -46,7 +46,7 @@ def test_weaken_reproduces_table(strong, weak):
 
 def weak_at(word: str, i: int) -> str | None:
     # The arrow's output at ``i``, or None where it logs the cell as deleted.
-    deletions, out = gradation_arrow(Grade.WEAK)(from_sequence(word, i))
+    deletions, out = gradation_arrow(Grade.WEAK)(tuple(word), i)
     return None if deletions else out
 
 
@@ -100,13 +100,13 @@ def test_gradate_at_deletes_geminate_tail():
 
 def test_gradate_at_replaces_single():
     assert weak_at("tupa", 2) == "v"
-    assert gradation_arrow(Grade.STRONG)(from_sequence("tuva", 2)) == (frozenset(), "p")
+    assert gradation_arrow(Grade.STRONG)(tuple("tuva"), 2) == (frozenset(), "p")
 
 
 @given(st.text(alphabet="aeikmnoprstuvyäö", min_size=1, max_size=12), st.data())
 def test_gradate_at_yields_exactly_one_outcome(word, data):
     i = data.draw(st.integers(0, len(word) - 1))
-    deletions, out = gradation_arrow(Grade.WEAK)(from_sequence(word, i))
+    deletions, out = gradation_arrow(Grade.WEAK)(tuple(word), i)
     assert deletions in (frozenset(), frozenset({i}))
     assert isinstance(out, str) and len(out) == 1
 

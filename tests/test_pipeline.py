@@ -87,13 +87,15 @@ def test_compose_identity_laws_under_extend(wz, f):
 
 @given(writer_zippers(max_size=12), writer_arrows)
 def test_compose_identity_laws_pointwise_chars(wz, f):
-    assert compose(identity_arrow, f)(wz)[1] == f(wz)[1]
-    assert compose(f, identity_arrow)(wz)[1] == f(wz)[1]
+    at = (wz.cells, wz.index)
+    assert compose(identity_arrow, f)(*at)[1] == f(*at)[1]
+    assert compose(f, identity_arrow)(*at)[1] == f(*at)[1]
 
 
 @given(writer_zippers(max_size=8), writer_arrows, writer_arrows, writer_arrows)
 def test_compose_associative_pointwise(wz, f, g, h):
-    assert compose(compose(f, g), h)(wz) == compose(f, compose(g, h))(wz)
+    at = (wz.cells, wz.index)
+    assert compose(compose(f, g), h)(*at) == compose(f, compose(g, h))(*at)
 
 
 def test_compose_gradation_then_harmony_matches_stagewise():
@@ -164,7 +166,7 @@ def test_starting_focus_does_not_matter(focus):
 def test_writer_extract_reads_stage_focus():
     start = WriterZipper(frozenset(), from_sequence("tupa", 2))
     composed = compose(gradation_arrow(Grade.WEAK), identity_arrow)
-    assert composed(start)[1] == "v"
+    assert composed(start.cells, start.index)[1] == "v"
     assert extract(writer_extend(gradation_arrow(Grade.WEAK), start)) == "v"
 
 
@@ -215,8 +217,7 @@ def test_stage_is_the_identity_outside_its_support(grade, stage, word):
     _, arrow, support, _, _ = (*standard_pipeline(grade).stages, E_TO_A)[stage]
     for i, c in enumerate(word):
         if c not in support:
-            view = WriterZipper(EMPTY_DELETIONS, from_sequence(word, i))
-            assert arrow(view) == (EMPTY_DELETIONS, c), (word, i)
+            assert arrow(tuple(word), i) == (EMPTY_DELETIONS, c), (word, i)
 
 
 @pytest.mark.parametrize("grade", ["weak", None, []])
@@ -257,8 +258,8 @@ def test_a_stage_reads_and_writes_only_the_letters_it_states(stage, word):
     blind = "".join(c if c in reads else "h" for c in word)
     for i, c in enumerate(word):
         if c in support:
-            out = _outcome(arrow, WriterZipper(EMPTY_DELETIONS, from_sequence(word, i)))
-            assert out == _outcome(arrow, WriterZipper(EMPTY_DELETIONS, from_sequence(blind, i)))
+            out = _outcome(arrow, tuple(word), i)
+            assert out == _outcome(arrow, tuple(blind), i)
             assert out[0] is ValueError or out[1] in writes | {c}, (word, i, out)
 
 
@@ -404,6 +405,53 @@ def test_a_stage_of_the_wrong_shape_is_a_type_error(stages, message):
     with pytest.raises(TypeError) as info:
         Pipeline(stages)
     assert str(info.value).startswith(message)
+
+
+def test_the_constructor_leaves_the_callers_sets_as_they_were():
+    support, reads, writes = {"X"}, {"a"}, {"a"}
+    pipeline = Pipeline((("x-to-a", identity_arrow, support, reads, writes),))
+    assert (support, reads, writes) == ({"X"}, {"a"}, {"a"})
+    assert pipeline.stages[0][2:] == ({"X"}, {"a"}, {"a"})
+
+
+@pytest.mark.parametrize("field", ["support", "reads", "writes"])
+@pytest.mark.parametrize("letters", [["a"], "a", ("a",)], ids=["list", "str", "tuple"])
+def test_a_stage_letter_field_that_is_not_a_set_is_a_type_error(field, letters):
+    fields = dict.fromkeys(("support", "reads", "writes"), frozenset("a")) | {field: letters}
+    stage = ("odd", identity_arrow, fields["support"], fields["reads"], fields["writes"])
+    with pytest.raises(TypeError) as info:
+        Pipeline((VOWEL_STAGE, stage))
+    assert str(info.value) == f"stage 'odd' {field} is not a set or frozenset: {letters!r}"
+
+
+def test_a_pass_hands_each_rule_its_input_cells_at_support_cells_in_order():
+    """The pass contract: a rule is called only at the cells its table gives it, in
+    ascending position, each time with the pass's input cells, never its output so far."""
+    calls = []
+
+    def mark(cells, i):
+        calls.append((cells, i))
+        return (frozenset({i}) if cells[i] == "b" else EMPTY_DELETIONS, "x")
+
+    stage = ("mark", mark, frozenset("ab"), frozenset("ab"), frozenset("x"))
+    assert Pipeline((stage,)).run("cabcab") == "cxcx"
+    given_cells = calls[0][0]
+    assert type(given_cells) is tuple and given_cells == tuple("cabcab")
+    assert all(cells is given_cells for cells, _ in calls)
+    assert [i for _, i in calls] == [1, 2, 4, 5]
+    calls.clear()
+    wz = start("cabcab")
+    out = table_extend(dict.fromkeys(stage[2], mark), wz)
+    assert (out.cells, out.log) == (tuple("cxxcxx"), frozenset({2, 5}))
+    assert [(cells is wz.cells, i) for cells, i in calls] == [(True, 1), (True, 2), (True, 4), (True, 5)]
+
+
+def test_lift_pure_hands_its_rule_the_zipper_at_each_position():
+    seen = []
+    wz = start("kaappi")
+    writer_extend(lift_pure(lambda z: seen.append(z) or z.cells[z.index]), wz)
+    assert seen == [from_sequence(wz.cells, i) for i in range(6)]
+    assert all(z.cells is wz.cells for z in seen)
 
 
 @pytest.mark.parametrize(

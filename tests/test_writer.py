@@ -65,7 +65,7 @@ def test_a_zipper_never_equals_a_writer_zipper_over_the_same_cells():
 
 def test_identity_arrow_emits_nothing():
     wz = WriterZipper(frozenset(), kaappi_at(2))
-    assert lift_pure(extract)(wz) == (frozenset(), "a")
+    assert lift_pure(extract)(wz.cells, wz.index) == (frozenset(), "a")
 
 
 @given(writer_zippers())
@@ -75,7 +75,7 @@ def test_writer_extend_identity(wz):
 
 @given(writer_zippers(), writer_arrows)
 def test_writer_extract_after_extend(wz, f):
-    assert extract(writer_extend(f, wz)) == f(wz)[1]
+    assert extract(writer_extend(f, wz)) == f(wz.cells, wz.index)[1]
 
 
 def test_weak_gradation_defers_deletion():
@@ -90,8 +90,7 @@ def _collect(f, wz):
     items = to_sequence(wz.zipper)
     out = set()
     for i in range(len(items)):
-        refocused = WriterZipper(wz.log, from_sequence(items, i))
-        out |= f(refocused)[0]
+        out |= f(items, i)[0]
     return frozenset(out)
 
 
@@ -138,7 +137,7 @@ def test_a_log_given_as_a_set_is_frozen_at_birth():
     log.add(99)
     assert wz.log == frozenset({1})
     assert materialize(wz) == "ac"
-    drop_c = lambda v: (frozenset({v.index}) if v.focus == "c" else EMPTY_DELETIONS, v.focus)
+    drop_c = lambda cells, i: (frozenset({i}) if cells[i] == "c" else EMPTY_DELETIONS, cells[i])
     out = writer_extend(drop_c, wz)
     assert type(out.log) is frozenset
     assert out.log == frozenset({1, 2})
@@ -147,7 +146,7 @@ def test_a_log_given_as_a_set_is_frozen_at_birth():
 def test_out_of_range_deletion_from_a_rule_rejected():
     wz = WriterZipper(frozenset(), kaappi_at(0))
     with pytest.raises(ValueError):
-        writer_extend(lambda v: (frozenset({6}), v.zipper.focus), wz)
+        writer_extend(lambda cells, i: (frozenset({6}), cells[i]), wz)
 
 
 @given(writer_zippers(), writer_arrows)
@@ -175,9 +174,9 @@ def test_gradation_matches_sentinel_filtering(word):
 def test_supported_pass_calls_the_rule_only_on_support_cells():
     seen = []
 
-    def f(v):
-        seen.append((v.index, "".join(v.cells)))
-        return (frozenset({v.index}), v.focus.upper())
+    def f(cells, i):
+        seen.append((i, "".join(cells)))
+        return (frozenset({i}), cells[i].upper())
 
     wz = WriterZipper(frozenset({0}), kaappi_at(5))
     out = table_extend(dict.fromkeys("p", f), wz)
@@ -187,7 +186,7 @@ def test_supported_pass_calls_the_rule_only_on_support_cells():
 
 def test_supported_pass_with_no_support_cell_returns_its_input():
     wz = WriterZipper(frozenset({4}), kaappi_at(1))
-    assert table_extend(dict.fromkeys("tV", lambda v: 1 / 0), wz) is wz
+    assert table_extend(dict.fromkeys("tV", lambda cells, i: 1 / 0), wz) is wz
 
 
 supports = st.none() | st.frozensets(st.sampled_from(LAW_ALPHABET))
@@ -206,7 +205,7 @@ def test_a_pass_that_changes_nothing_returns_its_input(wz, support):
 @given(writer_zippers(), supports)
 def test_a_pass_that_only_relogs_returns_an_equal_zipper(wz, support):
     """Logging a position already in the log is still a deletion: a new, equal zipper."""
-    out = supported_pass(lambda v: (wz.log, v.focus), wz, support)
+    out = supported_pass(lambda cells, i: (wz.log, cells[i]), wz, support)
     assert out == wz
 
 
@@ -216,28 +215,24 @@ def test_copy_on_write_matches_an_always_copy_pass(wz, f, data):
     support = data.draw(supports)
     kept = data.draw(st.frozensets(st.sampled_from(LAW_ALPHABET)))
 
-    def g(v):
-        return (EMPTY_DELETIONS, v.focus) if v.focus in kept else f(v)
+    def g(cells, i):
+        return (EMPTY_DELETIONS, cells[i]) if cells[i] in kept else f(cells, i)
 
     out = supported_pass(g, wz, support)
     assert out == always_copy_extend(g, wz, support)
-    views = [
-        WriterZipper(wz.log, from_sequence(wz.cells, i))
-        for i, c in enumerate(wz.cells)
-        if support is None or c in support
-    ]
-    wrote = any(g(v)[0] or g(v)[1] != v.focus for v in views)
+    visits = [i for i, c in enumerate(wz.cells) if support is None or c in support]
+    wrote = any(g(wz.cells, i)[0] or g(wz.cells, i)[1] != wz.cells[i] for i in visits)
     assert (out is wz) == (not wrote)
 
 
 def test_cells_are_copied_only_when_a_cell_changes():
     wz = WriterZipper(frozenset(), kaappi_at(2))
 
-    def upper_at_4(v):
-        return (EMPTY_DELETIONS, v.focus.upper() if v.index == 4 else v.focus)
+    def upper_at_4(cells, i):
+        return (EMPTY_DELETIONS, cells[i].upper() if i == 4 else cells[i])
 
-    def delete_4(v):
-        return (frozenset({4}) if v.index == 4 else EMPTY_DELETIONS, v.focus)
+    def delete_4(cells, i):
+        return (frozenset({4}) if i == 4 else EMPTY_DELETIONS, cells[i])
 
     upper = writer_extend(upper_at_4, wz)
     assert (upper.cells, upper.index, upper.log) == (tuple("kaapPi"), 2, frozenset())
