@@ -3,26 +3,25 @@
 Each row times calls the program makes: gradation (``weaken`` on the
 ``PATTERNS`` examples) and the vowel stage on harmony words and on copy words
 are the one-stage pipelines ``comorph grad`` and ``comorph harmony`` run, the
-full pipeline is ``run_pipeline``, a single CG rule is the pass ``run_cg``
-runs for it, and full CG is ``run_cg`` on the demo sentence. Every input of a
-row is timed ``iterations`` times, the rows taking turns an iteration at a
-time so that a drift in machine speed falls on all alike, and each row reports
-the mean, population standard deviation and median of its samples pooled; a
-few slow outliers (a collection, a preemption) do not move a median as they do
-a mean. ``comorph bench`` prints all six rows, the four criterion 9 reads and
-the two CG rows, timed by the same code with the process's own CPU affinity.
-Timings are wall-clock and hardware specific, meant for relative comparison
-only.
+full pipeline is ``run_pipeline``, a single CG rule is ``cg._rule_pass``, the
+one-rule pass ``run_cg`` runs, and full CG is ``run_cg`` on the demo sentence.
+Every input of a row is timed ``iterations`` times, the rows taking turns an
+iteration at a time so that a drift in machine speed falls on all alike, and
+each row reports the mean, population standard deviation and median of its
+samples pooled; a few slow outliers (a collection, a preemption) do not move a
+median as they do a mean. ``comorph bench`` prints all six rows, the four
+criterion 9 reads and the two CG rows, timed by the same code with the
+process's own CPU affinity. Timings are wall-clock and hardware specific,
+meant for relative comparison only.
 """
 
 import statistics
 import time
 from collections import namedtuple
 
-from .cg import ReadingSet, TagIndex, parse_readings, parse_rules, run_cg
+from .cg import ReadingSet, TagIndex, _rule_pass, parse_readings, parse_rules, run_cg
 from .gradation import PATTERNS, Grade
 from .pipeline import VOWEL_STAGE, Pipeline, run_pipeline, weaken
-from .zipper import _extend, from_sequence
 
 HARMONY_WORDS = ("talossA", "kynässA", "pöydässA", "tiessA")
 POSSESSIVE_WORDS = ("kammastaVn", "kengästäVn", "taloVn")
@@ -63,18 +62,16 @@ def run_benchmarks(iterations: int = 10_000) -> list[BenchRow]:
     vowels = Pipeline((VOWEL_STAGE,))
     sentence = demo_sentence()
     rules = demo_rules()
-    zipped = from_sequence(tuple(sentence), 0)
     # One rule's pass exactly as run_cg runs it, over the tokens its target and
     # condition can reach; run_cg builds the index once per sentence.
-    index = TagIndex(zipped.cells)
+    cells = tuple(sentence)
+    index = TagIndex(cells)
     ops = {
         "gradation": [(lambda w=strong: weaken(w)) for strong, _ in (p.example for p in PATTERNS)],
         "harmony": [(lambda w=w: vowels.run(w)) for w in HARMONY_WORDS],
         "possessive": [(lambda w=w: vowels.run(w)) for w in POSSESSIVE_WORDS],
         "full pipeline": [(lambda w=w: run_pipeline(w, Grade.WEAK)) for w in PIPELINE_WORDS],
-        "single CG rule": [
-            (lambda r=r: _extend(zipped, r.arrow, r.reach(index, zipped.cells))) for r in rules
-        ],
+        "single CG rule": [(lambda r=r: _rule_pass(r, index, cells)) for r in rules],
     }
     ops = {f"{name} (avg/{len(fs)})": fs for name, fs in ops.items()}
     ops[f"full CG ({len(rules)} rules)"] = [lambda: run_cg(sentence, rules)]

@@ -26,11 +26,11 @@ a rule and a reading written in different Unicode forms still match.
 
 A reading is validated once, where it enters: ``iter_readings`` checks each
 line, yielding a sentence at a time (``parse_readings`` lists them), and builds
-through private trusted constructors, as ``apply_rule`` does for the non-empty
+through private trusted constructors, as ``CgRule.arrow`` does for the non-empty
 subset of a checked set that it keeps. The public ``Reading(...)`` and
 ``ReadingSet(...)`` keep every check. Readings that write the same feature field
 share one frozenset, kept in an LRU cache of ``_CACHE_SIZE`` field texts. A rule
-is read once too: ``CgRule`` computes a plan from its fields, and ``apply_rule``
+is read once too: ``CgRule`` computes a plan from its fields, and ``arrow``
 and ``reach`` read that.
 """
 
@@ -40,11 +40,11 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, count
+from operator import is_not, itemgetter
 
 from .record import Record, _set
-from .zipper import Zipper, _at, _extend, to_sequence
+from .zipper import Zipper
 
 
 class RuleSyntaxError(ValueError):
@@ -191,8 +191,8 @@ class TagIndex(dict):
 class CgRule(Record):
     """A rule as data.
 
-    ``run_cg`` runs it as ``_extend(z, rule.arrow, rule.reach(index, z.cells))``,
-    with ``index = TagIndex(z.cells)`` built once per sentence. Building a rule
+    ``run_cg`` runs its local rule, ``arrow(cells, i)``, in ``_rule_pass``, with
+    ``index = TagIndex(cells)`` built once per sentence. Building a rule
     also computes its plan, ``(select, field, slot, value, condition)``, with
     ``condition`` None or ``(offset, field, get, value, negated)``.
     """
@@ -211,8 +211,26 @@ class CgRule(Record):
         select, field = action is RuleAction.SELECT, target.field
         _set(self, "_plan", (select, field, _SLOT[field], target.value, c))
 
-    def arrow(self, z: Zipper[ReadingSet]) -> ReadingSet:
-        return apply_rule(z, self)
+    def arrow(self, cells: Sequence[ReadingSet], i: int) -> ReadingSet:
+        """The rule at token ``i`` of ``cells``; never returns an empty reading set.
+        The condition holds when some reading at ``i + offset`` passes its test, and
+        not when none does or the offset leaves the sentence; NOT flips that result,
+        so a negated condition holds at the boundary too."""
+        select, _, slot, value, condition = self._plan
+        focus = cells[i]
+        if condition is not None:
+            offset, _, get, tag, negated = condition
+            j = i + offset
+            if (0 <= j < len(cells) and tag in map(get, cells[j].readings)) == negated:
+                return focus
+        readings = focus.readings
+        keep = []
+        for r in readings:
+            if (r[slot] == value) == select:
+                keep.append(r)
+        if not keep or len(keep) == len(readings):
+            return focus
+        return _tuple_new(ReadingSet, (focus.surface, frozenset(keep)))
 
     def reach(self, index: TagIndex, cells: Sequence[ReadingSet]) -> list[int]:
         """The ascending positions of ``cells`` where the rule may change a token.
@@ -295,28 +313,21 @@ def parse_rules(text: str) -> list[CgRule]:
 
 
 def apply_rule(z: Zipper[ReadingSet], rule: CgRule) -> ReadingSet:
-    """One rule at one token; never returns an empty reading set.
+    """``rule.arrow`` read at a zipper's focus: the one adapter to ``extend``."""
+    return rule.arrow(z.cells, z.index)
 
-    The condition holds when some reading at focus+offset passes its test,
-    and not when none does or the offset leaves the sentence; NOT flips that
-    result, so a negated condition holds at the boundary too.
-    """
-    select, _, slot, value, condition = rule._plan
-    cells, i = z.cells, z.index
-    focus = cells[i]
-    if condition is not None:
-        offset, _, get, tag, negated = condition
-        j = i + offset
-        if (0 <= j < len(cells) and tag in map(get, cells[j].readings)) == negated:
-            return focus
-    readings = focus.readings
-    keep = []
-    for r in readings:
-        if (r[slot] == value) == select:
-            keep.append(r)
-    if not keep or len(keep) == len(readings):
-        return focus
-    return _tuple_new(ReadingSet, (focus.surface, frozenset(keep)))
+
+def _rule_pass(rule: CgRule, index: TagIndex, cells: tuple[ReadingSet, ...]) -> tuple:
+    # One rule's pass: ``rule.arrow`` on the input ``cells`` at reach's positions,
+    # ascending; the cells are copied at the first change, else returned as given.
+    arrow, out = rule.arrow, cells
+    for i in rule.reach(index, cells):
+        token = arrow(cells, i)
+        if token is not cells[i]:
+            if out is cells:
+                out = list(cells)
+            out[i] = token
+    return cells if out is cells else tuple(out)
 
 
 # Called for every token a rule changed: (rule number, token index, before, after).
@@ -332,20 +343,14 @@ def run_cg(
     cells = tuple(sentence)
     if not cells:
         raise ValueError("cannot disambiguate an empty sentence")
-    z, index = _at(cells, 0), TagIndex(cells)
+    index = TagIndex(cells)
     for number, rule in enumerate(rules, start=1):
-        positions = rule.reach(index, z.cells)
-        if not positions:
-            continue
-        before = z.cells
-        z = _extend(z, rule.arrow, positions)  # reach's positions are in range
-        if on_fire is not None and z.cells is not before:
-            # Only reached tokens can change, and an unchanged one is the very
-            # object it was before the pass.
-            for idx in positions:
-                if before[idx] is not z.cells[idx]:
-                    on_fire(number, idx, before[idx], z.cells[idx])
-    return list(to_sequence(z))
+        before, cells = cells, _rule_pass(rule, index, cells)
+        if on_fire is not None and cells is not before:
+            # An unchanged token is the very object it was before the pass.
+            for i in compress(count(), map(is_not, cells, before)):
+                on_fire(number, i, before[i], cells[i])
+    return list(cells)
 
 
 def iter_readings(pieces: Iterable[str]) -> Iterator[Sentence]:

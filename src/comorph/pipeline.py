@@ -58,14 +58,14 @@ class Pipeline(Record):
     later one's ``reads | support`` (a rule reads the cells it owns); else, or
     for a ``None`` support, ``ValueError``; for a stage of another shape, or a
     support, reads or writes that is not a set or frozenset, ``TypeError``.
+    ``stages`` is kept as a tuple with frozen letter sets, so a pipeline hashes.
     """
 
     __slots__ = ("stages", "_tables")  # _tables: one table per stage prefix, not a field
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
-        super().__init__(stages)
         table: dict[str, WriterArrow] = {}
-        tables = [table]
+        tables, kept = [table], []
         for k, stage in enumerate(stages):
             if not (isinstance(stage, tuple) and len(stage) == 5):
                 shape = "(name, arrow, support, reads, writes)"
@@ -76,12 +76,15 @@ class Pipeline(Record):
             for field, letters in (("support", support), ("reads", reads), ("writes", writes)):
                 if not isinstance(letters, (set, frozenset)):
                     raise TypeError(f"stage {name!r} {field} is not a set or frozenset: {letters!r}")
-            reads = reads | support  # a rule reads the cells it owns; the caller's set is kept
-            first = next((n for n, _, s, _, w in stages[:k] if not reads.isdisjoint(s | w)), None)
+            support, reads, writes = frozenset(support), frozenset(reads), frozenset(writes)
+            owned = reads | support  # a rule reads the cells it owns
+            first = next((n for n, _, s, _, w in kept if not owned.isdisjoint(s | w)), None)
             if first is not None:
                 raise ValueError(f"stage {name!r} reads what {first!r} before it owns or writes")
+            kept.append((name, rule, support, reads, writes))
             table = {**table, **dict.fromkeys(support, rule)}
             tables.append(table)
+        super().__init__(tuple(kept))
         _set(self, "_tables", tuple(tables))
 
     def run(self, word: str) -> str:

@@ -6,9 +6,11 @@ so moving the focus costs O(1), and ``extend``, which re-runs a
 context-reading local rule at every position to turn a windowed rule into a
 whole-sequence pass, costs one rule call per cell. Rules read their
 neighbours with ``peek``, or scan ``cells`` from ``index``. Nothing here
-mutates a zipper, and rules must not either. The word passes of
-``comorph.writer`` build no zipper per cell: their rules read ``(cells, i)``,
-the same cursor unpacked, and ``lift_pure`` adapts a zipper rule to them.
+mutates a zipper, and rules must not either. ``extend`` is the one loop over
+a zipper. The word passes of ``comorph.writer`` and the rule passes of
+``comorph.cg`` build no zipper per cell: their rules read ``(cells, i)``, the
+same cursor unpacked. ``lift_pure`` adapts a zipper rule to a word pass, and
+``cg.apply_rule`` adapts a CG rule to ``extend``.
 
 Input is checked where it enters: ``from_sequence`` rejects an empty
 sequence or an out-of-range focus, and the refocused views inside a pass
@@ -104,15 +106,8 @@ def extend(z: Zipper[A], f: Callable[[Zipper[A]], B]) -> Zipper[B]:
     keeps the original length and focus position. ``f`` must be pure. ``z``
     itself comes back when no call returned a new value.
     """
-    return _extend(z, f, range(len(z.cells)))
-
-
-def _extend(z: Zipper[A], f: Callable[[Zipper[A]], B], positions: Sequence[int]) -> Zipper[B]:
-    # extend's pass over only ``positions``, which the caller keeps in range and
-    # outside which ``f`` returns the focus unchanged; other cells are copied.
-    cells = z.cells
-    out = None
-    for i in positions:
+    cells, out = z.cells, None
+    for i in range(len(cells)):
         # _at(cells, i), written out: this is the per-visit cost.
         view = _new(Zipper)
         view.cells = cells

@@ -165,9 +165,19 @@ MUTANTS = (
     Mutant(
         "trace-skips-the-first-reached-token",
         "cg.py",
-        "            for idx in positions:\n",
-        "            for idx in positions[1:]:\n",
+        "            for i in compress(count(), map(is_not, cells, before)):\n",
+        "            for i in list(compress(count(), map(is_not, cells, before)))[1:]:\n",
         CG_TESTS,
+    ),
+    Mutant(
+        "cg-pass-hands-rules-its-output",
+        "cg.py",
+        "        token = arrow(cells, i)\n",
+        "        token = arrow(out, i)\n",
+        (
+            "tests/test_cg.py::"
+            "test_a_cg_pass_hands_each_rule_its_input_cells_at_reach_positions_in_order",
+        ),
     ),
     Mutant(
         "reading-keeps-features-unfrozen",
@@ -441,6 +451,14 @@ MUTANTS = (
         "bench.py",
         '"possessive": [(lambda w=w: vowels.run(w))',
         '"possessive": [(lambda w=w: run_pipeline(w, Grade.WEAK))',
+        BENCH_TESTS,
+    ),
+    # The single CG rule row times run_cg's one-rule pass, not a whole run of one rule.
+    Mutant(
+        "bench-cg-rule-row-runs-a-whole-run-per-rule",
+        "bench.py",
+        "(lambda r=r: _rule_pass(r, index, cells))",
+        "(lambda r=r: run_cg(cells, [r]))",
         BENCH_TESTS,
     ),
 )

@@ -4,7 +4,7 @@ import re
 import statistics
 import time
 
-from comorph import bench
+from comorph import bench, cg
 from comorph.gradation import PATTERNS, Grade
 from comorph.pipeline import VOWEL_STAGE, Pipeline, gradation_pipeline, standard_pipeline
 
@@ -61,3 +61,26 @@ def test_component_rows_run_one_stage_pipelines(monkeypatch):
         *(((VOWEL_STAGE,), w) for w in bench.POSSESSIVE_WORDS),
         *((standard_pipeline(Grade.WEAK).stages, w) for w in bench.PIPELINE_WORDS),
     ]
+
+
+def test_the_single_cg_rule_row_runs_the_one_rule_pass_of_run_cg(monkeypatch):
+    """Each demo rule's pass over the demo sentence, with one index built once, through
+    the very function ``run_cg`` runs for each rule."""
+    assert bench._rule_pass is cg._rule_pass
+    calls = []
+    rule_pass = cg._rule_pass
+
+    def recording_pass(rule, index, cells):
+        calls.append((rule, index, cells))
+        return rule_pass(rule, index, cells)
+
+    monkeypatch.setattr(bench, "_rule_pass", recording_pass)
+    monkeypatch.setattr(cg, "_rule_pass", recording_pass)
+    bench.run_benchmarks(iterations=1)
+    rules, sentence = bench.demo_rules(), tuple(bench.demo_sentence())
+    row, full = calls[: len(rules)], calls[len(rules) :]
+    assert [(rule, cells) for rule, _, cells in row] == [(rule, sentence) for rule in rules]
+    index = row[0][1]
+    assert isinstance(index, cg.TagIndex) and index.cells == sentence
+    assert all(i is index for _, i, _ in row)
+    assert [rule for rule, _, _ in full] == rules  # the full CG row: run_cg, rule by rule

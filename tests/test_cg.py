@@ -25,6 +25,7 @@ from comorph.cg import (
     TagIndex,
     _CACHE_SIZE,
     _features,
+    _rule_pass,
     apply_rule,
     format_sentences,
     iter_readings,
@@ -32,7 +33,7 @@ from comorph.cg import (
     parse_rules,
     run_cg,
 )
-from comorph.zipper import _extend, extend, from_sequence, to_sequence
+from comorph.zipper import extend, from_sequence, to_sequence
 from oracles import cg_reference, format_sentences_reference, parse_readings_reference, passes
 
 
@@ -657,9 +658,9 @@ def test_run_cg_matches_list_indexing_oracle(sentence, drawn):
 def test_supported_pass_equals_full_apply_rule_pass(sentence, drawn, data):
     [rule] = parse_rules(drawn[0])
     z = from_sequence(tuple(sentence), data.draw(st.integers(0, len(sentence) - 1)))
-    passed = _extend(z, rule.arrow, rule.reach(TagIndex(z.cells), z.cells))  # run_cg's pass
-    assert passed == extend(z, lambda w: apply_rule(w, rule))
-    assert list(to_sequence(passed)) == cg_reference(sentence, [rule])
+    passed = _rule_pass(rule, TagIndex(z.cells), z.cells)  # run_cg's pass
+    assert passed == to_sequence(extend(z, lambda w: apply_rule(w, rule)))
+    assert list(passed) == cg_reference(sentence, [rule])
 
 
 @given(sentences(), rule_lines(), rule_lines())
@@ -750,29 +751,30 @@ def test_apply_rule_is_reached_only_where_the_rule_can_act(sentence, rules):
     split, and under a condition that is not negated, never where the token at
     the offset had no reading passing the test when the run began."""
     wasted = []
+    arrow = CgRule.arrow
 
-    def counting_apply_rule(z, rule):
-        readings = z.focus.readings
+    def counting_arrow(rule, cells, i):
+        readings = cells[i].readings
         hits = sum(passes(rule.target, r) for r in readings)
         can_act = 0 < hits < len(readings)
         c = rule.condition
         if c is not None and not c.negated:
-            j = z.index + c.offset
+            j = i + c.offset
             can_act = can_act and 0 <= j < len(sentence) and any(
                 passes(c.test, r) for r in sentence[j].readings
             )
         if not can_act:
-            wasted.append((rule, z.index))
-        return apply_rule(z, rule)
+            wasted.append((rule, i))
+        return arrow(rule, cells, i)
 
-    with mock.patch("comorph.cg.apply_rule", counting_apply_rule):
+    with mock.patch.object(CgRule, "arrow", counting_arrow):
         run_cg(sentence, rules)
     assert wasted == []
 
 
 def test_run_cg_makes_no_call_per_stale_candidate():
     """Python calls during ``run_cg`` are bounded by the rules and the
-    ``apply_rule`` calls, not by the candidates a stale index names.
+    ``arrow`` calls, not by the candidates a stale index names.
 
     The first rule leaves every token one reading, so each later rule's
     index entry names all 40 tokens and none can change.
@@ -791,7 +793,7 @@ def test_run_cg_makes_no_call_per_stale_candidate():
     finally:
         sys.setprofile(None)
     assert out == [rs(f"w{i}", ("noun", "voi")) for i in range(40)]
-    applied = calls.count("apply_rule")
+    applied = calls.count("arrow")
     assert applied == 40
     assert "support" not in calls
     assert len(calls) <= 5 * (len(rules) + applied)
@@ -832,14 +834,48 @@ def test_tag_index_indexes_a_field_on_first_use():
 def test_apply_rule_calls_on_a_fixed_sentence(line, reached):
     sentence = four_tokens()
     calls = []
+    arrow = CgRule.arrow
 
-    def counting_apply_rule(z, rule):
-        calls.append(z.index)
-        return apply_rule(z, rule)
+    def counting_arrow(rule, cells, i):
+        calls.append(i)
+        return arrow(rule, cells, i)
 
-    with mock.patch("comorph.cg.apply_rule", counting_apply_rule):
+    with mock.patch.object(CgRule, "arrow", counting_arrow):
         run_cg(sentence, parse_rules(line))
     assert calls == reached
+
+
+@given(sentences(), st.lists(rule_lines(), min_size=1, max_size=4))
+@example(  # the first token changes, then the pass reaches the second
+    sentence=[VOI, VOI], drawn=[("SELECT POS=noun IF (NOT -1 POS=noun)", None)]
+)
+def test_a_cg_pass_hands_each_rule_its_input_cells_at_reach_positions_in_order(sentence, drawn):
+    """The pass contract: ``arrow`` is called only at ``reach``'s positions, in
+    ascending order, each time with the pass's input tuple, never its output so far."""
+    rules = parse_rules("\n".join(line for line, _ in drawn))
+    calls = []
+    arrow = CgRule.arrow
+
+    def recording_arrow(rule, cells, i):
+        calls.append((rule, cells, i))
+        return arrow(rule, cells, i)
+
+    with mock.patch.object(CgRule, "arrow", recording_arrow):
+        out = run_cg(sentence, rules)
+    assert out == cg_reference(sentence, rules)
+    cells = tuple(sentence)
+    index = TagIndex(cells)
+    for rule in rules:
+        positions = rule.reach(index, cells)
+        mine, calls = calls[: len(positions)], calls[len(positions) :]
+        assert [(r, i) for r, _, i in mine] == [(rule, i) for i in positions]
+        assert positions == sorted(positions)
+        if mine:
+            given_cells = mine[0][1]
+            assert type(given_cells) is tuple and given_cells == cells
+            assert all(c is given_cells for _, c, _ in mine)
+        cells = tuple(cg_reference(cells, [rule]))
+    assert calls == []
 
 
 def test_runs_are_deterministic():

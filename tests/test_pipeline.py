@@ -414,6 +414,14 @@ def test_the_constructor_leaves_the_callers_sets_as_they_were():
     assert pipeline.stages[0][2:] == ({"X"}, {"a"}, {"a"})
 
 
+def test_a_pipeline_of_a_stage_list_or_plain_sets_hashes_and_equals_its_frozen_twin():
+    listed, twin = Pipeline([VOWEL_STAGE]), Pipeline((VOWEL_STAGE,))
+    assert listed == twin and hash(listed) == hash(twin)
+    plain = Pipeline((("x", identity_arrow, {"b"}, {"a"}, {"a"}),))
+    frozen = Pipeline((("x", identity_arrow, frozenset("b"), frozenset("a"), frozenset("a")),))
+    assert plain == frozen and hash(plain) == hash(frozen)
+
+
 @pytest.mark.parametrize("field", ["support", "reads", "writes"])
 @pytest.mark.parametrize("letters", [["a"], "a", ("a",)], ids=["list", "str", "tuple"])
 def test_a_stage_letter_field_that_is_not_a_set_is_a_type_error(field, letters):

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comorph.writer import WriterZipper
-from comorph.zipper import Zipper, _extend, extend, extract, from_sequence, to_sequence
-from conftest import LAW_ALPHABET, char_functions, zippers
+from comorph.zipper import Zipper, extend, extract, from_sequence, to_sequence
+from conftest import char_functions, zippers
 from oracles import refocus_enumerate
 
 
@@ -110,18 +110,8 @@ def test_extend_agrees_with_refocusing_oracle(z, f):
     assert list(to_sequence(extend(z, f))) == refocus_enumerate(z, f)
 
 
-@given(zippers(), char_functions, st.frozensets(st.sampled_from(LAW_ALPHABET)))
-def test_supported_extend_equals_full_extend(z, f, support):
-    # A rule that is the identity outside its support, passed only there.
-    g = lambda w: f(w) if w.focus in support else w.focus
-    positions = [i for i, c in enumerate(z.cells) if c in support]
-    assert _extend(z, g, positions) == extend(z, g)
-
-
-@given(zippers(), char_functions)
-def test_extend_returns_its_input_when_no_cell_changes(z, f):
-    assert _extend(z, f, []) is z
-    assert _extend(z, extract, range(len(z.cells))) is z
+@given(zippers())
+def test_extend_returns_its_input_when_no_cell_changes(z):
     assert extend(z, extract) is z
 
 
