@@ -68,12 +68,13 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     a lowercase vowel: consonant-final stems would need epenthetic material the
     rule set cannot insert. The raw lemma is tested as it comes: a str that passes
     keeps its last letter and case under NFC, and no ending composes with it, so the
-    pipeline's ``start`` is the one NFC. Other input meets ``start`` first, then the
-    placeholder, stem and case checks, and goes on in NFC if it passes them.
+    pipeline's ``start`` is the one NFC. Other input meets ``start`` first, which
+    returns its checked cells, then the placeholder, stem and case checks, and goes
+    on in NFC if it passes them. The row's run is ``start``, one pass, one filter.
     """
     raw = isinstance(lemma, str) and lemma.islower() and lemma[-1] in VOWELS
     if not (raw and isinstance(case, NounCase)):
-        lemma = "".join(start(lemma).cells)
+        lemma = "".join(start(lemma))
         for i, c in enumerate(lemma):
             if c in PLACEHOLDERS:
                 raise ValueError(f"character {c!r} at position {i} of a lemma is a placeholder")

@@ -4,31 +4,28 @@ The standard run is gradation, then the vowel rule, in an explicit order: the
 vowel rule writes vowels, which gradation reads. A run is one pass that sends
 each cell to the stage whose support holds it, and deletions are applied
 exactly once, at the end. A stage's rule is a word rule, ``rule(cells, i)``.
+A word is cells and a log: ``start``, then ``_pass``, then ``_filter``.
 """
 
 from .gradation import Grade, _per_grade, gradation_stage
 from .record import Record, _set
 from .vowels import PLACEHOLDERS, VOWELS, vowel_rule
-from .writer import (
-    EMPTY_DELETIONS, DeletionSet, Stage, WriterArrow, WriterZipper, _filter, _pass, materialize,
-    start, table_extend, writer_extend,
-)
-from .zipper import from_sequence
+from .writer import EMPTY_DELETIONS, DeletionSet, Stage, WriterArrow, _filter, _pass, start
 
 
 def compose(f: WriterArrow, g: WriterArrow) -> WriterArrow:
     """Chain two word rules into one.
 
-    Runs ``f`` over the whole word, then reads ``g`` at the same position of
-    the result. The composite's deletion component carries everything ``f``'s
-    pass emitted; set union being idempotent, re-merging it later is
-    harmless, and chaining stays associative.
+    Runs ``f``'s pass over the whole word, then reads ``g`` at the same
+    position of the output cells. The composite's deletion component carries
+    everything ``f``'s pass emitted; set union being idempotent, re-merging it
+    later is harmless, and chaining stays associative.
     """
 
     def composed(cells: tuple[str, ...], i: int) -> tuple[DeletionSet, str]:
-        stepped = writer_extend(f, WriterZipper(EMPTY_DELETIONS, from_sequence(cells, i)))
-        deletions, ch = g(stepped.cells, i)
-        return (stepped.log | deletions, ch)
+        log, out = _pass(dict.fromkeys(cells, f), cells, EMPTY_DELETIONS)
+        deletions, ch = g(tuple(out), i)
+        return (log | deletions, ch)
 
     return composed
 
@@ -51,12 +48,13 @@ class Pipeline(Record):
     """Named stages in order; the only driver of word passes.
 
     Built once: ``tables[k]`` sends each cell to the one of the first k stages
-    whose support holds it. ``run`` is ``start``, one pass with the full table
-    and one filter of its log, ``trace`` row k the pass with ``tables[k]``. That pass equals the staged passes when
-    no stage reads a letter an earlier one owns or writes, so the constructor
-    takes stages only if every earlier one's ``support | writes`` misses every
-    later one's ``reads | support`` (a rule reads the cells it owns); else, or
-    for a ``None`` support, ``ValueError``; for a stage of another shape, or a
+    whose support holds it. ``run`` is one pass over ``start``'s cells with the
+    full table and one filter of its log, ``trace`` row k the pass with
+    ``tables[k]``. That pass equals the staged passes when no stage reads a
+    letter an earlier one owns or writes, so the constructor takes stages only
+    if every earlier one's ``support | writes`` misses every later one's
+    ``reads | support`` (a rule reads the cells it owns); else, or for a
+    ``None`` support, ``ValueError``; for a stage of another shape, or a
     support, reads or writes that is not a set or frozenset, ``TypeError``.
     ``stages`` is kept as a tuple with frozen letter sets, so a pipeline hashes.
     """
@@ -88,17 +86,16 @@ class Pipeline(Record):
         _set(self, "_tables", tuple(tables))
 
     def run(self, word: str) -> str:
-        wz = start(word)
-        return _filter(*_pass(self._tables[-1], wz.cells, wz.log))
+        return _filter(*_pass(self._tables[-1], start(word), EMPTY_DELETIONS))
 
     def trace(self, word: str) -> list[TraceRow]:
         """Row k: the first k stages' pass, characters still at full length, plus the log."""
-        wz = start(word)
-        done = table_extend(self._tables[-1], wz)  # run's pass first: trace raises what run raises
-        passes = [table_extend(t, wz) for t in self._tables[:-1]] + [done]
+        cells = start(word)
+        done = _pass(self._tables[-1], cells, EMPTY_DELETIONS)  # first: raises what run raises
+        passes = [_pass(t, cells, EMPTY_DELETIONS) for t in self._tables[:-1]] + [done]
         names = ["input", *[stage[0] for stage in self.stages]]
-        rows = [TraceRow(n, "".join(p.cells), p.log) for n, p in zip(names, passes)]
-        return [*rows, TraceRow("materialize", materialize(done), EMPTY_DELETIONS)]
+        rows = [TraceRow(n, "".join(out), log) for n, (log, out) in zip(names, passes)]
+        return [*rows, TraceRow("materialize", _filter(*done), EMPTY_DELETIONS)]
 
 
 @_per_grade

@@ -13,8 +13,10 @@ adapter from a zipper rule. A pass calls each rule only at the cells its table
 gives it, on the pass's input cells, and builds nothing per visit. The log is
 validated when a caller builds a ``WriterZipper`` and once per pass.
 
-Words enter through ``start``, which normalizes them to NFC and checks the
-word contract; it is the word path's only NFC.
+``start`` normalizes a word to NFC, checks the word contract and returns the
+cells; it is the word path's only NFC. That path is cells and a log: ``start``,
+``_pass``, ``_filter``. ``table_extend`` and ``materialize`` wrap them in a
+``WriterZipper``.
 """
 
 import unicodedata
@@ -40,7 +42,8 @@ class WriterZipper(Zipper[str]):
 
     Being a zipper itself, it can be handed to a zipper rule or to ``extract``
     as it is; the ``zipper`` property gives the same cursor without the log.
-    Building one freezes the log and checks that each position is in the word.
+    Building one freezes the log and checks that each position is an ``int``,
+    not a ``bool`` (``TypeError``), and is in the word (``ValueError``).
     """
 
     __slots__ = ("log",)
@@ -49,6 +52,9 @@ class WriterZipper(Zipper[str]):
 
     def __init__(self, log: DeletionSet, zipper: Zipper[str]) -> None:
         log = frozenset(log)
+        for p in log:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise TypeError(f"deletion position must be int, not {p!r}")
         _check(log, len(zipper.cells))
         self.cells = zipper.cells
         self.index = zipper.index
@@ -65,8 +71,8 @@ class WriterZipper(Zipper[str]):
         return f"WriterZipper(log={self.log!r}, zipper={self.zipper!r})"
 
 
-def start(word: str) -> WriterZipper:
-    """``word`` in NFC, focused at 0 with an empty log.
+def start(word: str) -> tuple[str, ...]:
+    """The cells of ``word`` in NFC, checked against the word contract.
 
     One test passes letters that are lower-case once A, O, U, V are removed; any
     other word raises if empty, or at its first non-letter or non-placeholder upper case.
@@ -75,7 +81,7 @@ def start(word: str) -> WriterZipper:
     rest = word.replace("A", "").replace("O", "").replace("U", "").replace("V", "")
     if not (word.isalpha() and rest.islower()):
         _check_word(word)
-    return _view(EMPTY_DELETIONS, tuple(word), 0)
+    return tuple(word)
 
 
 def _check_word(word: str) -> None:
@@ -88,15 +94,6 @@ def _check_word(word: str) -> None:
             raise ValueError(f"character {c!r} at position {i} is not a letter")
         if c != c.lower() and c not in PLACEHOLDERS:
             raise ValueError(f"character {c!r} at position {i} is upper-case and not a placeholder")
-
-
-def _view(log: DeletionSet, cells: tuple[str, ...], index: int) -> WriterZipper:
-    # A WriterZipper whose log has already been checked against ``cells``.
-    wz = _new(WriterZipper)
-    wz.cells = cells
-    wz.index = index
-    wz.log = log
-    return wz
 
 
 # A word rule: reads the word's cells at a position, returns the positions it
@@ -113,17 +110,17 @@ def writer_extend(f: WriterArrow, wz: WriterZipper) -> WriterZipper:
 
 
 def table_extend(table: dict[str, WriterArrow], wz: WriterZipper) -> WriterZipper:
-    """Run at each cell the rule ``table`` gives for its value, merging the deletions.
+    """The word path's ``_pass`` on a ``WriterZipper``: each cell's rule from ``table``.
 
     The new log is the old one unioned with everything the rules emitted,
     checked once against the word's length. The outputs form a zipper of the
     same length and focus position, so deletions stay deferred. ``wz`` itself
-    comes back when no cell has a rule or no visit changed or deleted.
+    comes back when no visit changed or deleted.
     """
     log, out = _pass(table, wz.cells, wz.log)
     if log is wz.log and out is wz.cells:
         return wz
-    return _view(log, tuple(out), wz.index)
+    return WriterZipper(log, _at(tuple(out), wz.index))
 
 
 def _pass(table: dict[str, WriterArrow], cells: tuple[str, ...], log: DeletionSet) -> tuple:

@@ -13,8 +13,8 @@ same cursor unpacked. ``lift_pure`` adapts a zipper rule to a word pass, and
 ``cg.apply_rule`` adapts a CG rule to ``extend``.
 
 Input is checked where it enters: ``from_sequence`` rejects an empty
-sequence or an out-of-range focus, and the refocused views inside a pass
-check nothing.
+sequence or a focus that is not an ``int`` or is out of range, and the
+refocused views inside a pass check nothing.
 """
 
 from collections.abc import Callable, Sequence
@@ -81,6 +81,8 @@ def from_sequence(items: Sequence[A], focus_index: int) -> Zipper[A]:
     A tuple is shared, not copied, so refocusing an existing zipper's cells
     this way costs O(1).
     """
+    if not isinstance(focus_index, int) or isinstance(focus_index, bool):
+        raise TypeError(f"focus index must be int, not {focus_index!r}")
     n = len(items)
     if n == 0:
         raise ValueError("cannot build a zipper from an empty sequence")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import unicodedata
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from comorph.bench import PIPELINE_WORDS
 from comorph.gradation import PATTERNS, Grade, gradation_arrow
 from comorph.pipeline import (
     VOWEL_STAGE,
@@ -22,7 +24,6 @@ from comorph.writer import (
     WriterZipper,
     lift_pure,
     materialize,
-    start,
     table_extend,
     writer_extend,
 )
@@ -150,6 +151,37 @@ def test_trace_rows_render_tab_separated():
         "input\tkaappi\t",
         "gradation\tkaappi\t4",
         "materialize\tkaapi\t",
+    ]
+
+
+# Every example of PATTERNS, then the bench's full-pipeline words.
+PINNED_WORDS = tuple(w for pat in PATTERNS for w in pat.example) + PIPELINE_WORDS
+PINNED_RUNS = {
+    Grade.WEAK: (
+        "kaapi", "kaavi", "mato", "mado", "kuka", "kua", "kamma", "kamma", "kulla", "kulla",
+        "ranna", "ranna", "parra", "parra", "kengä", "kengä", "tuva", "tuva", "kadu", "kadu",
+        "puu", "puu", "kammastaan", "rannassa", "puussa", "kengästään",
+    ),
+    Grade.STRONG: (
+        "kaappi", "kaapi", "matto", "mato", "kukka", "kuka", "kampa", "kampa", "kulta", "kulta",
+        "ranta", "ranta", "parta", "parta", "kenkä", "kenkä", "tupa", "tupa", "katu", "katu",
+        "puku", "puu", "kampastaan", "rantassa", "pukussa", "kenkästään",
+    ),
+}
+# sha256 of every rendered trace row of PINNED_WORDS, strong grade first, one row a line.
+PINNED_TRACES = "790586d599c09bd9ced8781234495c4105f36c27c5e906a21fd4305cd545acff"
+
+
+def test_run_and_trace_give_the_pinned_forms_and_rows():
+    for grade, forms in PINNED_RUNS.items():
+        assert tuple(standard_pipeline(grade).run(w) for w in PINNED_WORDS) == forms
+    traces = [standard_pipeline(g).trace(w) for g in (Grade.STRONG, Grade.WEAK) for w in PINNED_WORDS]
+    rows = [r for trace in traces for r in trace]
+    assert all(type(r.deletions) is frozenset for r in rows)
+    rendered = "\n".join(r.render() for r in rows)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == PINNED_TRACES
+    assert [r.render() for r in standard_pipeline(Grade.WEAK).trace("pukussA")] == [
+        "input\tpukussA\t", "gradation\tpukussA\t2", "vowels\tpukussa\t2", "materialize\tpuussa\t",
     ]
 
 
@@ -346,7 +378,8 @@ def test_one_pass_equals_the_staged_passes(name, word):
 
 def test_the_copy_reads_a_placeholder_as_harmony_resolves_it():
     def copy(word):
-        return materialize(writer_extend(lift_pure(possessive_arrow), start(word)))
+        wz = WriterZipper(EMPTY_DELETIONS, from_sequence(word, 0))
+        return materialize(writer_extend(lift_pure(possessive_arrow), wz))
 
     assert copy("talossAVn") == "talossAan"
     assert copy("kynässAVn") == "kynässAän"
@@ -448,7 +481,7 @@ def test_a_pass_hands_each_rule_its_input_cells_at_support_cells_in_order():
     assert all(cells is given_cells for cells, _ in calls)
     assert [i for _, i in calls] == [1, 2, 4, 5]
     calls.clear()
-    wz = start("cabcab")
+    wz = WriterZipper(EMPTY_DELETIONS, from_sequence("cabcab", 0))
     out = table_extend(dict.fromkeys(stage[2], mark), wz)
     assert (out.cells, out.log) == (tuple("cxxcxx"), frozenset({2, 5}))
     assert [(cells is wz.cells, i) for cells, i in calls] == [(True, 1), (True, 2), (True, 4), (True, 5)]
@@ -456,7 +489,7 @@ def test_a_pass_hands_each_rule_its_input_cells_at_support_cells_in_order():
 
 def test_lift_pure_hands_its_rule_the_zipper_at_each_position():
     seen = []
-    wz = start("kaappi")
+    wz = WriterZipper(EMPTY_DELETIONS, from_sequence("kaappi", 0))
     writer_extend(lift_pure(lambda z: seen.append(z) or z.cells[z.index]), wz)
     assert seen == [from_sequence(wz.cells, i) for i in range(6)]
     assert all(z.cells is wz.cells for z in seen)
@@ -475,7 +508,8 @@ def test_e_to_a_before_the_vowel_stage_is_refused_where_one_pass_differs(word, s
     """Staged, the vowel stage reads the a that e-to-a writes; one pass reads the e."""
     assert staged_run((E_TO_A, VOWEL_STAGE), word) == staged
     table = {"e": E_TO_A[1], **dict.fromkeys(VOWEL_STAGE[2], VOWEL_STAGE[1])}
-    assert materialize(table_extend(table, start(word))) == one_pass
+    wz = WriterZipper(EMPTY_DELETIONS, from_sequence(word, 0))
+    assert materialize(table_extend(table, wz)) == one_pass
     with pytest.raises(ValueError, match=f"^{READS.format('vowels', 'e-to-a')}$"):
         Pipeline((E_TO_A, VOWEL_STAGE))
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from comorph.writer import (
     WriterZipper,
     lift_pure,
     materialize,
+    start,
     table_extend,
     writer_extend,
 )
@@ -126,6 +129,27 @@ def test_out_of_range_log_rejected_at_birth():
         WriterZipper(frozenset({6}), kaappi_at(0))
     with pytest.raises(ValueError):
         WriterZipper(frozenset({-1}), kaappi_at(0))
+
+
+@pytest.mark.parametrize("position", [1.5, True, False, "1", None])
+def test_a_deletion_position_that_is_not_an_int_is_a_type_error(position):
+    with pytest.raises(TypeError) as info:
+        WriterZipper({position}, from_sequence("abc", 0))
+    assert str(info.value) == f"deletion position must be int, not {position!r}"
+
+
+def test_a_pass_that_logs_a_bool_position_is_a_type_error():
+    wz = WriterZipper(EMPTY_DELETIONS, from_sequence("abc", 0))
+    with pytest.raises(TypeError, match="^deletion position must be int, not True$"):
+        writer_extend(lambda cells, i: (frozenset({True}), cells[i]), wz)
+
+
+def test_start_returns_the_checked_cells_as_a_plain_tuple():
+    cells = start("kampAstAVn")
+    assert type(cells) is tuple and cells == tuple("kampAstAVn")
+    composed = unicodedata.normalize("NFC", "kälä")
+    assert start(unicodedata.normalize("NFD", "kälä")) == tuple(composed)
+    assert len(tuple(composed)) == 4
 
 
 def test_a_log_given_as_a_set_is_frozen_at_birth():

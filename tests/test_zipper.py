@@ -38,6 +38,13 @@ def test_from_sequence_rejects_bad_index(index):
         from_sequence("abc", index)
 
 
+@pytest.mark.parametrize("index", [1.0, True, False, "1", None])
+def test_from_sequence_refuses_a_focus_that_is_not_an_int(index):
+    with pytest.raises(TypeError) as info:
+        from_sequence("abc", index)
+    assert str(info.value) == f"focus index must be int, not {index!r}"
+
+
 def test_repr_round_trips_through_eval():
     z = from_sequence("abc", 1)
     assert repr(z) == "from_sequence(('a', 'b', 'c'), 1)"
