@@ -2,10 +2,12 @@
 
 ``SUITES`` lists every suite: the deletion-set monoid laws, the three
 context-pass laws on plain zippers, the identity laws and log behaviour of
-the deleting variant over word rules ``f(cells, i)``, the equivalence of stage-by-stage passes with one pass
-of the chained rule, and of a ``table_extend`` pass over a rule's support
-with the full pass. Suite k of ``SUITES`` runs on seed + k. Cases sweep
-lengths 1 to 20, every focus position represented; failures shrink greedily.
+the Writer comonad, the pair ``(log, zipper)`` whose ``extract`` is the
+zipper's, over word rules ``f(cells, i)``, the equivalence of stage-by-stage
+passes with one pass of the chained rule, and of a ``table_extend`` pass over
+a rule's support with the full pass. Suite k of ``SUITES`` runs on seed + k.
+Cases sweep lengths 1 to 20, every focus position represented; failures
+shrink greedily.
 """
 
 import random
@@ -109,13 +111,15 @@ def _holds_writer_l1(case: Case) -> bool:
 def _holds_writer_l2(case: Case) -> bool:
     wz = _writer(case)
     f = deleting_arrow(case[2])
-    return extract(writer_extend(f, wz)) == f(wz.cells, wz.index)[1]
+    z = wz.zipper
+    return extract(writer_extend(f, wz).zipper) == f(z.cells, z.index)[1]
 
 
 def _collected(f: WriterArrow, wz: WriterZipper) -> frozenset[int]:
     out: set[int] = set()
-    for i in range(len(wz.cells)):
-        out |= f(wz.cells, i)[0]
+    cells = wz.zipper.cells
+    for i in range(len(cells)):
+        out |= f(cells, i)[0]
     return frozenset(out)
 
 

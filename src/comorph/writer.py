@@ -10,18 +10,21 @@ here ever changes the sequence length.
 A word rule reads the word and a position: ``rule(cells, i)`` gives the
 deletions and the output character for cell ``i``; ``lift_pure`` is the one
 adapter from a zipper rule. A pass calls each rule only at the cells its table
-gives it, on the pass's input cells, and builds nothing per visit. The log is
-validated when a caller builds a ``WriterZipper`` and once per pass.
+gives it, on the pass's input cells, and builds nothing per visit. One check,
+``_check``, validates the log: when a caller builds a ``WriterZipper`` and once
+per pass that merged a deletion.
 
 ``start`` normalizes a word to NFC, checks the word contract and returns the
 cells; it is the word path's only NFC. That path is cells and a log: ``start``,
-``_pass``, ``_filter``. ``table_extend`` and ``materialize`` wrap them in a
-``WriterZipper``.
+``_pass``, ``_filter``. A ``WriterZipper`` is the Writer comonad as the paper
+defines it, the pair of a log and a zipper; ``table_extend`` and
+``materialize`` run the same pass and filter on its zipper's cells.
 """
 
 import unicodedata
 from collections.abc import Callable, Sequence
 
+from .record import Record
 from .zipper import Zipper, _at, _new
 
 DeletionSet = frozenset[int]
@@ -32,43 +35,35 @@ EMPTY_DELETIONS: DeletionSet = frozenset()
 
 
 def _check(log: DeletionSet, n: int) -> None:
+    # The one log check: each position an ``int`` and not a ``bool``, then in the word.
+    for p in log:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TypeError(f"deletion position must be int, not {p!r}")
     if log and (min(log) < 0 or max(log) >= n):
         bad = sorted(i for i in log if not 0 <= i < n)
         raise ValueError(f"deletion positions {bad} out of range for length {n}")
 
 
-class WriterZipper(Zipper[str]):
-    """A character zipper that also carries the deletions accumulated so far.
+class WriterZipper(Record):
+    """The Writer comonad's product: a deletion ``log`` next to a character ``zipper``.
 
-    Being a zipper itself, it can be handed to a zipper rule or to ``extract``
-    as it is; the ``zipper`` property gives the same cursor without the log.
-    Building one freezes the log and checks that each position is an ``int``,
-    not a ``bool`` (``TypeError``), and is in the word (``ValueError``).
+    Its ``extract`` is the zipper's, ``extract(wz.zipper)``. Building one
+    refuses a ``zipper`` that is not a ``Zipper`` (``TypeError``), freezes
+    the log and gives it the pass's one check: each position an ``int``, not
+    a ``bool`` (``TypeError``), and in the word (``ValueError``).
     """
 
-    __slots__ = ("log",)
+    __slots__ = ("log", "zipper")
 
     log: DeletionSet
+    zipper: Zipper[str]
 
     def __init__(self, log: DeletionSet, zipper: Zipper[str]) -> None:
+        if not isinstance(zipper, Zipper):
+            raise TypeError(f"zipper must be a Zipper, not {zipper!r}")
         log = frozenset(log)
-        for p in log:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise TypeError(f"deletion position must be int, not {p!r}")
         _check(log, len(zipper.cells))
-        self.cells = zipper.cells
-        self.index = zipper.index
-        self.log = log
-
-    @property
-    def zipper(self) -> Zipper[str]:
-        return _at(self.cells, self.index)
-
-    def _key(self) -> tuple:
-        return (self.cells, self.index, self.log)
-
-    def __repr__(self) -> str:
-        return f"WriterZipper(log={self.log!r}, zipper={self.zipper!r})"
+        super().__init__(log, zipper)
 
 
 def start(word: str) -> tuple[str, ...]:
@@ -106,21 +101,22 @@ Stage = tuple[str, WriterArrow, frozenset[str], frozenset[str], frozenset[str]]
 
 def writer_extend(f: WriterArrow, wz: WriterZipper) -> WriterZipper:
     """The coKleisli ``extend``: ``f`` at every cell; ``table_extend`` passes over a support."""
-    return table_extend(dict.fromkeys(wz.cells, f), wz)
+    return table_extend(dict.fromkeys(wz.zipper.cells, f), wz)
 
 
 def table_extend(table: dict[str, WriterArrow], wz: WriterZipper) -> WriterZipper:
-    """The word path's ``_pass`` on a ``WriterZipper``: each cell's rule from ``table``.
+    """The word path's ``_pass`` on ``wz.zipper``'s cells: each cell's rule from ``table``.
 
     The new log is the old one unioned with everything the rules emitted,
-    checked once against the word's length. The outputs form a zipper of the
-    same length and focus position, so deletions stay deferred. ``wz`` itself
+    checked once. The outputs form a zipper of the same length and focus
+    position, paired with that log, so deletions stay deferred. ``wz`` itself
     comes back when no visit changed or deleted.
     """
-    log, out = _pass(table, wz.cells, wz.log)
-    if log is wz.log and out is wz.cells:
+    z = wz.zipper
+    log, out = _pass(table, z.cells, wz.log)
+    if log is wz.log and out is z.cells:
         return wz
-    return WriterZipper(log, _at(tuple(out), wz.index))
+    return WriterZipper(log, _at(tuple(out), z.index))
 
 
 def _pass(table: dict[str, WriterArrow], cells: tuple[str, ...], log: DeletionSet) -> tuple:
@@ -144,7 +140,7 @@ def _pass(table: dict[str, WriterArrow], cells: tuple[str, ...], log: DeletionSe
 
 def materialize(wz: WriterZipper) -> str:
     """Apply every logged deletion, keeping survivor order, through the one deletion filter."""
-    return _filter(wz.log, wz.cells)
+    return _filter(wz.log, wz.zipper.cells)
 
 
 def _filter(log: DeletionSet, cells: Sequence[str]) -> str:

@@ -10,7 +10,8 @@ mutates a zipper, and rules must not either. ``extend`` is the one loop over
 a zipper. The word passes of ``comorph.writer`` and the rule passes of
 ``comorph.cg`` build no zipper per cell: their rules read ``(cells, i)``, the
 same cursor unpacked. ``lift_pure`` adapts a zipper rule to a word pass, and
-``cg.apply_rule`` adapts a CG rule to ``extend``.
+``cg.apply_rule`` adapts a CG rule to ``extend``. ``Zipper`` is the one
+focused-sequence class; ``writer.WriterZipper`` pairs one with a log.
 
 Input is checked where it enters: ``from_sequence`` rejects an empty
 sequence or a focus that is not an ``int`` or is out of range, and the
@@ -48,17 +49,13 @@ class Zipper(Generic[A]):
             return self.cells[i]
         return None
 
-    def _key(self) -> tuple:
-        # What identifies a zipper of this class; subclasses add their fields.
-        return (self.cells, self.index)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return (self.cells, self.index) == (other.cells, other.index)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.cells, self.index))
 
     def __repr__(self) -> str:
         return f"from_sequence({self.cells!r}, {self.index!r})"

@@ -224,8 +224,8 @@ MUTANTS = (
     Mutant(
         "writer-extend-returns-its-input-when-no-cell-changed",
         "writer.py",
-        "    if log is wz.log and out is wz.cells:\n",
-        "    if out is wz.cells:\n",
+        "    if log is wz.log and out is z.cells:\n",
+        "    if out is z.cells:\n",
         ("tests/test_writer.py::test_weak_gradation_defers_deletion",),
     ),
     Mutant(
@@ -248,9 +248,23 @@ MUTANTS = (
     Mutant(
         "writer-zipper-accepts-a-bool-position",
         "writer.py",
-        "            if not isinstance(p, int) or isinstance(p, bool):\n",
-        "            if not isinstance(p, int):\n",
-        ("tests/test_writer.py",),
+        "        if not isinstance(p, int) or isinstance(p, bool):\n",
+        "        if not isinstance(p, int):\n",
+        (
+            "tests/test_writer.py",
+            "tests/test_pipeline.py::"
+            "test_a_stage_rule_that_logs_a_position_that_is_not_an_int_is_a_type_error",
+        ),
+    ),
+    Mutant(
+        "writer-zipper-accepts-any-zipper",
+        "writer.py",
+        "        if not isinstance(zipper, Zipper):\n",
+        "        if False:\n",
+        (
+            "tests/test_writer.py::"
+            "test_a_writer_zipper_over_what_is_not_a_zipper_is_a_type_error",
+        ),
     ),
     Mutant(
         "from-sequence-accepts-any-focus",

@@ -154,13 +154,13 @@ def always_copy_extend(f, wz: WriterZipper, support=None) -> WriterZipper:
     in ``support`` (every cell when it is None), copies every cell into a new
     list and unions every emitted deletion into the log.
     """
-    cells = list(wz.cells)
+    cells = list(wz.zipper.cells)
     log = set(wz.log)
-    for i, c in enumerate(wz.cells):
+    for i, c in enumerate(wz.zipper.cells):
         if support is None or c in support:
-            deletions, cells[i] = f(wz.cells, i)
+            deletions, cells[i] = f(wz.zipper.cells, i)
             log |= deletions
-    return WriterZipper(frozenset(log), from_sequence(cells, wz.index))
+    return WriterZipper(frozenset(log), from_sequence(cells, wz.zipper.index))
 
 
 def staged_run(stages, word: str) -> str:
@@ -171,7 +171,7 @@ def staged_run(stages, word: str) -> str:
     wz = WriterZipper(frozenset(), from_sequence(word, 0))
     for _, arrow, support, _, _ in stages:
         wz = always_copy_extend(arrow, wz, support)
-    return filter_materialize("".join(wz.cells), wz.log)
+    return filter_materialize("".join(wz.zipper.cells), wz.log)
 
 
 def passes(test, reading) -> bool:

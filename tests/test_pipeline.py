@@ -88,14 +88,14 @@ def test_compose_identity_laws_under_extend(wz, f):
 
 @given(writer_zippers(max_size=12), writer_arrows)
 def test_compose_identity_laws_pointwise_chars(wz, f):
-    at = (wz.cells, wz.index)
+    at = (wz.zipper.cells, wz.zipper.index)
     assert compose(identity_arrow, f)(*at)[1] == f(*at)[1]
     assert compose(f, identity_arrow)(*at)[1] == f(*at)[1]
 
 
 @given(writer_zippers(max_size=8), writer_arrows, writer_arrows, writer_arrows)
 def test_compose_associative_pointwise(wz, f, g, h):
-    at = (wz.cells, wz.index)
+    at = (wz.zipper.cells, wz.zipper.index)
     assert compose(compose(f, g), h)(*at) == compose(f, compose(g, h))(*at)
 
 
@@ -198,8 +198,8 @@ def test_starting_focus_does_not_matter(focus):
 def test_writer_extract_reads_stage_focus():
     start = WriterZipper(frozenset(), from_sequence("tupa", 2))
     composed = compose(gradation_arrow(Grade.WEAK), identity_arrow)
-    assert composed(start.cells, start.index)[1] == "v"
-    assert extract(writer_extend(gradation_arrow(Grade.WEAK), start)) == "v"
+    assert composed(start.zipper.cells, start.zipper.index)[1] == "v"
+    assert extract(writer_extend(gradation_arrow(Grade.WEAK), start).zipper) == "v"
 
 
 # Grade -> gradation's (support, reads, writes): the window letters, the vowels and the targets.
@@ -483,16 +483,30 @@ def test_a_pass_hands_each_rule_its_input_cells_at_support_cells_in_order():
     calls.clear()
     wz = WriterZipper(EMPTY_DELETIONS, from_sequence("cabcab", 0))
     out = table_extend(dict.fromkeys(stage[2], mark), wz)
-    assert (out.cells, out.log) == (tuple("cxxcxx"), frozenset({2, 5}))
-    assert [(cells is wz.cells, i) for cells, i in calls] == [(True, 1), (True, 2), (True, 4), (True, 5)]
+    assert (out.zipper.cells, out.log) == (tuple("cxxcxx"), frozenset({2, 5}))
+    assert [(cells is wz.zipper.cells, i) for cells, i in calls] == [(True, 1), (True, 2), (True, 4), (True, 5)]
+
+
+@pytest.mark.parametrize("position", [True, 1.5])
+def test_a_stage_rule_that_logs_a_position_that_is_not_an_int_is_a_type_error(position):
+    """``run`` and ``trace`` give the log the one check ``WriterZipper`` gives it."""
+
+    def mark(cells, i):
+        return (frozenset({position}), cells[i])
+
+    pipeline = Pipeline((("mark", mark, frozenset("b"), frozenset("b"), frozenset()),))
+    for call in (pipeline.run, pipeline.trace):
+        with pytest.raises(TypeError) as info:
+            call("abc")
+        assert str(info.value) == f"deletion position must be int, not {position!r}"
 
 
 def test_lift_pure_hands_its_rule_the_zipper_at_each_position():
     seen = []
     wz = WriterZipper(EMPTY_DELETIONS, from_sequence("kaappi", 0))
     writer_extend(lift_pure(lambda z: seen.append(z) or z.cells[z.index]), wz)
-    assert seen == [from_sequence(wz.cells, i) for i in range(6)]
-    assert all(z.cells is wz.cells for z in seen)
+    assert seen == [from_sequence(wz.zipper.cells, i) for i in range(6)]
+    assert all(z.cells is wz.zipper.cells for z in seen)
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,8 @@ from comorph import (
 from comorph.bench import BenchRow
 from comorph.laws import SuiteReport
 from comorph.pipeline import VOWEL_STAGE, TraceRow
+from comorph.writer import WriterZipper
+from comorph.zipper import from_sequence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 NOUN = ReadingTest("pos", "noun")
@@ -69,6 +71,12 @@ RECORDS = [
         "TraceRow(stage='gradation', chars='kaapi', deletions=frozenset({3}))",
     ),
     (Pipeline, ((),), ((VOWEL_STAGE,),), "Pipeline(stages=())"),
+    (
+        WriterZipper,
+        (frozenset({1}), from_sequence("abc", 1)),
+        (frozenset({1}), from_sequence("abc", 2)),
+        "WriterZipper(log=frozenset({1}), zipper=from_sequence(('a', 'b', 'c'), 1))",
+    ),
 ]
 
 

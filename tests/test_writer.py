@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import unicodedata
 
 import pytest
@@ -48,8 +49,8 @@ def kaappi_at(i: int) -> Zipper:
 
 
 def test_writer_extract_ignores_log():
-    assert extract(WriterZipper(frozenset(), kaappi_at(3))) == "p"
-    assert extract(WriterZipper(frozenset({4}), kaappi_at(3))) == "p"
+    assert extract(WriterZipper(frozenset(), kaappi_at(3)).zipper) == "p"
+    assert extract(WriterZipper(frozenset({4}), kaappi_at(3)).zipper) == "p"
 
 
 def test_writer_zipper_repr_round_trips_through_eval():
@@ -68,7 +69,7 @@ def test_a_zipper_never_equals_a_writer_zipper_over_the_same_cells():
 
 def test_identity_arrow_emits_nothing():
     wz = WriterZipper(frozenset(), kaappi_at(2))
-    assert lift_pure(extract)(wz.cells, wz.index) == (frozenset(), "a")
+    assert lift_pure(extract)(wz.zipper.cells, wz.zipper.index) == (frozenset(), "a")
 
 
 @given(writer_zippers())
@@ -78,7 +79,7 @@ def test_writer_extend_identity(wz):
 
 @given(writer_zippers(), writer_arrows)
 def test_writer_extract_after_extend(wz, f):
-    assert extract(writer_extend(f, wz)) == f(wz.cells, wz.index)[1]
+    assert extract(writer_extend(f, wz).zipper) == f(wz.zipper.cells, wz.zipper.index)[1]
 
 
 def test_weak_gradation_defers_deletion():
@@ -144,6 +145,29 @@ def test_a_pass_that_logs_a_bool_position_is_a_type_error():
         writer_extend(lambda cells, i: (frozenset({True}), cells[i]), wz)
 
 
+def test_a_writer_zipper_cannot_be_changed_after_its_checks():
+    wz = WriterZipper(frozenset({1}), from_sequence("abc", 0))
+    for name, value in (("log", frozenset({9})), ("zipper", from_sequence("ab", 0))):
+        with pytest.raises(AttributeError):
+            setattr(wz, name, value)
+    assert wz == WriterZipper(frozenset({1}), from_sequence("abc", 0))
+    assert materialize(wz) == "ac"
+
+
+@pytest.mark.parametrize("zipper", ["abc", ("a", "b", "c"), None, frozenset({0})])
+def test_a_writer_zipper_over_what_is_not_a_zipper_is_a_type_error(zipper):
+    with pytest.raises(TypeError) as info:
+        WriterZipper({1}, zipper)
+    assert str(info.value) == f"zipper must be a Zipper, not {zipper!r}"
+
+
+@given(writer_zippers())
+def test_a_writer_zipper_pickles_and_an_equal_one_hashes_equal(wz):
+    assert pickle.loads(pickle.dumps(wz)) == wz
+    twin = WriterZipper(set(wz.log), from_sequence(list(wz.zipper.cells), wz.zipper.index))
+    assert twin == wz and hash(twin) == hash(wz)
+
+
 def test_start_returns_the_checked_cells_as_a_plain_tuple():
     cells = start("kampAstAVn")
     assert type(cells) is tuple and cells == tuple("kampAstAVn")
@@ -205,7 +229,7 @@ def test_supported_pass_calls_the_rule_only_on_support_cells():
     wz = WriterZipper(frozenset({0}), kaappi_at(5))
     out = table_extend(dict.fromkeys("p", f), wz)
     assert seen == [(3, "kaappi"), (4, "kaappi")]
-    assert (out.cells, out.index, out.log) == (tuple("kaaPPi"), 5, frozenset({0, 3, 4}))
+    assert (out.zipper.cells, out.zipper.index, out.log) == (tuple("kaaPPi"), 5, frozenset({0, 3, 4}))
 
 
 def test_supported_pass_with_no_support_cell_returns_its_input():
@@ -244,8 +268,9 @@ def test_copy_on_write_matches_an_always_copy_pass(wz, f, data):
 
     out = supported_pass(g, wz, support)
     assert out == always_copy_extend(g, wz, support)
-    visits = [i for i, c in enumerate(wz.cells) if support is None or c in support]
-    wrote = any(g(wz.cells, i)[0] or g(wz.cells, i)[1] != wz.cells[i] for i in visits)
+    cells = wz.zipper.cells
+    visits = [i for i, c in enumerate(cells) if support is None or c in support]
+    wrote = any(g(cells, i)[0] or g(cells, i)[1] != cells[i] for i in visits)
     assert (out is wz) == (not wrote)
 
 
@@ -259,7 +284,7 @@ def test_cells_are_copied_only_when_a_cell_changes():
         return (frozenset({4}) if i == 4 else EMPTY_DELETIONS, cells[i])
 
     upper = writer_extend(upper_at_4, wz)
-    assert (upper.cells, upper.index, upper.log) == (tuple("kaapPi"), 2, frozenset())
-    assert wz.cells == tuple("kaappi")
+    assert (upper.zipper.cells, upper.zipper.index, upper.log) == (tuple("kaapPi"), 2, frozenset())
+    assert wz.zipper.cells == tuple("kaappi")
     deleted = writer_extend(delete_4, wz)
-    assert deleted.log == frozenset({4}) and deleted.cells is wz.cells
+    assert deleted.log == frozenset({4}) and deleted.zipper.cells is wz.zipper.cells

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import comorph
 from comorph.writer import WriterZipper
 from comorph.zipper import Zipper, extend, extract, from_sequence, to_sequence
 from conftest import char_functions, zippers
@@ -131,12 +134,25 @@ def test_extend_is_the_whole_pass_and_takes_no_positions():
 @pytest.mark.parametrize("log", [None, frozenset(), frozenset({1, 4})])
 def test_a_zipper_is_its_cells_and_index_and_its_focus_is_derived(log):
     assert Zipper.__slots__ == ("cells", "index")
-    assert WriterZipper.__slots__ == ("log",)
+    assert WriterZipper.__slots__ == ("log", "zipper")
     for i in range(len("kaappi")):
         z = from_sequence("kaappi", i)
         if log is not None:
-            z = WriterZipper(log, z)
+            wz = WriterZipper(log, z)
+            assert wz.zipper is z and not hasattr(wz, "__dict__")
         assert not hasattr(z, "__dict__")
         assert z.focus == extract(z) == z.cells[z.index] == "kaappi"[i]
         with pytest.raises(AttributeError):
             z.focus = "x"
+
+
+def test_the_zipper_is_the_one_focused_sequence_class():
+    """No class in ``comorph`` subclasses ``Zipper``; ``WriterZipper`` holds one."""
+    classes = []
+    for info in pkgutil.iter_modules(comorph.__path__):
+        module = importlib.import_module(f"comorph.{info.name}")
+        classes += [c for _, c in inspect.getmembers(module, inspect.isclass)]
+    assert WriterZipper in classes
+    assert [c for c in classes if issubclass(c, Zipper) and c is not Zipper] == []
+    assert [c for c in Zipper.__subclasses__() if c.__module__.startswith("comorph")] == []
+    assert not hasattr(Zipper, "_key")
