@@ -6,10 +6,11 @@ outrank clusters, clusters outrank single consonants, and a suppression
 check keeps a character that opens a higher-priority window from being
 rewritten by a lower-priority rule (the first p of "kaappi" must not fall
 to the single-p rule). Each grade has one stage, ``gradation_stage(grade)``,
-built in one walk over ``PATTERNS``: its rule and its support, the letters
-the rule's windows focus on, so a cell outside the support is never
-rewritten. The rule is a word rule, ``rule(cells, i)``; deletions are
-reported as positions to drop, never applied in place.
+built in one walk over ``PATTERNS`` into one table whose key is the local
+context the rule reads: left neighbour, focus, and whether the right
+neighbour is a vowel. The rule is one lookup of that key, a word rule
+``rule(cells, i)``; its support, the table's foci, keeps every other cell
+as it is. Deletions are reported as positions to drop, never applied in place.
 """
 
 from enum import Enum
@@ -75,51 +76,46 @@ def gradation_stage(grade: Grade) -> Stage:
     """Gradation toward ``grade`` as a ``Stage``: one deleting word rule and its letters.
 
     Built once per grade, and the only code that reads ``PATTERNS`` for a rule.
-    Rows go in priority order, the first window wins. An exact window (geminate
-    or cluster) maps (left, focus) to its target; a window with a wildcard left
-    is a single consonant and maps the focus alone. The support is the letters
-    those windows focus on: the rule is the identity outside it, and at the
-    first cell. A focus that opens an exact window with its right neighbour is
-    kept, and a single consonant changes only between two vowels, or suffix
-    onsets such as the k of -ksi would alternate after every vowel-final stem. A
-    deleted focus is logged at its position. The rule reads the support, the
-    exact windows' letters and ``VOWELS``, and writes the targets.
+    One walk over the rows in priority order fills one table keyed by the
+    context the rule reads, ``(left, focus, right is a vowel)``; the first row
+    to claim a context wins. An exact row (geminate or cluster) claims its
+    window whatever its right; a single consonant row claims its focus after
+    each vowel and only before a vowel, or suffix onsets such as the k of -ksi
+    would alternate after every vowel-final stem. A focus that opens an exact
+    window with its right neighbour (``opens``) is kept, as is the first cell.
+    A ``None`` target is a deletion, logged at its position. Support, reads
+    and writes are the table's foci, its lefts and foci, and its targets.
     """
     if not isinstance(grade, Grade):
         raise TypeError(f"grade must be a Grade, not {grade!r}")
-    exact: dict[tuple[str, str], str | None] = {}
-    single: dict[str, str | None] = {}
+    windows: dict[tuple[str, str, bool], str | None] = {}
+    opens: set[tuple[str, str]] = set()
     weak = grade is Grade.WEAK
     for pat in PATTERNS:
         (left, focus), (_, target) = (pat.strong, pat.weak) if weak else (pat.weak, pat.strong)
         if focus is None:
             continue  # a deleted segment has no source side to match
         if left is None:
-            single.setdefault(focus, target)
+            for v in VOWELS:
+                windows.setdefault((v, focus, True), target)
         else:
-            exact.setdefault((left, focus), target)
+            opens.add((left, focus))
+            windows.setdefault((left, focus, True), target)
+            windows.setdefault((left, focus, False), target)
 
     def rule(cells: tuple[str, ...], i: int) -> tuple[DeletionSet, str]:
         c = cells[i]
-        if i == 0:
-            return (EMPTY_DELETIONS, c)
         r = cells[i + 1] if i + 1 < len(cells) else None
-        if (c, r) in exact:
+        if i == 0 or (c, r) in opens:
             return (EMPTY_DELETIONS, c)
-        l = cells[i - 1]
-        if (l, c) in exact:
-            out = exact[l, c]
-        elif c in single and l in VOWELS and r in VOWELS:
-            out = single[c]
-        else:
-            return (EMPTY_DELETIONS, c)
+        out = windows.get((cells[i - 1], c, r in VOWELS), c)
         if out is None:
             return (frozenset((i,)), c)
         return (EMPTY_DELETIONS, out)
 
-    support = frozenset(single) | {focus for _, focus in exact}
-    writes = frozenset({*exact.values(), *single.values()} - {None})
-    return ("gradation", rule, support, support.union(VOWELS, *exact), writes)
+    support = frozenset(focus for _, focus, _ in windows)
+    writes = frozenset(windows.values()) - {None}
+    return ("gradation", rule, support, support.union(l for l, _, _ in windows), writes)
 
 
 def gradation_arrow(grade: Grade) -> WriterArrow:

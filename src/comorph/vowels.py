@@ -6,8 +6,9 @@ back letter after the nearest a/o/u to its left, the front letter after ä/ö/y
 or when neither comes first. The placeholder V copies the nearest preceding
 vowel, or A/O/U as harmony resolves it; a V with neither to its left is an
 error. Words are lowercase but for ``PLACEHOLDERS``, the one spelling of A/O/U/V.
-The zipper rules ``vowel_arrow``, ``harmony_arrow`` and ``possessive_arrow`` are
-built on the one body.
+The zipper rules ``harmony_arrow`` and ``possessive_arrow`` read the one rule
+at their focus. The rule deletes nothing: a pass checks every position a rule
+emits and merges the log once, and this rule emits none.
 """
 
 from .writer import EMPTY_DELETIONS, DeletionSet
@@ -59,16 +60,13 @@ def vowel_rule(cells: tuple[str, ...], i: int) -> tuple[DeletionSet, str]:
     return (EMPTY_DELETIONS, c)
 
 
-def vowel_arrow(z: Zipper[str]) -> str:
-    """``vowel_rule`` as a zipper rule: the focus resolved, everything else left alone."""
-    return vowel_rule(z.cells, z.index)[1]
-
-
 def harmony_arrow(z: Zipper[str]) -> str:
     """Resolve a focused A/O/U as ``vowel_rule`` does; leave everything else alone."""
-    return vowel_arrow(z) if z.cells[z.index] in HARMONY_PLACEHOLDERS else z.cells[z.index]
+    c = z.cells[z.index]
+    return vowel_rule(z.cells, z.index)[1] if c in HARMONY_PLACEHOLDERS else c
 
 
 def possessive_arrow(z: Zipper[str]) -> str:
     """Resolve a focused V as ``vowel_rule`` does; leave everything else alone."""
-    return vowel_arrow(z) if z.cells[z.index] == COPY_PLACEHOLDER else z.cells[z.index]
+    c = z.cells[z.index]
+    return vowel_rule(z.cells, z.index)[1] if c == COPY_PLACEHOLDER else c

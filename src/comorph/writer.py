@@ -2,17 +2,17 @@
 
 Length-changing rules must not shorten the sequence mid-pass, or later rules
 would see shifted positions. Instead each rule returns a set of absolute
-indices to drop alongside its output character; the sets merge by union as
-the pass runs, and ``materialize`` strips all logged positions once at the
-end. Indices refer to the original word and stay valid because no operation
-here ever changes the sequence length.
+indices to drop alongside its output character; a pass collects the sets and
+merges them into the log by one union when it is done, and ``materialize``
+strips all logged positions once at the end. Indices refer to the original
+word and stay valid because no operation here ever changes the sequence length.
 
 A word rule reads the word and a position: ``rule(cells, i)`` gives the
 deletions and the output character for cell ``i``; ``lift_pure`` is the one
 adapter from a zipper rule. A pass calls each rule only at the cells its table
 gives it, on the pass's input cells, and builds nothing per visit. One check,
-``_check``, validates the log: when a caller builds a ``WriterZipper`` and once
-per pass that merged a deletion.
+``_check``, validates positions: a ``WriterZipper``'s log when it is built, and
+once per pass every position its rules emitted, as emitted, before its one merge.
 
 ``start`` normalizes a word to NFC, checks the word contract and returns the
 cells; it is the word path's only NFC. That path is cells and a log: ``start``,
@@ -22,7 +22,7 @@ defines it, the pair of a log and a zipper; ``table_extend`` and
 """
 
 import unicodedata
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .record import Record
 from .zipper import Zipper, _at, _new
@@ -34,14 +34,18 @@ DeletionSet = frozenset[int]
 EMPTY_DELETIONS: DeletionSet = frozenset()
 
 
-def _check(log: DeletionSet, n: int) -> None:
-    # The one log check: each position an ``int`` and not a ``bool``, then in the word.
-    for p in log:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise TypeError(f"deletion position must be int, not {p!r}")
-    if log and (min(log) < 0 or max(log) >= n):
-        bad = sorted(i for i in log if not 0 <= i < n)
-        raise ValueError(f"deletion positions {bad} out of range for length {n}")
+def _check(logs: Iterable[DeletionSet], n: int) -> None:
+    # The one log check, over every position of every log in ``logs``: each an ``int``
+    # and not a ``bool``, then in the word; a range error names each bad position once.
+    bad = set()
+    for log in logs:
+        for p in log:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise TypeError(f"deletion position must be int, not {p!r}")
+            if not 0 <= p < n:
+                bad.add(p)
+    if bad:
+        raise ValueError(f"deletion positions {sorted(bad)} out of range for length {n}")
 
 
 class WriterZipper(Record):
@@ -62,7 +66,7 @@ class WriterZipper(Record):
         if not isinstance(zipper, Zipper):
             raise TypeError(f"zipper must be a Zipper, not {zipper!r}")
         log = frozenset(log)
-        _check(log, len(zipper.cells))
+        _check((log,), len(zipper.cells))
         super().__init__(log, zipper)
 
 
@@ -107,10 +111,10 @@ def writer_extend(f: WriterArrow, wz: WriterZipper) -> WriterZipper:
 def table_extend(table: dict[str, WriterArrow], wz: WriterZipper) -> WriterZipper:
     """The word path's ``_pass`` on ``wz.zipper``'s cells: each cell's rule from ``table``.
 
-    The new log is the old one unioned with everything the rules emitted,
-    checked once. The outputs form a zipper of the same length and focus
-    position, paired with that log, so deletions stay deferred. ``wz`` itself
-    comes back when no visit changed or deleted.
+    The new log is the old one unioned once with everything the rules
+    emitted, each emitted position checked. The outputs form a zipper of the
+    same length and focus position, paired with that log, so deletions stay
+    deferred. ``wz`` itself comes back when no visit changed or deleted.
     """
     z = wz.zipper
     log, out = _pass(table, z.cells, wz.log)
@@ -121,21 +125,22 @@ def table_extend(table: dict[str, WriterArrow], wz: WriterZipper) -> WriterZippe
 
 def _pass(table: dict[str, WriterArrow], cells: tuple[str, ...], log: DeletionSet) -> tuple:
     # The one pass loop: ``table[c](cells, i)`` on the input ``cells`` at each cell with a
-    # rule. Gives the merged log, checked once, and the cells, copied at the first change.
-    merged = log
+    # rule. Gives ``log`` unioned once with the checked emitted sets, and the cells, copied.
+    emitted = []
     out = cells
     for i, c in enumerate(cells):
         if c in table:
             deletions, ch = table[c](cells, i)
             if deletions:
-                merged = merged | deletions
+                emitted.append(deletions)
             if ch != c:
                 if out is cells:
                     out = list(cells)
                 out[i] = ch
-    if merged is not log:
-        _check(merged, len(cells))
-    return merged, out
+    if emitted:
+        _check(emitted, len(cells))
+        log = log.union(*emitted)
+    return log, out
 
 
 def materialize(wz: WriterZipper) -> str:

@@ -248,12 +248,23 @@ MUTANTS = (
     Mutant(
         "writer-zipper-accepts-a-bool-position",
         "writer.py",
-        "        if not isinstance(p, int) or isinstance(p, bool):\n",
-        "        if not isinstance(p, int):\n",
+        "            if not isinstance(p, int) or isinstance(p, bool):\n",
+        "            if not isinstance(p, int):\n",
         (
             "tests/test_writer.py",
             "tests/test_pipeline.py::"
             "test_a_stage_rule_that_logs_a_position_that_is_not_an_int_is_a_type_error",
+        ),
+    ),
+    # The merged log keeps whichever of two equal positions came first: 1 hides a later True.
+    Mutant(
+        "pass-checks-the-merged-log",
+        "writer.py",
+        "        _check(emitted, len(cells))\n        log = log.union(*emitted)\n",
+        "        log = log.union(*emitted)\n        _check((log,), len(cells))\n",
+        (
+            "tests/test_pipeline.py::"
+            "test_a_position_that_is_not_an_int_is_refused_whatever_was_logged_before_it",
         ),
     ),
     Mutant(
@@ -318,12 +329,23 @@ MUTANTS = (
         "            if False:\n",
         ("tests/test_pipeline.py::test_a_stage_of_the_wrong_shape_is_a_type_error",),
     ),
+    # The window lefts are the letters gradation reads beside its support, the vowels among them.
     Mutant(
         "gradation-reads-no-vowel",
         "gradation.py",
-        "support.union(VOWELS, *exact)",
-        "support.union(*exact)",
-        ("tests/test_pipeline.py::test_pipeline_refuses_stages_one_pass_cannot_run",),
+        "support.union(l for l, _, _ in windows)",
+        "support",
+        (
+            "tests/test_pipeline.py::test_pipeline_refuses_stages_one_pass_cannot_run",
+            "tests/test_gradation.py::test_reads_and_writes_are_the_window_letters_and_the_targets",
+        ),
+    ),
+    Mutant(
+        "gradation-drops-suppression",
+        "gradation.py",
+        "if i == 0 or (c, r) in opens:",
+        "if i == 0:",
+        ("tests/test_gradation.py::test_the_rule_is_pinned_on_every_three_cell_context",),
     ),
     Mutant(
         "trace-shows-the-full-pass-on-every-row",

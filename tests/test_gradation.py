@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import unicodedata
 
 import pytest
@@ -10,6 +12,7 @@ from comorph.gradation import PATTERNS, GradationPattern, Grade, gradation_arrow
 from comorph.pipeline import strengthen, weaken
 from comorph.writer import WriterZipper, materialize, writer_extend
 from comorph.zipper import from_sequence
+from conftest import CONTRACT_ALPHABET
 
 # Transcribed strong-side geminate and cluster windows, kept independent of
 # the pattern table so scans against it mean something.
@@ -217,3 +220,22 @@ def test_patterns_expose_both_sides():
 def test_support_is_the_source_focus_letters():
     assert gradation_stage(Grade.WEAK)[2] == frozenset("ptk")
     assert gradation_stage(Grade.STRONG)[2] == frozenset("mlnrgvd")
+
+
+def test_reads_and_writes_are_the_window_letters_and_the_targets():
+    assert gradation_stage(Grade.WEAK)[3:] == (frozenset("aeiklmnoprtuyäö"), frozenset("dglmnrv"))
+    assert gradation_stage(Grade.STRONG)[3:] == (frozenset("adegilmnoruvyäö"), frozenset("kpt"))
+
+
+def test_the_rule_is_pinned_on_every_three_cell_context():
+    """Cells 0 and 1 of every ``l c`` and ``l c r`` over the contract alphabet, both grades."""
+    digest = hashlib.sha256()
+    for grade in Grade:
+        rule = gradation_arrow(grade)
+        for l, c in itertools.product(CONTRACT_ALPHABET, repeat=2):
+            for cells in [(l, c), *((l, c, r) for r in CONTRACT_ALPHABET)]:
+                for i in (0, 1):
+                    deletions, out = rule(cells, i)
+                    line = f"{grade.value} {''.join(cells)} {i} {sorted(deletions)} {out}\n"
+                    digest.update(line.encode())
+    assert digest.hexdigest() == "c6ace9f288f9b3c72e5f8fcf463f53c57b88ef6e92a3f0756e29f5734a430527"

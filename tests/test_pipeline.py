@@ -501,6 +501,26 @@ def test_a_stage_rule_that_logs_a_position_that_is_not_an_int_is_a_type_error(po
         assert str(info.value) == f"deletion position must be int, not {position!r}"
 
 
+@pytest.mark.parametrize(
+    "first,second,bad",
+    [(1, True, True), (True, 1, True), (1, 1.0, 1.0), (1.0, 1, 1.0)],
+    ids=["int-then-true", "true-then-int", "int-then-float", "float-then-int"],
+)
+def test_a_position_that_is_not_an_int_is_refused_whatever_was_logged_before_it(
+    first, second, bad
+):
+    """Each emitted position is checked as its rule gave it, not as the merged log keeps it."""
+
+    def mark(cells, i):
+        return (frozenset({first if cells[i] == "b" else second}), cells[i])
+
+    pipeline = Pipeline((("mark", mark, frozenset("bc"), frozenset("bc"), frozenset()),))
+    for call in (pipeline.run, pipeline.trace):
+        with pytest.raises(TypeError) as info:
+            call("abc")
+        assert str(info.value) == f"deletion position must be int, not {bad!r}"
+
+
 def test_lift_pure_hands_its_rule_the_zipper_at_each_position():
     seen = []
     wz = WriterZipper(EMPTY_DELETIONS, from_sequence("kaappi", 0))

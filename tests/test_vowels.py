@@ -12,7 +12,6 @@ from comorph.vowels import (
     VOWELS,
     harmony_arrow,
     possessive_arrow,
-    vowel_arrow,
 )
 from comorph.writer import WriterZipper, lift_pure
 from comorph.zipper import extend, from_sequence, to_sequence
@@ -108,7 +107,7 @@ def test_harmony_does_not_touch_copy_placeholder():
 @given(st.text(alphabet="aehiklmnoprstuvyäöAOUV", min_size=1, max_size=14))
 def test_lifted_vowel_arrows_never_delete(word):
     wz = WriterZipper(frozenset(), from_sequence(word, 0))
-    for arrow in (harmony_arrow, possessive_arrow, vowel_arrow):
+    for arrow in (harmony_arrow, possessive_arrow):
         lifted = lift_pure(arrow)
         items = to_sequence(wz.zipper)
         for i in range(len(items)):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 import unicodedata
 
 import pytest
@@ -195,6 +196,14 @@ def test_out_of_range_deletion_from_a_rule_rejected():
     wz = WriterZipper(frozenset(), kaappi_at(0))
     with pytest.raises(ValueError):
         writer_extend(lambda cells, i: (frozenset({6}), cells[i]), wz)
+
+
+def test_a_range_error_names_each_bad_position_once():
+    """Every cell logs the same two bad positions; the error lists them once, sorted."""
+    wz = WriterZipper(frozenset(), kaappi_at(0))
+    message = "deletion positions [-1, 9] out of range for length 6"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        writer_extend(lambda cells, i: (frozenset({9, 2, -1}), cells[i]), wz)
 
 
 @given(writer_zippers(), writer_arrows)
