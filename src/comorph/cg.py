@@ -44,7 +44,6 @@ from itertools import chain, compress, count
 from operator import is_not, itemgetter
 
 from .record import Record, _set
-from .zipper import Zipper
 
 
 class RuleSyntaxError(ValueError):
@@ -312,7 +311,7 @@ def parse_rules(text: str) -> list[CgRule]:
     return rules
 
 
-def apply_rule(z: Zipper[ReadingSet], rule: CgRule) -> ReadingSet:
+def apply_rule(z: "Zipper[ReadingSet]", rule: CgRule) -> ReadingSet:
     """``rule.arrow`` read at a zipper's focus: the one adapter to ``extend``."""
     return rule.arrow(z.cells, z.index)
 
@@ -339,17 +338,23 @@ def run_cg(
     rules: Iterable[CgRule],
     on_fire: FireCallback | None = None,
 ) -> Sentence:
-    """Run every rule in order, one pass per rule over the tokens it can change."""
+    """Run every rule in order, one pass per rule over the tokens it can change.
+    A rule that is not a ``CgRule`` raises ``TypeError``, told apart once its pass fails."""
     cells = tuple(sentence)
     if not cells:
         raise ValueError("cannot disambiguate an empty sentence")
-    index = TagIndex(cells)
-    for number, rule in enumerate(rules, start=1):
-        before, cells = cells, _rule_pass(rule, index, cells)
-        if on_fire is not None and cells is not before:
-            # An unchanged token is the very object it was before the pass.
-            for i in compress(count(), map(is_not, cells, before)):
-                on_fire(number, i, before[i], cells[i])
+    index, number = TagIndex(cells), 0
+    try:
+        for number, rule in enumerate(rules, start=1):
+            before, cells = cells, _rule_pass(rule, index, cells)
+            if on_fire is not None and cells is not before:
+                # An unchanged token is the very object it was before the pass.
+                for i in compress(count(), map(is_not, cells, before)):
+                    on_fire(number, i, before[i], cells[i])
+    except AttributeError:
+        if not number or isinstance(rule, CgRule):
+            raise
+        raise TypeError(f"rule {number} must be a CgRule, not {rule!r}") from None
     return list(cells)
 
 

@@ -69,11 +69,11 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
     rule set cannot insert. The raw lemma is tested as it comes: a str that passes
     keeps its last letter and case under NFC, and no ending composes with it, so the
     pipeline's ``start`` is the one NFC. Other input meets ``start`` first, which
-    returns its checked cells, then the placeholder, stem and case checks, and goes
-    on in NFC if it passes them. The row's run is ``start``, one pass, one filter.
+    returns its checked cells, then the placeholder, stem, case and bool ``possessive_3``
+    checks, and goes on in NFC if it passes them. The row's run is ``start``, one pass, one filter.
     """
     raw = isinstance(lemma, str) and lemma.islower() and lemma[-1] in VOWELS
-    if not (raw and isinstance(case, NounCase)):
+    if not (raw and isinstance(case, NounCase) and (possessive_3 is True or possessive_3 is False)):
         lemma = "".join(start(lemma))
         for i, c in enumerate(lemma):
             if c in PLACEHOLDERS:
@@ -84,5 +84,7 @@ def generate(lemma: str, case: NounCase, possessive_3: bool = False) -> str:
             )
         if not isinstance(case, NounCase):
             raise TypeError(f"case must be a NounCase, not {case!r}")
+        if not (possessive_3 is True or possessive_3 is False):
+            raise TypeError(f"possessive_3 must be bool, not {possessive_3!r}")
     row = CASE_TEMPLATES[case]
     return row.pipeline.run(lemma + (row.poss3 if possessive_3 else row.suffix))

@@ -12,7 +12,6 @@ emits and merges the log once, and this rule emits none.
 """
 
 from .writer import EMPTY_DELETIONS, DeletionSet
-from .zipper import Zipper
 
 BACK_VOWELS = frozenset("aou")
 FRONT_VOWELS = frozenset("äöy")
@@ -60,13 +59,13 @@ def vowel_rule(cells: tuple[str, ...], i: int) -> tuple[DeletionSet, str]:
     return (EMPTY_DELETIONS, c)
 
 
-def harmony_arrow(z: Zipper[str]) -> str:
+def harmony_arrow(z: "Zipper[str]") -> str:
     """Resolve a focused A/O/U as ``vowel_rule`` does; leave everything else alone."""
     c = z.cells[z.index]
     return vowel_rule(z.cells, z.index)[1] if c in HARMONY_PLACEHOLDERS else c
 
 
-def possessive_arrow(z: Zipper[str]) -> str:
+def possessive_arrow(z: "Zipper[str]") -> str:
     """Resolve a focused V as ``vowel_rule`` does; leave everything else alone."""
     c = z.cells[z.index]
     return vowel_rule(z.cells, z.index)[1] if c == COPY_PLACEHOLDER else c

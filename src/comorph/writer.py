@@ -1,4 +1,4 @@
-"""Deletion tracking layered over character zippers.
+"""The deletion log, and the Writer comonad over character zippers.
 
 Length-changing rules must not shorten the sequence mid-pass, or later rules
 would see shifted positions. Instead each rule returns a set of absolute
@@ -23,15 +23,18 @@ defines it, the pair of a log and a zipper; ``table_extend`` and
 
 import unicodedata
 from collections.abc import Callable, Iterable, Sequence
+from functools import cache
+from importlib import import_module
 
 from .record import Record
-from .zipper import Zipper, _at, _new
 
 DeletionSet = frozenset[int]
 
 # The identity of the deletion monoid; ``|`` is its associative,
 # commutative and idempotent merge.
 EMPTY_DELETIONS: DeletionSet = frozenset()
+
+_zipper = cache(lambda: import_module(".zipper", __package__))  # no program path loads it
 
 
 def _check(logs: Iterable[DeletionSet], n: int) -> None:
@@ -60,10 +63,10 @@ class WriterZipper(Record):
     __slots__ = ("log", "zipper")
 
     log: DeletionSet
-    zipper: Zipper[str]
+    zipper: "Zipper[str]"
 
-    def __init__(self, log: DeletionSet, zipper: Zipper[str]) -> None:
-        if not isinstance(zipper, Zipper):
+    def __init__(self, log: DeletionSet, zipper: "Zipper[str]") -> None:
+        if not isinstance(zipper, _zipper().Zipper):
             raise TypeError(f"zipper must be a Zipper, not {zipper!r}")
         log = frozenset(log)
         _check((log,), len(zipper.cells))
@@ -120,7 +123,7 @@ def table_extend(table: dict[str, WriterArrow], wz: WriterZipper) -> WriterZippe
     log, out = _pass(table, z.cells, wz.log)
     if log is wz.log and out is z.cells:
         return wz
-    return WriterZipper(log, _at(tuple(out), z.index))
+    return WriterZipper(log, _zipper()._at(tuple(out), z.index))
 
 
 def _pass(table: dict[str, WriterArrow], cells: tuple[str, ...], log: DeletionSet) -> tuple:
@@ -156,11 +159,12 @@ def _filter(log: DeletionSet, cells: Sequence[str]) -> str:
     return "".join([c for i, c in enumerate(cells) if i not in log])
 
 
-def lift_pure(f: Callable[[Zipper[str]], str]) -> WriterArrow:
+def lift_pure(f: Callable[["Zipper[str]"], str]) -> WriterArrow:
     """The one adapter: at ``(cells, i)``, ``f`` on the zipper there, deleting nothing."""
+    Zipper, new = _zipper().Zipper, object.__new__
 
     def rule(cells: tuple[str, ...], i: int) -> tuple[DeletionSet, str]:
-        z = _new(Zipper)  # _at(cells, i), written out: this is the per-visit cost
+        z = new(Zipper)  # _at(cells, i), written out: this is the per-visit cost
         z.cells = cells
         z.index = i
         return (EMPTY_DELETIONS, f(z))

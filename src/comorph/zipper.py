@@ -7,11 +7,11 @@ context-reading local rule at every position to turn a windowed rule into a
 whole-sequence pass, costs one rule call per cell. Rules read their
 neighbours with ``peek``, or scan ``cells`` from ``index``. Nothing here
 mutates a zipper, and rules must not either. ``extend`` is the one loop over
-a zipper. The word passes of ``comorph.writer`` and the rule passes of
-``comorph.cg`` build no zipper per cell: their rules read ``(cells, i)``, the
-same cursor unpacked. ``lift_pure`` adapts a zipper rule to a word pass, and
-``cg.apply_rule`` adapts a CG rule to ``extend``. ``Zipper`` is the one
-focused-sequence class; ``writer.WriterZipper`` pairs one with a log.
+a zipper. The word and CG passes build no zipper, and no program path loads
+this module: their rules read ``(cells, i)``, the same cursor unpacked. The
+comonad objects load it on first use: ``writer.WriterZipper`` pairs a
+``Zipper``, the one focused-sequence class, with a log; ``lift_pure`` adapts a
+zipper rule to a word pass, and ``cg.apply_rule`` a CG rule to ``extend``.
 
 Input is checked where it enters: ``from_sequence`` rejects an empty
 sequence or a focus that is not an ``int`` or is out of range, and the

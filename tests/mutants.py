@@ -214,6 +214,13 @@ MUTANTS = (
         ("tests/test_cg.py::test_a_rule_field_of_the_wrong_type_is_refused",),
     ),
     Mutant(
+        "run-cg-renames-an-attribute-error-of-a-cg-rule",
+        "cg.py",
+        "        if not number or isinstance(rule, CgRule):\n",
+        "        if not number:\n",
+        ("tests/test_cg.py::test_an_attribute_error_raised_in_a_cg_rule_pass_is_not_renamed",),
+    ),
+    Mutant(
         "condition-accepts-a-bool-offset",
         "cg.py",
         " or (isinstance(value, bool) and kind is int):",
@@ -270,7 +277,7 @@ MUTANTS = (
     Mutant(
         "writer-zipper-accepts-any-zipper",
         "writer.py",
-        "        if not isinstance(zipper, Zipper):\n",
+        "        if not isinstance(zipper, _zipper().Zipper):\n",
         "        if False:\n",
         (
             "tests/test_writer.py::"
@@ -385,6 +392,13 @@ MUTANTS = (
         "",
         ("tests/test_generator.py",),
     ),
+    Mutant(
+        "generate-takes-any-possessive-3-on-its-fast-path",
+        "generator.py",
+        " and (possessive_3 is True or possessive_3 is False)):",
+        "):",
+        ("tests/test_generator.py::test_a_possessive_3_that_is_not_a_bool_is_refused",),
+    ),
     # The case table, checked against paradigms written from Finnish grammar.
     Mutant(
         "partitive-runs-the-weak-pipeline",
@@ -450,6 +464,21 @@ MUTANTS = (
         "import sys\n\n",
         "import sys\n\nfrom . import cg  # noqa: F401\n",
         ("tests/test_records.py",),
+    ),
+    # The program paths build no zipper and load no comorph.zipper.
+    Mutant(
+        "eager-zipper-import-in-the-writer",
+        "writer.py",
+        "from .record import Record\n",
+        "from .record import Record\nfrom .zipper import Zipper, _at, _new  # noqa: F401\n",
+        ("tests/test_records.py::test_no_program_path_loads_the_zipper_module",),
+    ),
+    Mutant(
+        "eager-zipper-import-in-cg",
+        "cg.py",
+        "from .record import Record, _set\n",
+        "from .record import Record, _set\nfrom .zipper import Zipper  # noqa: F401\n",
+        ("tests/test_records.py::test_no_program_path_loads_the_zipper_module",),
     ),
     Mutant(
         "lazy-export-not-stored",

@@ -506,6 +506,34 @@ def test_empty_sentence_rejected():
             run_cg(sentence, parse_rules("SELECT POS=noun"))
 
 
+@pytest.mark.parametrize("item", ["SELECT", None, 3, Condition(1, ReadingTest("pos", "noun"))])
+def test_a_rule_that_is_not_a_cg_rule_is_a_type_error_that_names_it(item):
+    rules = [*parse_rules("SELECT POS=num IF (+1 POS=noun)"), item]
+    with pytest.raises(TypeError) as info:
+        run_cg([KUUSI, KOIRAA], rules)
+    assert str(info.value) == f"rule 2 must be a CgRule, not {item!r}"
+
+
+def test_an_attribute_error_raised_in_a_cg_rule_pass_is_not_renamed():
+    def arrow(self, cells, i):
+        raise AttributeError("raised in the pass")
+
+    def rules():
+        raise AttributeError("raised by the rules")
+        yield
+
+    def on_fire(*event):
+        raise AttributeError("raised by on_fire")
+
+    with mock.patch.object(CgRule, "arrow", arrow):
+        with pytest.raises(AttributeError, match="^raised in the pass$"):
+            run_cg([KUUSI, KOIRAA], parse_rules("SELECT POS=num"))
+    with pytest.raises(AttributeError, match="^raised by the rules$"):
+        run_cg([KUUSI, KOIRAA], rules())
+    with pytest.raises(AttributeError, match="^raised by on_fire$"):
+        run_cg([KUUSI, KOIRAA], parse_rules("SELECT POS=num"), on_fire=on_fire)
+
+
 def test_on_fire_reports_changes():
     fired = []
     run_cg(

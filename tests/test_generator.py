@@ -185,6 +185,14 @@ def test_a_case_that_is_not_a_noun_case_is_refused(case):
     assert str(info.value) == f"case must be a NounCase, not {case!r}"
 
 
+@pytest.mark.parametrize("possessive_3", ["no", 0, 1, None])
+def test_a_possessive_3_that_is_not_a_bool_is_refused(possessive_3):
+    # 1 == True and 0 == False, so only a bool passes, as Condition's negated does.
+    with pytest.raises(TypeError) as info:
+        generate("kala", NounCase.GENITIVE, possessive_3)
+    assert str(info.value) == f"possessive_3 must be bool, not {possessive_3!r}"
+
+
 @given(
     st.text(alphabet=FINNISH_LOWER, max_size=6),
     st.sampled_from("AOUV"),

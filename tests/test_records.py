@@ -171,6 +171,35 @@ def test_the_word_and_cg_paths_load_only_their_own_modules():
     assert "comorph.cg" in cg and not word_modules & set(cg)
 
 
+def test_no_program_path_loads_the_zipper_module():
+    # Each in its own interpreter: a call, or the cg_stream chain, after the import.
+    readings = "kuusi\\tnum:kuusi;noun:kuusi\\nkoiraa\\tnoun:koira\\n"
+    paths = (
+        "from comorph import NounCase, generate; generate('kala', NounCase.GENITIVE, True)",
+        "from comorph import Grade, run_pipeline; run_pipeline('kukkaA', Grade.WEAK)",
+        "from comorph import parse_readings, parse_rules, run_cg;"
+        " from comorph.cg import format_sentences;"
+        " rules = parse_rules('SELECT POS=num IF (+1 POS=noun)');"
+        f" format_sentences([run_cg(s, rules) for s in parse_readings('{readings}')])",
+    )
+    for path in paths:
+        (loaded,) = _new_modules(path)
+        assert "comorph.record" in loaded and "comorph.zipper" not in loaded, path
+
+
+def test_the_comonad_objects_load_the_zipper_module_on_first_use():
+    imported, lifted, _ = _new_modules(
+        "from comorph.writer import WriterZipper, lift_pure, materialize, writer_extend",
+        "rule = lift_pure(lambda z: z.focus.upper())",
+        "from comorph.zipper import extract, from_sequence;"
+        " wz = WriterZipper(frozenset({1}), from_sequence('kala', 0));"
+        " assert writer_extend(lift_pure(extract), wz) == wz and materialize(wz) == 'kla';"
+        " assert materialize(writer_extend(rule, wz)) == 'KLA'",
+    )
+    assert "comorph.writer" in imported and "comorph.zipper" not in imported
+    assert "comorph.zipper" in lifted
+
+
 def test_a_bare_import_still_reaches_the_submodules():
     submodules = [f"comorph.{m}" for m in ("cg", "gradation", "generator", "pipeline")]
     submodules += [f"comorph.{m}" for m in ("record", "vowels", "writer", "zipper")]
